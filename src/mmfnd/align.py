@@ -7,30 +7,16 @@ all other in-batch combinations.
 
 from __future__ import annotations
 
+from . import tensor as T
 from .errors import ConfigError
-from .tensor import (
-    Param,
-    ShapeError,
-    Tensor,
-    add,
-    clip,
-    l2_normalize,
-    log,
-    matmul,
-    matvec,
-    scale,
-    softmax_rows,
-    take_diag,
-    transpose,
-    tsum,
-)
+from .tensor import Param, ShapeError, Tensor
 
 LOG_CLAMP = 1e-12
 
 
 def shared_encode(r: Tensor, w: Param, b: Param) -> Tensor:
-    """Unit-norm shared-space embedding of one unimodal feature."""
-    return l2_normalize(add(matvec(w, r), b))
+    """Unit-norm shared-space embeddings (B, d) of unimodal features (B, d)."""
+    return T.l2_normalize(T.matvec(w, r, b))
 
 
 def similarity_matrix(e_a: Tensor, e_b: Tensor, tau: float) -> Tensor:
@@ -41,8 +27,8 @@ def similarity_matrix(e_a: Tensor, e_b: Tensor, tau: float) -> Tensor:
     """
     if tau <= 0:
         raise ConfigError(f"temperature must be positive, got {tau}")
-    logits = scale(matmul(e_a, transpose(e_b)), 1.0 / tau)
-    return softmax_rows(logits)
+    logits = T.scale(T.matmul(e_a, T.transpose(e_b)), 1.0 / tau)
+    return T.softmax_rows(logits)
 
 
 def contrastive_loss(p_vt: Tensor, p_tv: Tensor, diagnostics: dict | None = None) -> Tensor:
@@ -56,12 +42,12 @@ def contrastive_loss(p_vt: Tensor, p_tv: Tensor, diagnostics: dict | None = None
     n, cols = p_vt.data.shape
     if n != cols or p_tv.data.shape != (n, n):
         raise ShapeError(f"contrastive_loss needs square matrices of equal size, got {p_vt.data.shape} and {p_tv.data.shape}")
-    diag_vt = take_diag(p_vt)
-    diag_tv = take_diag(p_tv)
+    diag_vt = T.take_diag(p_vt)
+    diag_tv = T.take_diag(p_tv)
     if diagnostics is not None:
         clamped = int((diag_vt.data < LOG_CLAMP).sum() + (diag_tv.data < LOG_CLAMP).sum())
         if clamped:
             diagnostics["clamped_log_events"] = diagnostics.get("clamped_log_events", 0) + clamped
-    loss_vt = scale(tsum(log(clip(diag_vt, LOG_CLAMP, None))), -1.0 / n)
-    loss_tv = scale(tsum(log(clip(diag_tv, LOG_CLAMP, None))), -1.0 / n)
-    return scale(add(loss_vt, loss_tv), 0.5)
+    loss_vt = T.scale(T.tsum(T.log(T.clip(diag_vt, LOG_CLAMP, None))), -1.0 / n)
+    loss_tv = T.scale(T.tsum(T.log(T.clip(diag_tv, LOG_CLAMP, None))), -1.0 / n)
+    return T.scale(T.add(loss_vt, loss_tv), 0.5)

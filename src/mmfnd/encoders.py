@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain, compress
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Param, Tensor, matvec, mean_pool, take_rows
+from . import tensor as T
+from .tensor import Param, Tensor
 
 OOV_ID = 0
 
@@ -43,7 +45,7 @@ class TokenSequence:
     mask: list[bool]
 
     def active_ids(self) -> list[int]:
-        return [i for i, m in zip(self.ids, self.mask) if m]
+        return list(compress(self.ids, self.mask))
 
 
 class Vocabulary:
@@ -82,27 +84,60 @@ class Vocabulary:
 # ---------------------------------------------------------------------------
 
 
-def pooled_embedding(emb: Param, seq: TokenSequence) -> Tensor:
-    """Mean of the embedding rows at the unmasked positions."""
-    ids = seq.active_ids()
-    if not ids:
+def bag_of_ids(seqs: list, vocab_size: int) -> np.ndarray:
+    """(N, V) pooling weights: row r holds k/n at an id that fills k of the
+    n unmasked positions of ``seqs[r]``, so its product with the embedding
+    table is the mean of those rows. A ``None`` entry leaves its row zero.
+
+    On a desk-scale vocabulary one (N, V) x (V, d) product is far cheaper
+    than gathering and masking (N, L, d) token rows.
+    """
+    active = [s.active_ids() if s is not None else None for s in seqs]
+    if any(ids == [] for ids in active):
         raise EmptyTextError("cannot encode an all-padding token sequence")
-    return mean_pool(take_rows(emb, ids), axis=0)
+    lens = np.array([len(ids) if ids else 0 for ids in active])
+    rows = np.repeat(np.arange(len(seqs)), lens)
+    ids = np.fromiter(chain.from_iterable(ids for ids in active if ids), dtype=np.intp, count=rows.size)
+    if ids.size and not 0 <= ids.min() <= ids.max() < vocab_size:
+        raise ValueError(f"token ids must lie in [0, {vocab_size}), got {ids.min()}..{ids.max()}")
+    weights = np.repeat(1.0 / np.maximum(lens, 1), lens)
+    bag = np.bincount(rows * vocab_size + ids, weights=weights, minlength=len(seqs) * vocab_size)
+    return bag.reshape(len(seqs), vocab_size)
 
 
-def encode_text(emb: Param, w_tf: Param, seq: TokenSequence) -> Tensor:
-    """Projected text feature from mean-pooled token embeddings."""
-    return matvec(w_tf, pooled_embedding(emb, seq))
+def pooled_embedding(emb: Param, bag: np.ndarray) -> Tensor:
+    """Mean of the embedding rows each row of ``bag`` selects (see bag_of_ids)."""
+    return T.matmul(T.Tensor(bag), emb)
 
 
-def encode_description(emb: Param, w_df: Param, seq: TokenSequence) -> Tensor:
-    """One row of the description feature matrix; shares the token table."""
-    return matvec(w_df, pooled_embedding(emb, seq))
+def embed_rows(emb: Param, slots: list, lead: tuple[int, ...]) -> Tensor | None:
+    """Feature rows shaped ``lead + (d,)`` from ``slots`` in row-major order.
+
+    A TokenSequence slot gives the mean of its token embeddings, an array
+    slot is a precomputed vector taken as it is, and a None slot (padding)
+    gives a zero row. Returns None when every slot is None.
+    """
+    n_vocab, d = emb.data.shape
+    seqs = [s if isinstance(s, TokenSequence) else None for s in slots]
+    rows = None
+    if any(s is not None for s in seqs):
+        rows = pooled_embedding(emb, bag_of_ids(seqs, n_vocab).reshape(*lead, n_vocab))
+    if any(isinstance(s, np.ndarray) for s in slots):
+        pre = np.array([s if isinstance(s, np.ndarray) else np.zeros(d) for s in slots])
+        pre = T.Tensor(pre.reshape(*lead, d))
+        rows = pre if rows is None else T.add(rows, pre)
+    return rows
+
+
+def encode_description(emb: Param, w_df: Param, slots: list, lead: tuple[int, int]) -> Tensor:
+    """Projected description features (B, D, d) from padded description
+    slots (see embed_rows); they share the token table with the text."""
+    return T.matvec(w_df, embed_rows(emb, slots, lead))
 
 
 def encode_image(w_vf: Param, img: Tensor) -> Tensor:
-    """Projected image feature from a pre-extracted feature vector."""
-    return matvec(w_vf, img)
+    """Projected image features from pre-extracted feature vectors (B, d_raw)."""
+    return T.matvec(w_vf, img)
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,10 @@ import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 
-from .tensor import (
-    DegenerateInputError,
-    Param,
-    Tensor,
-    add,
-    matvec,
-    mean_pool,
-    scale_rows,
-    softmax_vec,
-)
+import numpy as np
+
+from . import tensor as T
+from .tensor import DegenerateInputError, Param, Tensor
 
 
 @dataclass(frozen=True)
@@ -304,21 +298,27 @@ class WikiClient:
 # ---------------------------------------------------------------------------
 
 
-def description_attention(r_t: Tensor, m_d: Tensor) -> Tensor:
-    """Distribution over descriptions from their dot products with the text."""
-    return softmax_vec(matvec(m_d, r_t))
+def description_attention(r_t: Tensor, m_d: Tensor, counts: np.ndarray) -> Tensor:
+    """(B, D) distribution over each item's descriptions from their dot
+    products with its text feature; item b attends to its first counts[b]
+    rows of m_d and gives the padding rows zero weight."""
+    mask = np.arange(m_d.data.shape[1]) < np.asarray(counts)[:, None]
+    return T.softmax_rows(T.bmv(m_d, r_t), mask)
 
 
-def enhance(r_t: Tensor, m_d: Tensor | None, w_t: Param, w_d: Param) -> Tensor:
-    """Knowledge-enhanced text feature.
+def enhance(r_t: Tensor, m_d: Tensor | None, counts: np.ndarray, w_t: Param, w_d: Param) -> Tensor:
+    """Knowledge-enhanced text features (B, d).
 
-    Description rows are weighted by attention against the text feature,
-    mean-pooled, projected, and added to the projected text feature. With
-    no descriptions the text projection alone is returned.
+    ``m_d`` holds each item's description rows padded to (B, D, d); item b
+    has counts[b] of them. They are weighted by attention against the text
+    feature, mean-pooled over the item's own count, projected, and added to
+    the projected text feature. An item with no descriptions (or
+    ``m_d=None``) gets the text projection alone.
     """
-    base = matvec(w_t, r_t)
-    if m_d is None or m_d.data.shape[0] == 0:
+    base = T.matvec(w_t, r_t)
+    if m_d is None:
         return base
-    att = description_attention(r_t, m_d)
-    pooled = mean_pool(scale_rows(m_d, att), axis=0)
-    return add(base, matvec(w_d, pooled))
+    att = description_attention(r_t, m_d, counts)
+    inv_count = 1.0 / np.maximum(counts, 1)
+    pooled = T.scale_rows(T.bmv(T.transpose(m_d), att), T.Tensor(inv_count))
+    return T.add(base, T.matvec(w_d, pooled))

@@ -15,10 +15,6 @@ class GradCheckReport:
     per_param: dict[str, float] = field(default_factory=dict)
     max_rel_err: float = 0.0
 
-    def worst(self) -> tuple[str, float]:
-        name = max(self.per_param, key=self.per_param.get)
-        return name, self.per_param[name]
-
 
 def finite_diff_check(f, params: list[Param], h: float = 1e-4) -> GradCheckReport:
     """Compare the analytic gradient of ``f`` against central differences.

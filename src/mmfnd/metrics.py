@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 
@@ -96,18 +95,11 @@ def confusion_from_predictions(y_true: list[int], y_pred: list[int]) -> tuple[in
     return tp, fp, fn, tn
 
 
-def evaluate(model, dataset, precomputed=None, workers: int = 1) -> MetricsReport:
-    """Forward every item and score the hard predictions.
-
-    With ``workers > 1`` items are classified in parallel threads; results
-    are assembled in dataset order so the report is identical to a serial
-    run.
-    """
+def evaluate(model, dataset, precomputed=None) -> MetricsReport:
+    """Classify every item and score the hard predictions. Items go through
+    ``model.predict`` one at a time, not in ``predict_batch`` chunks: the
+    traced benchmark run times these calls per item (ROADMAP item 2)."""
     feats = [model.featurize(item, precomputed) for item in dataset.items]
-    if workers <= 1:
-        preds = [model.predict(f).label for f in feats]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            preds = [p.label for p in pool.map(model.predict, feats)]
+    preds = [model.predict(f).label for f in feats]
     tp, fp, fn, tn = confusion_from_predictions(dataset.labels(), preds)
     return report_from_confusion(tp, fp, fn, tn)

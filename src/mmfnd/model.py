@@ -1,10 +1,12 @@
 """End-to-end detection model: parameter registry, forward pass, batch loss.
 
 The model assembles the encoder, enrichment, alignment, interaction and
-fusion stages. Ablation variants rewire the graph: ``no_E`` drops the
-description channel, ``no_M`` drops the contrastive loss and the
-interaction feature (the classifier then fuses two channels), ``no_A``
-fixes every fusion gate at one.
+fusion stages. A forward pass covers a whole batch on one tape: items are
+featurized one by one, then stacked into (B, ...) arrays, with each item's
+descriptions padded to the widest item in the batch. Ablation variants
+rewire the graph: ``no_E`` drops the description channel, ``no_M`` drops
+the contrastive loss and the interaction feature (the classifier then
+fuses two channels), ``no_A`` fixes every fusion gate at one.
 """
 
 from __future__ import annotations
@@ -74,11 +76,10 @@ class ItemFeatures:
 
 
 @dataclass
-class ItemTrace:
-    """Intermediate tensors of one forward pass (kept for tests and export)."""
+class Trace:
+    """Intermediate tensors of one batched forward pass, one row per item."""
 
     r_t: T.Tensor
-    r_v: T.Tensor
     m_d: T.Tensor | None
     r_t_enh: T.Tensor
     e_t: T.Tensor | None
@@ -88,49 +89,64 @@ class ItemTrace:
     gates: T.Tensor | None
     fused: T.Tensor
     probs: T.Tensor
-    label: int
+    labels: np.ndarray
+
+
+def param_specs(config: ModelConfig, n_vocab: int) -> dict[str, tuple[tuple[int, ...], int | None]]:
+    """Every parameter of a model, in registry order: name -> (shape, fan_in).
+
+    A fan_in of None marks a zero-initialised bias; the embedding table
+    draws unit normals (fan_in 1).
+    """
+    d, d_raw, k = config.d, config.d_raw, config.n_channels
+    specs = {"emb": ((n_vocab, d), 1), "w_tf": ((d, d), d), "w_vf": ((d, d_raw), d_raw), "w_t": ((d, d), d)}
+    if config.uses_enhancement:
+        specs.update(w_df=((d, d), d), w_d=((d, d), d))
+    if config.uses_interaction:
+        for layer in ("st", "sv", "i1", "i2"):
+            specs[f"w_{layer}"] = ((d, d), d)
+            specs[f"b_{layer}"] = ((d,), None)
+    if config.uses_gates:
+        specs.update(w_g=((k, d), d), b_g=((k,), None))
+    specs.update(w_c1=((d, k * d), k * d), b_c1=((d,), None), w_c2=((2, d), d), b_c2=((2,), None))
+    return specs
 
 
 class Model:
     """All trainable state plus the wiring between pipeline stages."""
 
-    def __init__(self, config: ModelConfig, vocab: enc.Vocabulary, rng: Rng):
+    def __init__(self, config: ModelConfig, vocab: enc.Vocabulary, arrays: dict[str, np.ndarray]):
+        """A model holding the given parameter arrays, which must match
+        ``param_specs`` name for name and shape for shape. Each parameter is
+        also an attribute of the same name (``self.w_tf``, ...)."""
         config.validate()
         self.config = config
         self.vocab = vocab
         self.params = T.ParamRegistry()
-        d, d_raw, k = config.d, config.d_raw, config.n_channels
+        specs = param_specs(config, len(vocab))
+        missing = [name for name in specs if name not in arrays]
+        unexpected = [name for name in arrays if name not in specs]
+        if missing or unexpected:
+            raise ConfigError(
+                f"parameters do not match the {config.ablation!r} model: "
+                f"missing {missing}, unexpected {unexpected}"
+            )
+        for name, (shape, _) in specs.items():
+            data = np.asarray(arrays[name], dtype=np.float64)
+            if data.shape != shape:
+                raise ConfigError(f"parameter {name} has shape {data.shape}, expected {shape}")
+            setattr(self, name, self.params.register(name, data))
 
-        def init(name, shape, fan_in):
-            data = rng.stream("init", name).normal(size=shape) / math.sqrt(fan_in)
-            return self.params.register(name, data)
-
-        def zeros(name, shape):
-            return self.params.register(name, np.zeros(shape))
-
-        self.emb = self.params.register("emb", rng.stream("init", "emb").normal(size=(len(vocab), d)))
-        self.w_tf = init("w_tf", (d, d), d)
-        self.w_vf = init("w_vf", (d, d_raw), d_raw)
-        self.w_t = init("w_t", (d, d), d)
-        if config.uses_enhancement:
-            self.w_df = init("w_df", (d, d), d)
-            self.w_d = init("w_d", (d, d), d)
-        if config.uses_interaction:
-            self.w_st = init("w_st", (d, d), d)
-            self.b_st = zeros("b_st", d)
-            self.w_sv = init("w_sv", (d, d), d)
-            self.b_sv = zeros("b_sv", d)
-            self.w_i1 = init("w_i1", (d, d), d)
-            self.b_i1 = zeros("b_i1", d)
-            self.w_i2 = init("w_i2", (d, d), d)
-            self.b_i2 = zeros("b_i2", d)
-        if config.uses_gates:
-            self.w_g = init("w_g", (k, d), d)
-            self.b_g = zeros("b_g", k)
-        self.w_c1 = init("w_c1", (d, k * d), k * d)
-        self.b_c1 = zeros("b_c1", d)
-        self.w_c2 = init("w_c2", (2, d), d)
-        self.b_c2 = zeros("b_c2", 2)
+    @classmethod
+    def initialize(cls, config: ModelConfig, vocab: enc.Vocabulary, rng: Rng) -> "Model":
+        """Fresh weights: scaled normals per ``param_specs``, zero biases."""
+        arrays = {}
+        for name, (shape, fan_in) in param_specs(config, len(vocab)).items():
+            if fan_in is None:
+                arrays[name] = np.zeros(shape)
+            else:
+                arrays[name] = rng.stream("init", name).normal(size=shape) / math.sqrt(fan_in)
+        return cls(config, vocab, arrays)
 
     # -- input preparation --------------------------------------------------
 
@@ -138,44 +154,50 @@ class Model:
         """Tokenize (or look up precomputed vectors for) one news item.
 
         Description inputs are prepared only when the enhancement channel
-        is active; the ``no_E`` variant never reads them.
+        is active; the ``no_E`` variant never reads them. Vector widths are
+        checked here, so a wrong one names its item and field.
         """
+        cfg = self.config
+
+        def checked(name, vec, width):
+            vec = np.asarray(vec, dtype=np.float64)
+            if vec.shape != (width,):
+                raise ConfigError(f"item {item.id!r}: {name} has shape {vec.shape}, expected ({width},)")
+            return vec
+
         pre = precomputed.get(item.id) if precomputed else None
-        image = pre.image_vec if pre is not None else np.asarray(item.image, dtype=np.float64)
+        image = checked("image_vec" if pre else "image", pre.image_vec if pre else item.image, cfg.d_raw)
         feats = ItemFeatures(item_id=item.id, label=item.label, image=image)
         if pre is not None and pre.text_vec is not None:
-            feats.text_vec = pre.text_vec
+            feats.text_vec = checked("text_vec", pre.text_vec, cfg.d)
         else:
-            feats.text_seq = self.vocab.encode(item.text, self.config.max_len)
-        if self.config.uses_enhancement:
+            feats.text_seq = self.vocab.encode(item.text, cfg.max_len)
+        if cfg.uses_enhancement:
             if pre is not None and pre.desc_vecs:
-                feats.desc_vecs = list(pre.desc_vecs)
+                feats.desc_vecs = [checked("desc_vecs", v, cfg.d) for v in pre.desc_vecs]
             else:
-                feats.desc_seqs = [
-                    self.vocab.encode(s, self.config.max_len) for s in item.descriptions
-                ]
+                feats.desc_seqs = [self.vocab.encode(s, cfg.max_len) for s in item.descriptions]
         return feats
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, feats: ItemFeatures) -> ItemTrace:
-        cfg = self.config
-        if feats.text_vec is not None:
-            r_cls = T.Tensor(feats.text_vec)
-        else:
-            r_cls = enc.pooled_embedding(self.emb, feats.text_seq)
-        r_t = T.matvec(self.w_tf, r_cls)
-        r_v = enc.encode_image(self.w_vf, T.Tensor(feats.image))
+    def forward(self, batch: list[ItemFeatures]) -> Trace:
+        """One tape over the whole batch: every tensor is (B, ...)."""
+        cfg, n = self.config, len(batch)
+        text = [f.text_vec if f.text_vec is not None else f.text_seq for f in batch]
+        r_t = T.matvec(self.w_tf, enc.embed_rows(self.emb, text, (n,)))
+        r_v = enc.encode_image(self.w_vf, T.Tensor(np.stack([f.image for f in batch])))
 
         m_d = None
         if cfg.uses_enhancement:
-            rows = [T.matvec(self.w_df, T.Tensor(v)) for v in feats.desc_vecs]
-            rows += [
-                enc.encode_description(self.emb, self.w_df, seq) for seq in feats.desc_seqs
-            ]
-            if rows:
-                m_d = T.stack_rows(rows)
-            r_t_enh = enrich.enhance(r_t, m_d, self.w_t, self.w_d)
+            # each item's precomputed vectors, then its token sequences, padded to the widest item
+            descs = [list(f.desc_vecs) + list(f.desc_seqs) for f in batch]
+            counts = np.array([len(x) for x in descs])
+            width = int(counts.max())
+            if width:
+                slots = [s for x in descs for s in x + [None] * (width - len(x))]
+                m_d = enc.encode_description(self.emb, self.w_df, slots, (n, width))
+            r_t_enh = enrich.enhance(r_t, m_d, counts, self.w_t, self.w_d)
         else:
             r_t_enh = T.matvec(self.w_t, r_t)
 
@@ -192,10 +214,10 @@ class Model:
         features = [r_t_enh, r_v] + ([r_f] if r_f is not None else [])
         gates = fuse.adaptive_weights(features, self.w_g, self.b_g) if cfg.uses_gates else None
         fused = fuse.fuse(features, gates)
-        probs, label = fuse.classify(fused, self.w_c1, self.b_c1, self.w_c2, self.b_c2)
-        return ItemTrace(
-            r_t=r_t, r_v=r_v, m_d=m_d, r_t_enh=r_t_enh, e_t=e_t, e_v=e_v, r_f=r_f,
-            features=features, gates=gates, fused=fused, probs=probs, label=label,
+        probs, labels = fuse.classify(fused, self.w_c1, self.b_c1, self.w_c2, self.b_c2)
+        return Trace(
+            r_t=r_t, m_d=m_d, r_t_enh=r_t_enh, e_t=e_t, e_v=e_v, r_f=r_f,
+            features=features, gates=gates, fused=fused, probs=probs, labels=labels,
         )
 
     def batch_loss(
@@ -205,16 +227,12 @@ class Model:
         batch-level contrastive loss (when the interaction module is on)."""
         if not batch:
             raise ConfigError("batch_loss over an empty batch")
-        traces = [self.forward(f) for f in batch]
-        l_d = T.mean_scalars(
-            [fuse.detection_loss(tr.probs, f.label) for tr, f in zip(traces, batch)]
-        )
+        trace = self.forward(batch)
+        l_d = fuse.detection_loss(trace.probs, [f.label for f in batch])
         parts = {"detection": float(l_d.data)}
         if self.config.uses_interaction:
-            e_t = T.stack_rows([tr.e_t for tr in traces])
-            e_v = T.stack_rows([tr.e_v for tr in traces])
-            p_vt = align.similarity_matrix(e_v, e_t, self.config.tau)
-            p_tv = align.similarity_matrix(e_t, e_v, self.config.tau)
+            p_vt = align.similarity_matrix(trace.e_v, trace.e_t, self.config.tau)
+            p_tv = align.similarity_matrix(trace.e_t, trace.e_v, self.config.tau)
             l_c = align.contrastive_loss(p_vt, p_tv, diagnostics)
             parts["contrastive"] = float(l_c.data)
             loss = fuse.total_loss(l_c, l_d, self.config.lambda_c)
@@ -226,14 +244,24 @@ class Model:
 
     # -- inference ----------------------------------------------------------
 
-    def predict(self, feats: ItemFeatures) -> fuse.Prediction:
-        trace = self.forward(feats)
-        gates = tuple(float(g) for g in trace.gates.data) if trace.gates is not None else None
-        return fuse.Prediction(probs=trace.probs.data.copy(), label=trace.label, gates=gates)
+    def predict_batch(self, batch: list[ItemFeatures]) -> list[fuse.Prediction]:
+        """Class distribution, label and gates of every item, in batch order."""
+        if not batch:
+            return []
+        trace = self.forward(batch)
+        T.release(trace.probs)
+        gates = trace.gates.data.tolist() if trace.gates is not None else None
+        return [
+            fuse.Prediction(
+                probs=trace.probs.data[i].copy(),
+                label=int(trace.labels[i]),
+                gates=tuple(gates[i]) if gates is not None else None,
+            )
+            for i in range(len(batch))
+        ]
 
-    def fused_vector(self, feats: ItemFeatures) -> np.ndarray:
-        """Pre-classifier representation used for the projection export."""
-        return self.forward(feats).fused.data.copy()
+    def predict(self, feats: ItemFeatures) -> fuse.Prediction:
+        return self.predict_batch([feats])[0]
 
     # -- persistence ----------------------------------------------------------
 
@@ -246,15 +274,11 @@ class Model:
     def load(cls, path) -> "Model":
         with np.load(path, allow_pickle=False) as archive:
             meta = json.loads(str(archive["__meta__"]))
-            model = cls(ModelConfig(**meta["config"]), enc.Vocabulary(meta["vocab"]), Rng(0))
-            for name in model.params.names():
-                stored = archive[f"param/{name}"]
-                if stored.shape != model.params[name].data.shape:
-                    raise ConfigError(
-                        f"stored parameter {name} has shape {stored.shape}, expected {model.params[name].data.shape}"
-                    )
-                model.params[name].data[...] = stored
-        return model
+            arrays = {
+                key.removeprefix("param/"): archive[key]
+                for key in archive.files if key.startswith("param/")
+            }
+        return cls(ModelConfig(**meta["config"]), enc.Vocabulary(meta["vocab"]), arrays)
 
 
 def build_gradcheck_problem(
@@ -263,7 +287,9 @@ def build_gradcheck_problem(
     """A tiny deterministic model plus batch for gradient verification."""
     rng = Rng(seed)
     vocab = enc.Vocabulary([f"tok{i}" for i in range(12)])
-    model = Model(ModelConfig(d=d, d_raw=d, max_len=8, tau=0.5, ablation=ablation), vocab, rng)
+    model = Model.initialize(
+        ModelConfig(d=d, d_raw=d, max_len=8, tau=0.5, ablation=ablation), vocab, rng
+    )
     feats = []
     for i in range(n_items):
         gen = rng.stream("item", i)

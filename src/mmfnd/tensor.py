@@ -2,8 +2,10 @@
 
 Tensors wrap numpy arrays and record their producing operation on a tape;
 calling ``backward()`` on a scalar result propagates gradients to every
-leaf. Only the shapes the detection pipeline needs are supported --
-no general broadcasting.
+leaf. One tape covers a whole batch: ops act on (B, ...) arrays and treat
+the leading axes as batch axes, so a training step builds a few dozen
+nodes, not a few per item. Broadcasting is explicit: each op states the
+shapes it accepts.
 """
 
 from __future__ import annotations
@@ -30,25 +32,29 @@ class Tensor:
         self._parents = tuple(parents)
         self._backward = None
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar output."""
+        """Reverse-mode sweep from a scalar output.
+
+        Afterwards the graph is unlinked (see ``release``): the gradients
+        have reached the leaves, and each node's closure holds its own
+        output, so a linked graph would live until the cyclic collector ran.
+        """
         if self.data.shape != ():
             raise ShapeError(f"backward() needs a scalar output, got shape {self.data.shape}")
         order = _topo_order(self)
         for node in order:
             if node.grad is None:
-                node.grad = np.zeros_like(node.data)
+                node.grad = np.zeros(node.data.shape)
         self.grad += 1.0
         for node in reversed(order):
             if node._backward is not None:
                 node._backward()
+        for node in order:
+            node._backward = None
+            node._parents = ()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -84,14 +90,8 @@ class ParamRegistry:
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __iter__(self):
         return iter(self._params.values())
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -100,12 +100,9 @@ class ParamRegistry:
         for p in self._params.values():
             p.grad[...] = 0.0
 
-    def n_coords(self) -> int:
-        return sum(p.data.size for p in self._params.values())
-
 
 def _topo_order(root: Tensor) -> list[Tensor]:
-    # Iterative DFS; graphs can be a few thousand nodes deep per batch.
+    # Iterative DFS: no recursion limit however deep the graph.
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -124,14 +121,15 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _require_2d(x: Tensor, op: str) -> None:
-    if x.data.ndim != 2:
-        raise ShapeError(f"{op} needs a 2-D operand, got shape {x.data.shape}")
-
-
-def _require_1d(x: Tensor, op: str) -> None:
-    if x.data.ndim != 1:
-        raise ShapeError(f"{op} needs a 1-D operand, got shape {x.data.shape}")
+def release(root: Tensor) -> None:
+    """Unlink the graph under ``root`` without a backward sweep (inference),
+    so reference counting frees it as soon as its tensors go out of use."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        stack.extend(node._parents)  # a node reached twice has no parents left
+        node._parents = ()
+        node._backward = None
 
 
 # ---------------------------------------------------------------------------
@@ -140,57 +138,63 @@ def _require_1d(x: Tensor, op: str) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """C = A @ B for 2-D operands."""
-    _require_2d(a, "matmul")
-    _require_2d(b, "matmul")
-    if a.data.shape[1] != b.data.shape[0]:
+    """C = A @ B for a 2-D B; leading axes of A beyond the last are batch axes."""
+    if b.data.ndim != 2 or a.data.ndim < 2 or a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dims disagree: {a.data.shape} vs {b.data.shape}")
     out = Tensor(a.data @ b.data, (a, b))
 
     def _backward():
         a.grad += out.grad @ b.data.T
-        b.grad += a.data.T @ out.grad
+        b.grad += a.data.reshape(-1, a.data.shape[-1]).T @ out.grad.reshape(-1, b.data.shape[1])
 
     out._backward = _backward
     return out
 
 
-def matvec(a: Tensor, x: Tensor) -> Tensor:
-    """y = A @ x with A 2-D and x 1-D."""
-    _require_2d(a, "matvec")
-    _require_1d(x, "matvec")
-    if a.data.shape[1] != x.data.shape[0]:
+def matvec(a: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
+    """y = A x (+ b) for every vector along the last axis of x (a dense layer)."""
+    if a.data.ndim != 2 or x.data.shape[-1:] != a.data.shape[1:]:
         raise ShapeError(f"matvec inner dims disagree: {a.data.shape} vs {x.data.shape}")
-    out = Tensor(a.data @ x.data, (a, x))
+    if b is not None and b.data.shape != a.data.shape[:1]:
+        raise ShapeError(f"matvec bias has shape {b.data.shape}, expected {a.data.shape[:1]}")
+    y = x.data @ a.data.T
+    if b is not None:
+        y += b.data
+    out = Tensor(y, (a, x) if b is None else (a, x, b))
 
     def _backward():
-        a.grad += np.outer(out.grad, x.data)
-        x.grad += a.data.T @ out.grad
+        g = out.grad.reshape(-1, a.data.shape[0])
+        a.grad += g.T @ x.data.reshape(-1, a.data.shape[1])
+        x.grad += out.grad @ a.data
+        if b is not None:
+            b.grad += g.sum(axis=0)
+
+    out._backward = _backward
+    return out
+
+
+def bmv(m: Tensor, v: Tensor) -> Tensor:
+    """Batched matrix-vector product: out[..., i] = sum_j m[..., i, j] v[..., j]."""
+    if m.data.ndim != v.data.ndim + 1 or m.data.shape[:-2] + m.data.shape[-1:] != v.data.shape:
+        raise ShapeError(f"bmv shapes disagree: {m.data.shape} vs {v.data.shape}")
+    out = Tensor(np.matmul(m.data, v.data[..., None])[..., 0], (m, v))
+
+    def _backward():
+        m.grad += out.grad[..., :, None] * v.data[..., None, :]
+        v.grad += np.matmul(out.grad[..., None, :], m.data)[..., 0, :]
 
     out._backward = _backward
     return out
 
 
 def transpose(x: Tensor) -> Tensor:
-    _require_2d(x, "transpose")
-    out = Tensor(x.data.T.copy(), (x,))
+    """Swap the last two axes."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"transpose needs at least 2 axes, got shape {x.data.shape}")
+    out = Tensor(np.swapaxes(x.data, -1, -2).copy(), (x,))
 
     def _backward():
-        x.grad += out.grad.T
-
-    out._backward = _backward
-    return out
-
-
-def outer(u: Tensor, v: Tensor) -> Tensor:
-    """Rank-1 matrix u v^T from two vectors."""
-    _require_1d(u, "outer")
-    _require_1d(v, "outer")
-    out = Tensor(np.outer(u.data, v.data), (u, v))
-
-    def _backward():
-        u.grad += out.grad @ v.data
-        v.grad += out.grad.T @ u.data
+        x.grad += np.swapaxes(out.grad, -1, -2)
 
     out._backward = _backward
     return out
@@ -227,8 +231,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def affine(x: Tensor, a: float, b: float) -> Tensor:
-    """a*x + b with python-float coefficients."""
+def affine(x: Tensor, a, b) -> Tensor:
+    """a*x + b with constant coefficients: python floats or arrays shaped like x."""
     out = Tensor(a * x.data + b, (x,))
 
     def _backward():
@@ -242,31 +246,15 @@ def scale(x: Tensor, c: float) -> Tensor:
     return affine(x, c, 0.0)
 
 
-def scale_by(v: Tensor, s: Tensor) -> Tensor:
-    """v scaled by a 0-d tensor s (e.g. a learned gate)."""
-    if s.data.shape != ():
-        raise ShapeError(f"scale_by needs a scalar multiplier, got shape {s.data.shape}")
-    out = Tensor(v.data * s.data, (v, s))
-
-    def _backward():
-        v.grad += out.grad * s.data
-        s.grad += np.sum(out.grad * v.data)
-
-    out._backward = _backward
-    return out
-
-
 def scale_rows(m: Tensor, w: Tensor) -> Tensor:
-    """Row i of m multiplied by w[i]."""
-    _require_2d(m, "scale_rows")
-    _require_1d(w, "scale_rows")
-    if m.data.shape[0] != w.data.shape[0]:
+    """Each vector along the last axis of m multiplied by its entry of w."""
+    if m.data.shape[:-1] != w.data.shape or m.data.ndim < 1:
         raise ShapeError(f"scale_rows shapes disagree: {m.data.shape} vs {w.data.shape}")
-    out = Tensor(m.data * w.data[:, None], (m, w))
+    out = Tensor(m.data * w.data[..., None], (m, w))
 
     def _backward():
-        m.grad += out.grad * w.data[:, None]
-        w.grad += np.sum(out.grad * m.data, axis=1)
+        m.grad += out.grad * w.data[..., None]
+        w.grad += np.sum(out.grad * m.data, axis=-1)
 
     out._backward = _backward
     return out
@@ -326,50 +314,77 @@ def clip(x: Tensor, lo: float | None, hi: float | None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with max-subtraction for stability."""
-    _require_2d(x, "softmax_rows")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
+def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Softmax along the last axis with max-subtraction for stability.
+
+    With a boolean ``mask`` (x's shape), masked-out entries get probability
+    zero; a row with no entry left is all zeros.
+    """
+    if x.data.ndim < 1:
+        raise ShapeError("softmax_rows needs at least one axis")
+    z = x.data if mask is None else np.where(mask, x.data, -np.inf)
+    top = z.max(axis=-1, keepdims=True)
+    if mask is not None:
+        top[~np.isfinite(top)] = 0.0
+    e = np.exp(z - top)
+    total = e.sum(axis=-1, keepdims=True)
+    if mask is not None:
+        total[total == 0.0] = 1.0
+    p = e / total
     out = Tensor(p, (x,))
 
     def _backward():
-        # dx = p * (g - sum(g * p, row))
-        s = np.sum(out.grad * p, axis=1, keepdims=True)
-        x.grad += p * (out.grad - s)
+        # dx = p * (g - sum(g * p, last axis))
+        x.grad += p * (out.grad - np.sum(out.grad * p, axis=-1, keepdims=True))
 
     out._backward = _backward
     return out
 
 
-def softmax_vec(x: Tensor) -> Tensor:
-    """Softmax of a single 1-D logit vector."""
-    _require_1d(x, "softmax_vec")
-    shifted = x.data - x.data.max()
-    e = np.exp(shifted)
-    p = e / e.sum()
-    out = Tensor(p, (x,))
+def outer_softmax(u: Tensor, v: Tensor, c: float) -> Tensor:
+    """p[..., i, :] = softmax(c * u[..., i] * v[...]): row-wise softmax of the
+    scaled outer product of each pair of vectors.
+
+    One node: the outer product and its scaling live only inside the op, so
+    the (..., n, m) logits carry no gradient array of their own. A row of a
+    rank-1 matrix peaks at u_i * max(c v) where u_i >= 0, else at
+    u_i * min(c v), so the stabilising shift costs no pass over the logits.
+    """
+    if u.data.shape[:-1] != v.data.shape[:-1]:
+        raise ShapeError(f"outer_softmax batch dims disagree: {u.data.shape} vs {v.data.shape}")
+    cv = c * v.data
+    z = u.data[..., :, None] * cv[..., None, :]
+    top = np.where(
+        u.data >= 0.0, u.data * cv.max(axis=-1, keepdims=True), u.data * cv.min(axis=-1, keepdims=True)
+    )
+    z -= top[..., None]
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    out = Tensor(z, (u, v))
 
     def _backward():
-        s = np.sum(out.grad * p)
-        x.grad += p * (out.grad - s)
+        dz = out.grad - np.einsum("...ij,...ij->...i", out.grad, z)[..., None]
+        dz *= z
+        u.grad += c * np.matmul(dz, v.data[..., None])[..., 0]
+        v.grad += c * np.matmul(u.data[..., None, :], dz)[..., 0, :]
 
     out._backward = _backward
     return out
 
 
 def l2_normalize(v: Tensor) -> Tensor:
-    _require_1d(v, "l2_normalize")
-    n = np.linalg.norm(v.data)
-    if n == 0.0:
+    """Each vector along the last axis scaled to unit Euclidean norm."""
+    if v.data.ndim < 1:
+        raise ShapeError("l2_normalize needs at least one axis")
+    n = np.sqrt(np.sum(v.data * v.data, axis=-1, keepdims=True))
+    if np.any(n == 0.0):
         raise DegenerateInputError("l2_normalize of a zero vector")
     y = v.data / n
     out = Tensor(y, (v,))
 
     def _backward():
         # d v = (g - y (y.g)) / ||v||
-        v.grad += (out.grad - y * np.dot(y, out.grad)) / n
+        v.grad += (out.grad - y * np.sum(y * out.grad, axis=-1, keepdims=True)) / n
 
     out._backward = _backward
     return out
@@ -381,35 +396,36 @@ def l2_normalize(v: Tensor) -> Tensor:
 
 
 def mean_pool(x: Tensor, axis: int) -> Tensor:
-    _require_2d(x, "mean_pool")
-    if axis not in (0, 1):
-        raise ShapeError(f"mean_pool axis must be 0 or 1, got {axis}")
+    if not 0 <= axis < x.data.ndim:
+        raise ShapeError(f"mean_pool axis {axis} out of range for shape {x.data.shape}")
     m = x.data.shape[axis]
     out = Tensor(x.data.mean(axis=axis), (x,))
 
     def _backward():
-        if axis == 0:
-            x.grad += out.grad[None, :] / m
-        else:
-            x.grad += out.grad[:, None] / m
+        x.grad += np.expand_dims(out.grad, axis) / m
 
     out._backward = _backward
     return out
 
 
-def max_pool(x: Tensor, axis: int) -> Tensor:
-    """Max along an axis; ties route the gradient to the first maximum."""
-    _require_2d(x, "max_pool")
-    if axis not in (0, 1):
-        raise ShapeError(f"max_pool axis must be 0 or 1, got {axis}")
-    idx = np.argmax(x.data, axis=axis)
-    out = Tensor(x.data.max(axis=axis), (x,))
+def rank1_max_pool(u: Tensor, v: Tensor) -> Tensor:
+    """out[..., j] = max_i u[..., i] * v[..., j], the column max of the rank-1
+    matrix u v^T, in O(n + m): v_j * max(u) where v_j >= 0, else v_j * min(u).
+
+    Ties route the gradient to the first maximum (or minimum) of u.
+    """
+    if u.data.shape[:-1] != v.data.shape[:-1]:
+        raise ShapeError(f"rank1_max_pool batch dims disagree: {u.data.shape} vs {v.data.shape}")
+    pos = v.data >= 0.0
+    picked = np.where(pos, u.data.max(axis=-1, keepdims=True), u.data.min(axis=-1, keepdims=True))
+    out = Tensor(picked * v.data, (u, v))
 
     def _backward():
-        if axis == 0:
-            np.add.at(x.grad, (idx, np.arange(x.data.shape[1])), out.grad)
-        else:
-            np.add.at(x.grad, (np.arange(x.data.shape[0]), idx), out.grad)
+        gv = out.grad * v.data
+        v.grad += out.grad * picked
+        idx = np.arange(u.data.shape[-1])
+        u.grad += (idx == np.argmax(u.data, axis=-1)[..., None]) * np.sum(gv * pos, axis=-1, keepdims=True)
+        u.grad += (idx == np.argmin(u.data, axis=-1)[..., None]) * np.sum(gv * ~pos, axis=-1, keepdims=True)
 
     out._backward = _backward
     return out
@@ -426,40 +442,23 @@ def tsum(x: Tensor) -> Tensor:
     return out
 
 
-def mean_scalars(parts: list[Tensor]) -> Tensor:
-    """Average of 0-d tensors (batch loss reduction)."""
-    if not parts:
-        raise ShapeError("mean_scalars of an empty list")
-    for p in parts:
-        if p.data.shape != ():
-            raise ShapeError(f"mean_scalars needs scalars, got shape {p.data.shape}")
-    n = len(parts)
-    out = Tensor(sum(float(p.data) for p in parts) / n, tuple(parts))
-
-    def _backward():
-        for p in parts:
-            p.grad += out.grad / n
-
-    out._backward = _backward
-    return out
-
-
 # ---------------------------------------------------------------------------
 # structural ops
 # ---------------------------------------------------------------------------
 
 
 def concat(parts: list[Tensor]) -> Tensor:
-    """Concatenate 1-D tensors."""
-    for p in parts:
-        _require_1d(p, "concat")
-    out = Tensor(np.concatenate([p.data for p in parts]), tuple(parts))
-    sizes = [p.data.shape[0] for p in parts]
+    """Concatenate along the last axis; leading axes must agree."""
+    leading = {p.data.shape[:-1] for p in parts}
+    if len(leading) != 1 or parts[0].data.ndim < 1:
+        raise ShapeError(f"concat needs equal leading dims, got {[p.data.shape for p in parts]}")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=-1), tuple(parts))
+    sizes = [p.data.shape[-1] for p in parts]
 
     def _backward():
         off = 0
         for p, size in zip(parts, sizes):
-            p.grad += out.grad[off:off + size]
+            p.grad += out.grad[..., off:off + size]
             off += size
 
     out._backward = _backward
@@ -467,12 +466,10 @@ def concat(parts: list[Tensor]) -> Tensor:
 
 
 def stack_rows(parts: list[Tensor]) -> Tensor:
-    """Stack 1-D tensors of equal length into a matrix, one per row."""
-    for p in parts:
-        _require_1d(p, "stack_rows")
-    widths = {p.data.shape[0] for p in parts}
-    if len(widths) != 1:
-        raise ShapeError(f"stack_rows needs equal lengths, got {sorted(widths)}")
+    """Stack equal-shape tensors along a new leading axis."""
+    shapes = {p.data.shape for p in parts}
+    if len(shapes) != 1:
+        raise ShapeError(f"stack_rows needs equal shapes, got {sorted(shapes)}")
     out = Tensor(np.stack([p.data for p in parts]), tuple(parts))
 
     def _backward():
@@ -483,26 +480,14 @@ def stack_rows(parts: list[Tensor]) -> Tensor:
     return out
 
 
-def take_rows(e: Tensor, ids) -> Tensor:
-    """Gather rows of a 2-D table (embedding lookup); repeats accumulate."""
-    _require_2d(e, "take_rows")
-    idx = np.asarray(ids, dtype=np.intp)
-    out = Tensor(e.data[idx], (e,))
-
-    def _backward():
-        np.add.at(e.grad, idx, out.grad)
-
-    out._backward = _backward
-    return out
-
-
 def take_at(v: Tensor, i: int) -> Tensor:
-    """Single element of a 1-D tensor, as a 0-d tensor."""
-    _require_1d(v, "take_at")
-    out = Tensor(v.data[i], (v,))
+    """Entry i along the last axis (a 0-d tensor for a vector)."""
+    if v.data.ndim < 1:
+        raise ShapeError("take_at needs at least one axis")
+    out = Tensor(v.data[..., i], (v,))
 
     def _backward():
-        v.grad[i] += out.grad
+        v.grad[..., i] += out.grad
 
     out._backward = _backward
     return out
@@ -510,12 +495,10 @@ def take_at(v: Tensor, i: int) -> Tensor:
 
 def take_diag(m: Tensor) -> Tensor:
     """Diagonal of a square matrix."""
-    _require_2d(m, "take_diag")
-    n, c = m.data.shape
-    if n != c:
+    if m.data.ndim != 2 or m.data.shape[0] != m.data.shape[1]:
         raise ShapeError(f"take_diag needs a square matrix, got {m.data.shape}")
     out = Tensor(np.diagonal(m.data).copy(), (m,))
-    ar = np.arange(n)
+    ar = np.arange(m.data.shape[0])
 
     def _backward():
         m.grad[ar, ar] += out.grad

@@ -8,7 +8,7 @@ metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,9 +55,6 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-TRAIN_CONFIG_FIELDS = tuple(f.name for f in fields(TrainConfig))
 
 
 class Adam:
@@ -124,7 +121,7 @@ def train(cfg: TrainConfig, train_ds: Dataset, precomputed=None, progress=None) 
         raise ConfigError("training dataset is empty")
     rng = Rng(cfg.seed)
     vocab = build_vocabulary(train_ds, include_descriptions=cfg.ablation != "no_E")
-    model = Model(cfg.model_config(), vocab, rng)
+    model = Model.initialize(cfg.model_config(), vocab, rng)
     feats = [model.featurize(item, precomputed) for item in train_ds.items]
     opt = Adam(list(model.params), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     diagnostics: dict = {}

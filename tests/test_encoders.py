@@ -33,12 +33,17 @@ def _identity_params(d, vocab_size):
     return emb, proj
 
 
+def _encode_text(emb, proj, seqs):
+    """The model's text path: mean-pooled token rows, then the projection."""
+    return T.matvec(proj, enc.embed_rows(emb, seqs, (len(seqs),)))
+
+
 def test_encode_text_identity_weights_single_token():
     emb, proj = _identity_params(3, 4)
     emb.data[2] = [5.0, 6.0, 7.0]
     seq = enc.TokenSequence(ids=[2, 0], mask=[True, False])
-    out = enc.encode_text(emb, proj, seq)
-    np.testing.assert_array_equal(out.data, [5.0, 6.0, 7.0])
+    out = _encode_text(emb, proj, [seq])
+    np.testing.assert_array_equal(out.data, [[5.0, 6.0, 7.0]])
 
 
 def test_encode_text_mean_pools_two_tokens():
@@ -46,29 +51,41 @@ def test_encode_text_mean_pools_two_tokens():
     emb.data[1] = [2.0, 0.0]
     emb.data[3] = [0.0, 4.0]
     seq = enc.TokenSequence(ids=[1, 3], mask=[True, True])
-    out = enc.encode_text(emb, proj, seq)
-    np.testing.assert_array_equal(out.data, [1.0, 2.0])
+    out = _encode_text(emb, proj, [seq])
+    np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
 
 
 def test_all_padding_sequence_rejected():
     emb, proj = _identity_params(2, 4)
     seq = enc.TokenSequence(ids=[0, 0], mask=[False, False])
     with pytest.raises(enc.EmptyTextError):
-        enc.encode_text(emb, proj, seq)
+        _encode_text(emb, proj, [seq])
+
+
+def test_bag_of_ids_counts_repeats_and_leaves_empty_slots_zero():
+    seq = enc.TokenSequence(ids=[3, 1, 3, 0], mask=[True, True, True, False])
+    bag = enc.bag_of_ids([seq, None], 5)
+    np.testing.assert_allclose(bag, [[0.0, 1 / 3, 0.0, 2 / 3, 0.0], [0.0] * 5], atol=1e-15)
+
+
+def test_embed_rows_mixes_token_precomputed_and_padding_slots():
+    emb, _ = _identity_params(2, 4)
+    emb.data[1] = [2.0, 0.0]
+    slots = [enc.TokenSequence(ids=[1], mask=[True]), np.array([7.0, 8.0]), None, None]
+    out = enc.embed_rows(emb, slots, (2, 2))
+    np.testing.assert_array_equal(out.data, [[[2.0, 0.0], [7.0, 8.0]], [[0.0, 0.0], [0.0, 0.0]]])
 
 
 def test_encode_image_basis_extraction():
     w = T.Param("w_vf", np.array([[1.0, 9.0], [2.0, 8.0], [3.0, 7.0]]))
-    out = enc.encode_image(w, T.Tensor(np.array([1.0, 0.0])))
-    np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
-    zero = enc.encode_image(w, T.Tensor(np.zeros(2)))
-    np.testing.assert_array_equal(zero.data, np.zeros(3))
+    out = enc.encode_image(w, T.Tensor(np.array([[1.0, 0.0], [0.0, 0.0]])))
+    np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
 
 
 def test_encode_image_dim_mismatch():
     w = T.Param("w_vf", np.ones((3, 2)))
     with pytest.raises(T.ShapeError):
-        enc.encode_image(w, T.Tensor(np.ones(5)))
+        enc.encode_image(w, T.Tensor(np.ones((1, 5))))
 
 
 def test_encoders_deterministic():
@@ -76,8 +93,8 @@ def test_encoders_deterministic():
     emb = T.Param("emb", gen.normal(size=(6, 4)))
     proj = T.Param("w", gen.normal(size=(4, 4)))
     seq = enc.TokenSequence(ids=[1, 2, 5], mask=[True, True, True])
-    a = enc.encode_text(emb, proj, seq).data
-    b = enc.encode_text(emb, proj, seq).data
+    a = _encode_text(emb, proj, [seq]).data
+    b = _encode_text(emb, proj, [seq]).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -86,16 +103,26 @@ def test_gradcheck_through_text_and_image_encoders():
     emb = T.Param("emb", gen.normal(size=(6, 4)))
     w_tf = T.Param("w_tf", gen.normal(size=(4, 4)))
     w_vf = T.Param("w_vf", gen.normal(size=(4, 3)))
-    seq = enc.TokenSequence(ids=[1, 2, 2, 5], mask=[True, True, True, True])
-    img = T.Tensor(gen.normal(size=3))
-    weights = gen.normal(size=4)
+    w_df = T.Param("w_df", gen.normal(size=(4, 4)))
+    seqs = [
+        enc.TokenSequence(ids=[1, 2, 2, 5], mask=[True, True, True, True]),
+        enc.TokenSequence(ids=[3, 0], mask=[True, False]),
+    ]
+    img = T.Tensor(gen.normal(size=(2, 3)))
+    weights = gen.normal(size=(2, 4))
+    desc_slots = [seqs[1], None, seqs[0], gen.normal(size=4)]
+    desc_weights = gen.normal(size=(2, 2, 4))
 
     def f():
-        r_t = enc.encode_text(emb, w_tf, seq)
+        r_t = _encode_text(emb, w_tf, seqs)
         r_v = enc.encode_image(w_vf, img)
-        return T.tsum(T.mul(T.add(r_t, r_v), T.Tensor(weights)))
+        m_d = enc.encode_description(emb, w_df, desc_slots, (2, 2))
+        return T.add(
+            T.tsum(T.mul(T.add(r_t, r_v), T.Tensor(weights))),
+            T.tsum(T.mul(m_d, T.Tensor(desc_weights))),
+        )
 
-    report = finite_diff_check(f, [emb, w_tf, w_vf])
+    report = finite_diff_check(f, [emb, w_tf, w_vf, w_df])
     assert report.max_rel_err < 1e-4
 
 

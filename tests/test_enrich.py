@@ -248,22 +248,22 @@ def _tensor(gen, shape):
 
 def test_enhance_single_description():
     d = 3
-    r_t = T.Tensor(np.array([0.5, -0.2, 0.1]))
+    r_t = T.Tensor(np.array([[0.5, -0.2, 0.1]]))
     row = np.array([1.0, 2.0, 3.0])
-    m_d = T.Tensor(row[None, :])
-    att = enrich.description_attention(r_t, m_d)
-    np.testing.assert_allclose(att.data, [1.0])
+    m_d = T.Tensor(row[None, None, :])
+    att = enrich.description_attention(r_t, m_d, [1])
+    np.testing.assert_allclose(att.data, [[1.0]])
     w_t = T.Param("w_t", np.zeros((d, d)))
     w_d = T.Param("w_d", np.eye(d))
-    out = enrich.enhance(r_t, m_d, w_t, w_d)
-    np.testing.assert_allclose(out.data, row)  # pooled row passes straight through
+    out = enrich.enhance(r_t, m_d, [1], w_t, w_d)
+    np.testing.assert_allclose(out.data, [row])  # pooled row passes straight through
 
 
 def test_enhance_identical_rows_split_attention():
-    r_t = T.Tensor(np.array([1.0, 0.0]))
-    m_d = T.Tensor(np.array([[2.0, 1.0], [2.0, 1.0]]))
-    att = enrich.description_attention(r_t, m_d)
-    np.testing.assert_allclose(att.data, [0.5, 0.5])
+    r_t = T.Tensor(np.array([[1.0, 0.0]]))
+    m_d = T.Tensor(np.array([[[2.0, 1.0], [2.0, 1.0]]]))
+    att = enrich.description_attention(r_t, m_d, [2])
+    np.testing.assert_allclose(att.data, [[0.5, 0.5]])
 
 
 def _oracle_enhance(r_t, m, w_t, w_d):
@@ -290,19 +290,40 @@ def test_enhance_matches_brute_force_oracle():
         w_t = gen.normal(size=(d, d))
         w_d = gen.normal(size=(d, d))
         out = enrich.enhance(
-            T.Tensor(r_t), T.Tensor(m), T.Param("w_t", w_t), T.Param("w_d", w_d)
+            T.Tensor(r_t[None]), T.Tensor(m[None]), [n_e], T.Param("w_t", w_t), T.Param("w_d", w_d)
         )
         expected = _oracle_enhance(r_t.tolist(), m.tolist(), w_t.tolist(), w_d.tolist())
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
+
+
+def test_enhance_ragged_batch_matches_oracle_per_item():
+    """Padded rows are ignored and each item pools over its own count."""
+    gen = Rng(26).stream("enhance-ragged")
+    d, counts = 4, [3, 1, 2]
+    r_t = gen.normal(size=(3, d))
+    m = gen.normal(size=(3, 3, d))  # rows past an item's count are junk padding
+    w_t = gen.normal(size=(d, d))
+    w_d = gen.normal(size=(d, d))
+    out = enrich.enhance(
+        T.Tensor(r_t), T.Tensor(m), counts, T.Param("w_t", w_t), T.Param("w_d", w_d)
+    )
+    for b, n in enumerate(counts):
+        expected = _oracle_enhance(r_t[b].tolist(), m[b, :n].tolist(), w_t.tolist(), w_d.tolist())
+        np.testing.assert_allclose(out.data[b], expected, atol=1e-12)
 
 
 def test_enhance_zero_descriptions_bypass():
     gen = Rng(22).stream("enhance-bypass")
-    r_t = gen.normal(size=4)
+    r_t = gen.normal(size=(2, 4))
     w_t = T.Param("w_t", gen.normal(size=(4, 4)))
     w_d = T.Param("w_d", gen.normal(size=(4, 4)))
-    out = enrich.enhance(T.Tensor(r_t), None, w_t, w_d)
-    np.testing.assert_allclose(out.data, w_t.data @ r_t)
+    out = enrich.enhance(T.Tensor(r_t), None, [0, 0], w_t, w_d)
+    np.testing.assert_allclose(out.data, r_t @ w_t.data.T)
+    # an item without descriptions next to one with them: exactly the text projection
+    m = T.Tensor(gen.normal(size=(2, 2, 4)))
+    mixed = enrich.enhance(T.Tensor(r_t), m, [0, 2], w_t, w_d)
+    assert np.all(np.isfinite(mixed.data))
+    np.testing.assert_array_equal(mixed.data[0], out.data[0])
 
 
 def test_enhance_attention_is_a_distribution():
@@ -310,7 +331,7 @@ def test_enhance_attention_is_a_distribution():
     for _ in range(50):
         n_e = int(gen.integers(1, 5))
         att = enrich.description_attention(
-            _tensor(gen, 6), _tensor(gen, (n_e, 6))
+            _tensor(gen, (1, 6)), _tensor(gen, (1, n_e, 6)), [n_e]
         ).data
         assert np.all(att >= 0)
         assert abs(att.sum() - 1.0) < 1e-9
@@ -318,26 +339,26 @@ def test_enhance_attention_is_a_distribution():
 
 def test_enhance_is_permutation_covariant():
     gen = Rng(24).stream("enhance-perm")
-    r_t = _tensor(gen, 5)
-    m = gen.normal(size=(4, 5))
+    r_t = _tensor(gen, (1, 5))
+    m = gen.normal(size=(1, 4, 5))
     w_t = T.Param("w_t", gen.normal(size=(5, 5)))
     w_d = T.Param("w_d", gen.normal(size=(5, 5)))
-    base = enrich.enhance(r_t, T.Tensor(m), w_t, w_d).data
-    perm = enrich.enhance(r_t, T.Tensor(m[[2, 0, 3, 1]]), w_t, w_d).data
+    base = enrich.enhance(r_t, T.Tensor(m), [4], w_t, w_d).data
+    perm = enrich.enhance(r_t, T.Tensor(m[:, [2, 0, 3, 1]]), [4], w_t, w_d).data
     np.testing.assert_allclose(perm, base, atol=1e-12)
 
 
 def test_enhance_gradcheck():
     gen = Rng(25).stream("enhance-grad")
     d, n_e = 4, 3
-    r_t = T.Param("r_t", gen.normal(size=d))
-    m_d = T.Param("m_d", gen.normal(size=(n_e, d)))
+    r_t = T.Param("r_t", gen.normal(size=(2, d)))
+    m_d = T.Param("m_d", gen.normal(size=(2, n_e, d)))
     w_t = T.Param("w_t", gen.normal(size=(d, d)))
     w_d = T.Param("w_d", gen.normal(size=(d, d)))
-    weights = gen.normal(size=d)
+    weights = gen.normal(size=(2, d))
 
     def f():
-        out = enrich.enhance(r_t, m_d, w_t, w_d)
+        out = enrich.enhance(r_t, m_d, [n_e, 2], w_t, w_d)
         return T.tsum(T.mul(out, T.Tensor(weights)))
 
     report = finite_diff_check(f, [r_t, m_d, w_t, w_d])

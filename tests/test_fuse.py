@@ -9,8 +9,8 @@ from mmfnd.gradcheck import finite_diff_check
 from mmfnd.rng import Rng
 
 
-def _features(gen, d, k=3):
-    return [T.Tensor(gen.normal(size=d)) for _ in range(k)]
+def _features(gen, d, k=3, batch=2):
+    return [T.Tensor(gen.normal(size=(batch, d))) for _ in range(k)]
 
 
 def test_gates_are_half_with_zero_weights():
@@ -18,11 +18,11 @@ def test_gates_are_half_with_zero_weights():
     gates = fuse.adaptive_weights(
         _features(gen, 5), T.Param("w_g", np.zeros((3, 5))), T.Param("b_g", np.zeros(3))
     )
-    np.testing.assert_allclose(gates.data, [0.5, 0.5, 0.5])
+    np.testing.assert_allclose(gates.data, [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]])
 
 
 def test_identical_features_pool_to_themselves():
-    x = np.array([0.4, -1.2, 0.7])
+    x = np.array([[0.4, -1.2, 0.7]])
     feats = [T.Tensor(x.copy()) for _ in range(3)]
     gates = fuse.adaptive_weights(feats, T.Param("w_g", np.eye(3)), T.Param("b_g", np.zeros(3)))
     np.testing.assert_allclose(gates.data, 1.0 / (1.0 + np.exp(-x)), atol=1e-12)
@@ -43,10 +43,10 @@ def test_gates_match_brute_force_oracle():
         w_g = gen.normal(size=(3, d))
         b_g = gen.normal(size=3)
         gates = fuse.adaptive_weights(
-            [T.Tensor(f) for f in feats], T.Param("w_g", w_g), T.Param("b_g", b_g)
+            [T.Tensor(f[None]) for f in feats], T.Param("w_g", w_g), T.Param("b_g", b_g)
         )
         expected = _oracle_gates(feats.tolist(), w_g.tolist(), b_g.tolist())
-        np.testing.assert_allclose(gates.data, expected, atol=1e-12)
+        np.testing.assert_allclose(gates.data, [expected], atol=1e-12)
         assert np.all(gates.data > 0) and np.all(gates.data < 1)
 
 
@@ -54,23 +54,25 @@ def test_fuse_without_gates_is_plain_concatenation():
     gen = Rng(63).stream("fuse-plain")
     feats = _features(gen, 4)
     out = fuse.fuse(feats, None)
-    np.testing.assert_array_equal(out.data, np.concatenate([f.data for f in feats]))
+    np.testing.assert_array_equal(out.data, np.concatenate([f.data for f in feats], axis=1))
 
 
 def test_fuse_zero_gates_annihilate():
     gen = Rng(64).stream("fuse-zero")
-    out = fuse.fuse(_features(gen, 4), T.Tensor(np.zeros(3)))
-    np.testing.assert_array_equal(out.data, np.zeros(12))
+    out = fuse.fuse(_features(gen, 4), T.Tensor(np.zeros((2, 3))))
+    np.testing.assert_array_equal(out.data, np.zeros((2, 12)))
 
 
 def test_fuse_slice_layout_is_pinned():
     gen = Rng(65).stream("fuse-slice")
     feats = _features(gen, 4)
-    gates = T.Tensor(np.array([0.25, 0.5, 0.75]))
+    gates = T.Tensor(np.array([[0.25, 0.5, 0.75], [1.0, 2.0, 4.0]]))
     out = fuse.fuse(feats, gates)
-    np.testing.assert_array_equal(out.data[0:4], 0.25 * feats[0].data)
-    np.testing.assert_array_equal(out.data[4:8], 0.5 * feats[1].data)
-    np.testing.assert_array_equal(out.data[8:12], 0.75 * feats[2].data)
+    np.testing.assert_array_equal(out.data[0, 0:4], 0.25 * feats[0].data[0])
+    np.testing.assert_array_equal(out.data[0, 4:8], 0.5 * feats[1].data[0])
+    np.testing.assert_array_equal(out.data[0, 8:12], 0.75 * feats[2].data[0])
+    second = [scale * f.data[1] for scale, f in zip((1.0, 2.0, 4.0), feats)]
+    np.testing.assert_array_equal(out.data[1], np.concatenate(second))
 
 
 def _classifier_params(gen, d, n_in, zero=False):
@@ -86,56 +88,59 @@ def _classifier_params(gen, d, n_in, zero=False):
 def test_classify_zero_weights_ties_to_real():
     gen = Rng(66).stream("clf-zero")
     w1, b1, w2, b2 = _classifier_params(gen, 4, 12, zero=True)
-    probs, label = fuse.classify(T.Tensor(gen.normal(size=12)), w1, b1, w2, b2)
-    np.testing.assert_allclose(probs.data, [0.5, 0.5])
-    assert label == fuse.REAL
+    probs, labels = fuse.classify(T.Tensor(gen.normal(size=(2, 12))), w1, b1, w2, b2)
+    np.testing.assert_allclose(probs.data, [[0.5, 0.5], [0.5, 0.5]])
+    assert labels.tolist() == [fuse.REAL, fuse.REAL]
 
 
 def test_classify_probs_sum_to_one():
     gen = Rng(67).stream("clf-sum")
     w1, b1, w2, b2 = _classifier_params(gen, 4, 8)
-    for _ in range(1000):
-        probs, label = fuse.classify(T.Tensor(gen.normal(size=8)), w1, b1, w2, b2)
-        assert abs(probs.data.sum() - 1.0) < 1e-9
-        assert label == int(np.argmax(probs.data))
+    for _ in range(100):
+        probs, labels = fuse.classify(T.Tensor(gen.normal(size=(10, 8))), w1, b1, w2, b2)
+        assert np.all(np.abs(probs.data.sum(axis=1) - 1.0) < 1e-9)
+        assert labels.tolist() == np.argmax(probs.data, axis=1).tolist()
 
 
 def test_classify_gradcheck():
     gen = Rng(68).stream("clf-grad")
     w1, b1, w2, b2 = _classifier_params(gen, 4, 8)
-    x = gen.normal(size=8)
+    x = gen.normal(size=(3, 8))
 
     def f():
         probs, _ = fuse.classify(T.Tensor(x), w1, b1, w2, b2)
-        return fuse.detection_loss(probs, 1)
+        return fuse.detection_loss(probs, [1, 0, 1])
 
     assert finite_diff_check(f, [w1, b1, w2, b2]).max_rel_err < 1e-4
 
 
 def test_detection_loss_uniform_prediction():
-    probs = T.Tensor(np.array([0.5, 0.5]))
-    assert fuse.detection_loss(probs, 0).item() == pytest.approx(math.log(2.0), abs=1e-12)
-    assert fuse.detection_loss(probs, 1).item() == pytest.approx(math.log(2.0), abs=1e-12)
+    probs = T.Tensor(np.array([[0.5, 0.5]]))
+    assert fuse.detection_loss(probs, [0]).item() == pytest.approx(math.log(2.0), abs=1e-12)
+    assert fuse.detection_loss(probs, [1]).item() == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_detection_loss_perfect_prediction_is_zero():
-    loss = fuse.detection_loss(T.Tensor(np.array([0.0, 1.0])), 1)
+    loss = fuse.detection_loss(T.Tensor(np.array([[0.0, 1.0]])), [1])
     assert loss.item() == pytest.approx(0.0, abs=1e-9)
     assert loss.item() > 0.0  # clamped probability never exactly matches the label
 
 
 def test_detection_loss_confident_mistake():
-    loss = fuse.detection_loss(T.Tensor(np.array([0.1, 0.9])), 0)
+    loss = fuse.detection_loss(T.Tensor(np.array([[0.1, 0.9]])), [0])
     assert loss.item() == pytest.approx(-math.log(0.1), abs=1e-12)
+    # the batch loss is the mean over items
+    pair = fuse.detection_loss(T.Tensor(np.array([[0.1, 0.9], [0.5, 0.5]])), [0, 1])
+    assert pair.item() == pytest.approx(0.5 * (-math.log(0.1) + math.log(2.0)), abs=1e-12)
 
 
 def test_detection_loss_nonnegative_and_finite():
     gen = Rng(69).stream("loss-pos")
     for _ in range(200):
         p = float(gen.uniform(0.0, 1.0))
-        probs = T.Tensor(np.array([1.0 - p, p]))
+        probs = T.Tensor(np.array([[1.0 - p, p]]))
         for y in (0, 1):
-            loss = fuse.detection_loss(probs, y).item()
+            loss = fuse.detection_loss(probs, [y]).item()
             assert loss > 0.0 and math.isfinite(loss)
 
 

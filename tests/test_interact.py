@@ -10,26 +10,26 @@ from mmfnd.rng import Rng
 
 
 def test_cross_attention_basis_example():
-    m = T.Tensor(np.array([1.0, 0.0]))
+    m = T.Tensor(np.array([[1.0, 0.0]]))
     f_tv, f_vt = interact.cross_attention(m, m)
     s = 1.0 / math.sqrt(2.0)
     top = math.exp(s) / (math.exp(s) + 1.0)  # about 0.6698
-    np.testing.assert_allclose(f_tv.data, [[top, 1 - top], [0.5, 0.5]], atol=1e-12)
-    np.testing.assert_allclose(f_tv.data[0], [0.6698, 0.3302], atol=5e-5)
+    np.testing.assert_allclose(f_tv.data, [[[top, 1 - top], [0.5, 0.5]]], atol=1e-12)
+    np.testing.assert_allclose(f_tv.data[0, 0], [0.6698, 0.3302], atol=5e-5)
     np.testing.assert_array_equal(f_tv.data, f_vt.data)  # symmetric inputs
 
 
 def test_cross_attention_zero_vector_gives_uniform_rows():
-    m_t = T.Tensor(np.array([0.3, -0.4, 0.5]))
-    zero = T.Tensor(np.zeros(3))
+    m_t = T.Tensor(np.array([[0.3, -0.4, 0.5]]))
+    zero = T.Tensor(np.zeros((1, 3)))
     f_tv, _ = interact.cross_attention(m_t, zero)
-    np.testing.assert_allclose(f_tv.data, np.full((3, 3), 1.0 / 3.0), atol=1e-12)
+    np.testing.assert_allclose(f_tv.data, np.full((1, 3, 3), 1.0 / 3.0), atol=1e-12)
 
 
 def test_cross_attention_swap_symmetry():
     gen = Rng(41).stream("xattn-swap")
-    m_t = T.Tensor(gen.normal(size=5))
-    m_v = T.Tensor(gen.normal(size=5))
+    m_t = T.Tensor(gen.normal(size=(3, 5)))
+    m_v = T.Tensor(gen.normal(size=(3, 5)))
     f_tv, f_vt = interact.cross_attention(m_t, m_v)
     g_vt, g_tv = interact.cross_attention(m_v, m_t)
     np.testing.assert_array_equal(f_vt.data, g_vt.data)
@@ -38,13 +38,13 @@ def test_cross_attention_swap_symmetry():
 
 def test_cross_attention_rows_stochastic():
     gen = Rng(42).stream("xattn-rows")
-    for _ in range(50):
+    for _ in range(5):
         f_tv, f_vt = interact.cross_attention(
-            T.Tensor(gen.normal(size=6)), T.Tensor(gen.normal(size=6))
+            T.Tensor(gen.normal(size=(10, 6))), T.Tensor(gen.normal(size=(10, 6)))
         )
         for f in (f_tv, f_vt):
             assert np.all(f.data >= 0)
-            np.testing.assert_allclose(f.data.sum(axis=1), 1.0, atol=1e-9)
+            np.testing.assert_allclose(f.data.sum(axis=2), 1.0, atol=1e-9)
 
 
 def test_cross_attention_divisor_is_exactly_sqrt_d():
@@ -52,34 +52,36 @@ def test_cross_attention_divisor_is_exactly_sqrt_d():
     for d in (2, 4, 8):
         m_t = gen.normal(size=d)
         m_v = gen.normal(size=d)
-        f_tv, _ = interact.cross_attention(T.Tensor(m_t), T.Tensor(m_v))
+        f_tv, _ = interact.cross_attention(T.Tensor(m_t[None]), T.Tensor(m_v[None]))
         # log-odds within a row recover the scaled logit differences
         for i in range(d):
-            got = math.log(f_tv.data[i, 0] / f_tv.data[i, 1])
+            got = math.log(f_tv.data[0, i, 0] / f_tv.data[0, i, 1])
             expected = (m_t[i] * m_v[0] - m_t[i] * m_v[1]) / math.sqrt(d)
             assert got == pytest.approx(expected, abs=1e-9)
 
 
 def test_modality_update_identity_and_uniform():
     gen = Rng(44).stream("update")
-    m_v = gen.normal(size=4)
-    m_t = gen.normal(size=4)
-    eye = T.Tensor(np.eye(4))
+    m_v = gen.normal(size=(2, 4))
+    m_t = gen.normal(size=(2, 4))
+    eye = T.Tensor(np.stack([np.eye(4)] * 2))
     out_v, out_t = interact.modality_update(eye, eye, T.Tensor(m_v), T.Tensor(m_t))
     np.testing.assert_array_equal(out_v.data, m_v)
     np.testing.assert_array_equal(out_t.data, m_t)
-    uniform = T.Tensor(np.full((4, 4), 0.25))
+    uniform = T.Tensor(np.full((2, 4, 4), 0.25))
     out_v, _ = interact.modality_update(uniform, uniform, T.Tensor(m_v), T.Tensor(m_t))
-    np.testing.assert_allclose(out_v.data, np.full(4, m_v.mean()), atol=1e-12)
+    np.testing.assert_allclose(out_v.data, np.repeat(m_v.mean(axis=1, keepdims=True), 4, axis=1), atol=1e-12)
 
 
 def test_modality_update_matches_double_loop():
     gen = Rng(45).stream("update-oracle")
-    f = gen.normal(size=(5, 5))
-    m = gen.normal(size=5)
-    out, _ = interact.modality_update(T.Tensor(f), T.Tensor(np.eye(5)), T.Tensor(m), T.Tensor(m))
-    expected = [sum(f[i][j] * m[j] for j in range(5)) for i in range(5)]
-    np.testing.assert_allclose(out.data, expected, atol=1e-12)
+    f = gen.normal(size=(2, 5, 5))
+    m = gen.normal(size=(2, 5))
+    eye = T.Tensor(np.stack([np.eye(5)] * 2))
+    out, _ = interact.modality_update(T.Tensor(f), eye, T.Tensor(m), T.Tensor(m))
+    for b in range(2):
+        expected = [sum(f[b][i][j] * m[b][j] for j in range(5)) for i in range(5)]
+        np.testing.assert_allclose(out.data[b], expected, atol=1e-12)
 
 
 def _mlp_params(gen, d, identity=False):
@@ -102,20 +104,20 @@ def test_interaction_feature_basis_outer_and_column_max():
     gen = Rng(46).stream("ifeat-basis")
     w1, b1, w2, b2 = _mlp_params(gen, 2, identity=True)
     out = interact.interaction_feature(
-        T.Tensor(np.array([1.0, 0.0])), T.Tensor(np.array([0.0, 2.0])), w1, b1, w2, b2
+        T.Tensor(np.array([[1.0, 0.0]])), T.Tensor(np.array([[0.0, 2.0]])), w1, b1, w2, b2
     )
     # interaction matrix [[0,2],[0,0]], column max [0,2], identity MLP keeps it
-    np.testing.assert_array_equal(out.data, [0.0, 2.0])
+    np.testing.assert_array_equal(out.data, [[0.0, 2.0]])
 
 
 def test_interaction_feature_zero_vector_propagates_to_bias_path():
     gen = Rng(47).stream("ifeat-zero")
     w1, b1, w2, b2 = _mlp_params(gen, 3)
     out = interact.interaction_feature(
-        T.Tensor(np.zeros(3)), T.Tensor(gen.normal(size=3)), w1, b1, w2, b2
+        T.Tensor(np.zeros((1, 3))), T.Tensor(gen.normal(size=(1, 3))), w1, b1, w2, b2
     )
     expected = w2.data @ np.maximum(b1.data, 0.0) + b2.data
-    np.testing.assert_allclose(out.data, expected, atol=1e-12)
+    np.testing.assert_allclose(out.data, [expected], atol=1e-12)
 
 
 def _oracle_interaction(m_f_v, m_f_t, w1, b1, w2, b2):
@@ -131,25 +133,25 @@ def test_interaction_feature_matches_step_by_step_oracle():
     for _ in range(10):
         d = 4
         w1, b1, w2, b2 = _mlp_params(gen, d)
-        m_f_v = gen.normal(size=d)
-        m_f_t = gen.normal(size=d)
+        m_f_v = gen.normal(size=(3, d))
+        m_f_t = gen.normal(size=(3, d))
         out = interact.interaction_feature(T.Tensor(m_f_v), T.Tensor(m_f_t), w1, b1, w2, b2)
-        expected = _oracle_interaction(
-            m_f_v.tolist(), m_f_t.tolist(), w1.data.tolist(), b1.data.tolist(),
-            w2.data.tolist(), b2.data.tolist(),
-        )
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        for b in range(3):
+            expected = _oracle_interaction(
+                m_f_v[b].tolist(), m_f_t[b].tolist(), w1.data.tolist(), b1.data.tolist(),
+                w2.data.tolist(), b2.data.tolist(),
+            )
+            np.testing.assert_allclose(out.data[b], expected, atol=1e-12)
 
 
 def test_interaction_matrix_is_rank_one():
     gen = Rng(49).stream("ifeat-rank")
-    for _ in range(10):
-        m_t = T.Tensor(gen.normal(size=5))
-        m_v = T.Tensor(gen.normal(size=5))
-        f_tv, f_vt = interact.cross_attention(m_t, m_v)
-        m_f_v, m_f_t = interact.modality_update(f_tv, f_vt, m_v, m_t)
-        matrix = np.outer(m_f_v.data, m_f_t.data)
-        singular = np.linalg.svd(matrix, compute_uv=False)
+    m_t = T.Tensor(gen.normal(size=(10, 5)))
+    m_v = T.Tensor(gen.normal(size=(10, 5)))
+    f_tv, f_vt = interact.cross_attention(m_t, m_v)
+    m_f_v, m_f_t = interact.modality_update(f_tv, f_vt, m_v, m_t)
+    for u, v in zip(m_f_v.data, m_f_t.data):
+        singular = np.linalg.svd(np.outer(u, v), compute_uv=False)
         assert singular[1] < 1e-9
 
 
@@ -157,9 +159,9 @@ def test_interaction_gradcheck_end_to_end():
     gen = Rng(50).stream("ifeat-grad")
     d = 4
     w1, b1, w2, b2 = _mlp_params(gen, d)
-    m_t = T.Param("m_t", gen.normal(size=d))
-    m_v = T.Param("m_v", gen.normal(size=d))
-    weights = gen.normal(size=d)
+    m_t = T.Param("m_t", gen.normal(size=(2, d)))
+    m_v = T.Param("m_v", gen.normal(size=(2, d)))
+    weights = gen.normal(size=(2, d))
 
     def f():
         f_tv, f_vt = interact.cross_attention(m_t, m_v)

@@ -65,15 +65,15 @@ def test_embedding_table_is_shared_between_text_and_descriptions():
 
 def test_no_A_fused_vector_equals_all_ones_gates():
     model, feats = build_gradcheck_problem(d=6, n_items=2, ablation="no_A")
-    trace = model.forward(feats[0])
+    trace = model.forward(feats)
     assert trace.gates is None
-    explicit = fuse.fuse(trace.features, T.Tensor(np.ones(len(trace.features))))
+    explicit = fuse.fuse(trace.features, T.Tensor(np.ones((len(feats), len(trace.features)))))
     np.testing.assert_array_equal(trace.fused.data, explicit.data)
 
 
 def test_no_M_drops_contrastive_term_and_interaction():
     model, feats = build_gradcheck_problem(d=6, n_items=3, ablation="no_M")
-    trace = model.forward(feats[0])
+    trace = model.forward(feats)
     assert trace.r_f is None and trace.e_t is None
     loss, parts = model.batch_loss(feats)
     assert parts["contrastive"] == 0.0
@@ -84,33 +84,38 @@ def test_no_M_drops_contrastive_term_and_interaction():
 def test_no_E_never_reads_descriptions():
     model, feats = build_gradcheck_problem(d=6, n_items=2, ablation="no_E")
     assert all(not f.desc_seqs and not f.desc_vecs for f in feats)
-    trace = model.forward(feats[0])
+    trace = model.forward(feats)
     assert trace.m_d is None
     np.testing.assert_allclose(
-        trace.r_t_enh.data, model.params["w_t"].data @ trace.r_t.data, atol=1e-12
+        trace.r_t_enh.data, trace.r_t.data @ model.params["w_t"].data.T, atol=1e-12
     )
 
 
 def test_zero_description_item_in_full_model_bypasses_enhancement():
     model, feats = build_gradcheck_problem(d=6, n_items=2, n_desc=0)
-    trace = model.forward(feats[0])
+    trace = model.forward(feats)
     assert trace.m_d is None
     np.testing.assert_allclose(
-        trace.r_t_enh.data, model.params["w_t"].data @ trace.r_t.data, atol=1e-12
+        trace.r_t_enh.data, trace.r_t.data @ model.params["w_t"].data.T, atol=1e-12
     )
+    # next to an item that has descriptions, the bypass is still exact
+    _, described = build_gradcheck_problem(d=6, n_items=2, n_desc=2)
+    mixed = model.forward([feats[0], described[1]])
+    assert mixed.m_d is not None
+    np.testing.assert_array_equal(mixed.r_t_enh.data[0], trace.r_t_enh.data[0])
 
 
 def test_batch_loss_matches_independent_recomputation():
     model, feats = build_gradcheck_problem(d=8, n_items=4, n_desc=2)
     loss, parts = model.batch_loss(feats)
-    traces = [model.forward(f) for f in feats]
+    traces = [model.forward([f]) for f in feats]
     # independent reduction: binary cross-entropy means plus InfoNCE on the stacks
     bce = []
     for tr, f in zip(traces, feats):
-        p = min(max(tr.probs.data[1], 1e-12), 1.0 - 1e-12)
+        p = min(max(tr.probs.data[0, 1], 1e-12), 1.0 - 1e-12)
         bce.append(-math.log(p) if f.label == 1 else -math.log(1.0 - p))
-    e_t = np.stack([tr.e_t.data for tr in traces])
-    e_v = np.stack([tr.e_v.data for tr in traces])
+    e_t = np.concatenate([tr.e_t.data for tr in traces])
+    e_v = np.concatenate([tr.e_v.data for tr in traces])
 
     def infonce(a, b):
         logits = (a @ b.T) / model.config.tau
@@ -128,9 +133,7 @@ def test_model_is_deterministic():
     b, feats_b = build_gradcheck_problem(d=6, n_items=3, seed=99)
     for name in a.params.names():
         np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
-    np.testing.assert_array_equal(
-        a.forward(feats_a[0]).probs.data, b.forward(feats_b[0]).probs.data
-    )
+    np.testing.assert_array_equal(a.forward(feats_a).probs.data, b.forward(feats_b).probs.data)
 
 
 def test_predict_exposes_gates_and_distribution():
@@ -151,9 +154,7 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.vocab.tokens == model.vocab.tokens
     for name in model.params.names():
         np.testing.assert_array_equal(loaded.params[name].data, model.params[name].data)
-    np.testing.assert_array_equal(
-        loaded.forward(feats[0]).probs.data, model.forward(feats[0]).probs.data
-    )
+    np.testing.assert_array_equal(loaded.forward(feats).probs.data, model.forward(feats).probs.data)
 
 
 def test_featurize_uses_precomputed_vectors():
@@ -178,5 +179,114 @@ def test_featurize_uses_precomputed_vectors():
     np.testing.assert_array_equal(feats.text_vec, np.full(6, 2.0))
     assert feats.text_seq is None
     assert len(feats.desc_vecs) == 1 and not feats.desc_seqs
-    trace = model.forward(feats)
-    assert trace.probs.data.shape == (2,)
+    trace = model.forward([feats])
+    assert trace.probs.data.shape == (1, 2)
+
+
+class _Item:
+    def __init__(self, item_id, d_raw, text="tok1 tok2", descriptions=("tok3",), label=1):
+        self.id = item_id
+        self.text = text
+        self.image = np.linspace(-1.0, 1.0, d_raw)
+        self.descriptions = list(descriptions)
+        self.label = label
+
+
+@pytest.mark.parametrize(
+    "field,vectors",
+    [
+        ("image_vec", dict(image_vec=np.ones(5))),
+        ("text_vec", dict(image_vec=np.ones(6), text_vec=np.ones(7))),
+        ("desc_vecs", dict(image_vec=np.ones(6), desc_vecs=[np.ones(6), np.ones(4)])),
+    ],
+)
+def test_featurize_rejects_wrong_precomputed_width_naming_item_and_field(field, vectors):
+    from mmfnd.encoders import PrecomputedItem
+
+    model, _ = build_gradcheck_problem(d=6)
+    with pytest.raises(ConfigError, match=f"'bad-7'.*{field}"):
+        model.featurize(_Item("bad-7", 6), {"bad-7": PrecomputedItem(**vectors)})
+
+
+def test_featurize_rejects_wrong_image_width():
+    model, _ = build_gradcheck_problem(d=6)
+    with pytest.raises(ConfigError, match="'x'.*image"):
+        model.featurize(_Item("x", 9))
+
+
+def test_predict_batch_matches_item_by_item_predict():
+    from mmfnd.encoders import PrecomputedItem
+
+    model, _ = build_gradcheck_problem(d=6)
+    gen = Rng(3).stream("mixed")
+    items = [_Item(f"i{k}", 6, descriptions=["tok1 tok4", "tok5"][: k % 3]) for k in range(5)]
+    pre = {
+        "i1": PrecomputedItem(image_vec=gen.normal(size=6), text_vec=gen.normal(size=6)),
+        "i3": PrecomputedItem(image_vec=gen.normal(size=6), desc_vecs=[gen.normal(size=6)]),
+    }
+    feats = [model.featurize(item, pre) for item in items]
+    batched = model.predict_batch(feats)
+    for f, got in zip(feats, batched):
+        single = model.predict(f)
+        np.testing.assert_allclose(got.probs, single.probs, rtol=0, atol=1e-12)
+        assert got.label == single.label
+        np.testing.assert_allclose(got.gates, single.gates, rtol=0, atol=1e-12)
+
+
+def test_predict_leaves_no_cyclic_garbage():
+    import gc
+    import weakref
+
+    model, feats = build_gradcheck_problem(d=6, n_items=3)
+    seen = []
+    forward = model.forward
+
+    def spy(batch):
+        trace = forward(batch)
+        seen.append(weakref.ref(trace.fused.data))
+        return trace
+
+    model.forward = spy
+    gc.disable()
+    try:
+        trace = model.forward(feats)
+        del trace
+        assert seen[0]() is not None  # a linked graph is a reference cycle
+        preds = model.predict_batch(feats)
+        assert seen[1]() is None
+    finally:
+        gc.enable()
+    assert len(preds) == 3
+
+
+def _saved(tmp_path, edit):
+    model, _ = build_gradcheck_problem(d=6, n_items=2)
+    path = tmp_path / "model.npz"
+    model.save(path)
+    with np.load(path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    edit(arrays)
+    np.savez(path, **arrays)
+    return path
+
+
+def test_load_names_a_missing_parameter(tmp_path):
+    path = _saved(tmp_path, lambda a: a.pop("param/w_d"))
+    with pytest.raises(ConfigError, match="missing \\['w_d'\\]"):
+        Model.load(path)
+
+
+def test_load_names_an_unexpected_parameter(tmp_path):
+    path = _saved(tmp_path, lambda a: a.update({"param/w_extra": np.zeros(3)}))
+    with pytest.raises(ConfigError, match="unexpected \\['w_extra'\\]"):
+        Model.load(path)
+
+
+def test_load_draws_no_random_weights(tmp_path, monkeypatch):
+    path = _saved(tmp_path, lambda a: None)
+
+    def no_draws(*args):
+        raise AssertionError("load must not draw initial weights")
+
+    monkeypatch.setattr(Rng, "stream", no_draws)
+    assert Model.load(path).params["w_t"].data.shape == (6, 6)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,8 +55,8 @@ def test_softmax_against_high_precision_oracle():
     es = [mpmath.e ** x for x in xs]
     total = sum(es)
     expected = [float(e / total) for e in es]
-    out = T.softmax_vec(t(xs))
-    np.testing.assert_allclose(out.data, expected, rtol=1e-14)
+    out = T.softmax_rows(t([xs]))
+    np.testing.assert_allclose(out.data[0], expected, rtol=1e-14)
 
 
 def test_l2_normalize_345():
@@ -71,25 +74,39 @@ def test_mean_pool_by_hand():
     np.testing.assert_array_equal(out.data, [3.0, 5.0])
 
 
-def test_max_pool_by_hand():
-    out = T.max_pool(t([[1.0, 7.0], [5.0, 3.0]]), axis=0)
-    np.testing.assert_array_equal(out.data, [5.0, 7.0])
-
-
-def test_outer_basis_vectors():
-    out = T.outer(t([1.0, 0.0]), t([0.0, 1.0]))
-    np.testing.assert_array_equal(out.data, [[0.0, 1.0], [0.0, 0.0]])
-
-
 def test_concat_layout():
     out = T.concat([t([1.0, 2.0]), t([3.0])])
     np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
 
 
-def test_take_rows_repeats():
-    e = t([[1.0, 2.0], [3.0, 4.0]])
-    out = T.take_rows(e, [1, 1, 0])
-    np.testing.assert_array_equal(out.data, [[3.0, 4.0], [3.0, 4.0], [1.0, 2.0]])
+def test_concat_and_take_at_act_on_the_last_axis():
+    out = T.concat([t([[1.0, 2.0], [4.0, 5.0]]), t([[3.0], [6.0]])])
+    np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    np.testing.assert_array_equal(T.take_at(out, 1).data, [2.0, 5.0])
+
+
+def test_masked_softmax_zeroes_masked_entries_and_empty_rows():
+    mask = np.array([[True, True, False], [False, False, False]])
+    out = T.softmax_rows(t([[0.0, 0.0, 50.0], [1.0, 2.0, 3.0]]), mask)
+    np.testing.assert_array_equal(out.data, [[0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
+
+
+def test_rank1_max_pool_equals_column_max_of_outer_product():
+    gen = Rng(7).stream("rank1")
+    u, v = gen.normal(size=(3, 5)), gen.normal(size=(3, 4))
+    v[0, 1] = 0.0
+    out = T.rank1_max_pool(t(u), t(v))
+    expected = (u[:, :, None] * v[:, None, :]).max(axis=1)
+    np.testing.assert_array_equal(out.data, expected)
+
+
+def test_outer_softmax_is_softmax_of_scaled_outer_product():
+    gen = Rng(8).stream("outer-softmax")
+    u, v = gen.normal(size=(2, 4)), gen.normal(size=(2, 3))
+    out = T.outer_softmax(t(u), t(v), 0.5)
+    logits = 0.5 * u[:, :, None] * v[:, None, :]
+    expected = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+    np.testing.assert_allclose(out.data, expected, atol=1e-15)
 
 
 def test_sigmoid_extremes_finite():
@@ -201,34 +218,43 @@ def _check_op(build, arrs, rtol=1e-6):
         assert np.max(np.abs(ten.grad - num) / denom) < rtol
 
 
+MASK = np.array([[True, True, False, True], [False, False, False, False], [True, False, False, False]])
+
 OP_CASES = [
     ("matmul", lambda ts: T.matmul(ts[0], ts[1]), [(3, 4), (4, 2)]),
+    ("matmul_batched", lambda ts: T.matmul(ts[0], ts[1]), [(2, 3, 4), (4, 2)]),
     ("matvec", lambda ts: T.matvec(ts[0], ts[1]), [(3, 4), (4,)]),
+    ("matvec_batched_bias", lambda ts: T.matvec(ts[0], ts[1], ts[2]), [(3, 4), (2, 5, 4), (3,)]),
+    ("bmv", lambda ts: T.bmv(ts[0], ts[1]), [(2, 3, 4), (2, 4)]),
     ("transpose", lambda ts: T.transpose(ts[0]), [(3, 4)]),
-    ("outer", lambda ts: T.outer(ts[0], ts[1]), [(4,), (3,)]),
+    ("transpose_batched", lambda ts: T.transpose(ts[0]), [(2, 3, 4)]),
     ("add", lambda ts: T.add(ts[0], ts[1]), [(3, 2), (3, 2)]),
     ("mul", lambda ts: T.mul(ts[0], ts[1]), [(4,), (4,)]),
     ("affine", lambda ts: T.affine(ts[0], -2.5, 0.75), [(3, 2)]),
-    ("scale_by", lambda ts: T.scale_by(ts[0], T.take_at(ts[1], 1)), [(4,), (3,)]),
+    ("affine_array", lambda ts: T.affine(ts[0], np.array([1.0, -1.0, 2.0]), 0.5), [(3,)]),
     ("scale_rows", lambda ts: T.scale_rows(ts[0], ts[1]), [(3, 4), (3,)]),
+    ("scale_rows_batched", lambda ts: T.scale_rows(ts[0], ts[1]), [(2, 3, 4), (2, 3)]),
     ("relu", lambda ts: T.relu(ts[0]), [(3, 4)]),
     ("sigmoid", lambda ts: T.sigmoid(ts[0]), [(3, 4)]),
     ("log", lambda ts: T.log(T.affine(ts[0], 0.25, 3.0)), [(3, 2)]),
     ("clip_interior", lambda ts: T.clip(ts[0], -50.0, 50.0), [(3, 2)]),
     ("softmax_rows", lambda ts: T.softmax_rows(ts[0]), [(3, 4)]),
-    ("softmax_vec", lambda ts: T.softmax_vec(ts[0]), [(5,)]),
+    ("softmax_rows_masked", lambda ts: T.softmax_rows(ts[0], MASK), [(3, 4)]),
+    ("outer_softmax", lambda ts: T.outer_softmax(ts[0], ts[1], 0.7), [(2, 4), (2, 3)]),
     ("l2_normalize", lambda ts: T.l2_normalize(ts[0]), [(5,)]),
+    ("l2_normalize_rows", lambda ts: T.l2_normalize(ts[0]), [(3, 5)]),
     ("mean_pool_0", lambda ts: T.mean_pool(ts[0], 0), [(3, 4)]),
     ("mean_pool_1", lambda ts: T.mean_pool(ts[0], 1), [(3, 4)]),
-    ("max_pool_0", lambda ts: T.max_pool(ts[0], 0), [(3, 4)]),
-    ("max_pool_1", lambda ts: T.max_pool(ts[0], 1), [(3, 4)]),
+    ("mean_pool_vector", lambda ts: T.mean_pool(ts[0], 0), [(5,)]),
+    ("rank1_max_pool", lambda ts: T.rank1_max_pool(ts[0], ts[1]), [(2, 4), (2, 5)]),
     ("concat", lambda ts: T.concat(list(ts)), [(3,), (2,), (4,)]),
+    ("concat_rows", lambda ts: T.concat(list(ts)), [(2, 3), (2, 1)]),
     ("stack_rows", lambda ts: T.stack_rows(list(ts)), [(4,), (4,), (4,)]),
-    ("take_rows", lambda ts: T.take_rows(ts[0], [0, 2, 2, 1]), [(4, 3)]),
+    ("stack_matrices", lambda ts: T.stack_rows(list(ts)), [(2, 3), (2, 3)]),
     ("take_at", lambda ts: T.take_at(ts[0], 2), [(5,)]),
+    ("take_at_rows", lambda ts: T.take_at(ts[0], 1), [(3, 2)]),
     ("take_diag", lambda ts: T.take_diag(ts[0]), [(4, 4)]),
     ("tsum", lambda ts: T.tsum(ts[0]), [(3, 4)]),
-    ("mean_scalars", lambda ts: T.mean_scalars([T.take_at(v, 0) for v in ts]), [(2,), (2,), (2,)]),
 ]
 
 
@@ -244,3 +270,33 @@ def test_op_gradients_match_finite_differences(name, build, shapes):
 def test_backward_requires_scalar():
     with pytest.raises(T.ShapeError):
         t([1.0, 2.0]).backward()
+
+
+def test_backward_unlinks_the_graph_so_refcounting_frees_it():
+    """No cyclic garbage: with the collector off, an intermediate node's
+    array is freed by the sweep itself, while the loss is still held."""
+    p = T.Param("p", np.array([[1.0, 2.0], [3.0, 4.0]]))
+    gc.disable()
+    try:
+        hidden = T.softmax_rows(T.matmul(p, p))
+        alive = weakref.ref(hidden.data)
+        loss = T.tsum(hidden)
+        del hidden
+        loss.backward()
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert np.any(p.grad != 0.0)
+
+
+def test_release_frees_a_graph_without_backward():
+    p = T.Param("p", np.ones((2, 2)))
+    gc.disable()
+    try:
+        out = T.sigmoid(T.matmul(p, p))
+        alive = weakref.ref(out._parents[0].data)
+        T.release(out)
+        del out
+        assert alive() is None
+    finally:
+        gc.enable()
