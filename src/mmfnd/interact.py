@@ -4,7 +4,12 @@ For each item, mutual attention maps are built from the scaled outer
 product of its two aligned vectors, each modality is updated through the
 other's attention, and the rank-1 interaction matrix of the updated
 vectors is pooled and passed through a two-layer MLP. Every function takes
-a batch: vectors are (B, d) and attention maps (B, d, d).
+a batch of (B, d) vectors.
+
+The (B, d, d) maps can be inspected through ``cross_attention``, but
+training and inference attend without them: ``modality_update`` fuses each
+map's softmax with its value product in one ``rank1_attention`` node, so
+no map is a tape node and none gets a gradient.
 """
 
 from __future__ import annotations
@@ -15,21 +20,33 @@ from . import tensor as T
 from .tensor import Param, ShapeError, Tensor
 
 
+def _logit_scale(m_t: Tensor, m_v: Tensor) -> float:
+    """1/sqrt(d), the scale of the outer-product logits, for equal (B, d) inputs."""
+    if m_t.data.ndim != 2 or m_v.data.shape != m_t.data.shape:
+        raise ShapeError(
+            f"cross-modal attention needs equal (B, d) inputs: {m_t.data.shape} vs {m_v.data.shape}"
+        )
+    return 1.0 / math.sqrt(m_t.data.shape[1])
+
+
 def cross_attention(m_t: Tensor, m_v: Tensor) -> tuple[Tensor, Tensor]:
-    """Row-stochastic (B, d, d) attention maps between the modality vectors.
+    """Row-stochastic (B, d, d) attention maps between the modality vectors,
+    as tensors off the tape.
 
     Logits are the outer product divided by sqrt(d), softmaxed per row;
     the first map attends text->image, the second image->text.
     """
-    if m_t.data.ndim != 2 or m_v.data.shape != m_t.data.shape:
-        raise ShapeError(f"cross_attention needs equal (B, d) inputs: {m_t.data.shape} vs {m_v.data.shape}")
-    inv_sqrt_d = 1.0 / math.sqrt(m_t.data.shape[1])
-    return T.outer_softmax(m_t, m_v, inv_sqrt_d), T.outer_softmax(m_v, m_t, inv_sqrt_d)
+    c = _logit_scale(m_t, m_v)
+    f_tv = T.rank1_softmax(m_t.data, m_v.data, c)
+    f_vt = T.rank1_softmax(m_v.data, m_t.data, c)
+    return T.Tensor(f_tv), T.Tensor(f_vt)
 
 
-def modality_update(f_tv: Tensor, f_vt: Tensor, m_v: Tensor, m_t: Tensor) -> tuple[Tensor, Tensor]:
-    """Each modality vector smoothed through the other modality's attention."""
-    return T.bmv(f_tv, m_v), T.bmv(f_vt, m_t)
+def modality_update(m_t: Tensor, m_v: Tensor) -> tuple[Tensor, Tensor]:
+    """Each modality vector smoothed through the other modality's attention:
+    (``cross_attention`` maps) @ (m_v, m_t), without building the maps."""
+    c = _logit_scale(m_t, m_v)
+    return T.rank1_attention(m_t, m_v, c), T.rank1_attention(m_v, m_t, c)
 
 
 def interaction_feature(

@@ -205,8 +205,7 @@ class Model:
         if cfg.uses_interaction:
             e_t = align.shared_encode(r_t, self.w_st, self.b_st)
             e_v = align.shared_encode(r_v, self.w_sv, self.b_sv)
-            f_tv, f_vt = interact.cross_attention(e_t, e_v)
-            m_f_v, m_f_t = interact.modality_update(f_tv, f_vt, e_v, e_t)
+            m_f_v, m_f_t = interact.modality_update(e_t, e_v)
             r_f = interact.interaction_feature(
                 m_f_v, m_f_t, self.w_i1, self.b_i1, self.w_i2, self.b_i2
             )

@@ -341,32 +341,67 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return out
 
 
-def outer_softmax(u: Tensor, v: Tensor, c: float) -> Tensor:
-    """p[..., i, :] = softmax(c * u[..., i] * v[...]): row-wise softmax of the
-    scaled outer product of each pair of vectors.
+def _rank1_exp(u: np.ndarray, cv: np.ndarray) -> np.ndarray:
+    """exp of the rank-1 logits u_i * cv_j, each row shifted by its maximum.
 
-    One node: the outer product and its scaling live only inside the op, so
-    the (..., n, m) logits carry no gradient array of their own. A row of a
-    rank-1 matrix peaks at u_i * max(c v) where u_i >= 0, else at
-    u_i * min(c v), so the stabilising shift costs no pass over the logits.
+    A row of a rank-1 matrix peaks at u_i * max(cv) where u_i >= 0, else at
+    u_i * min(cv), so the shift costs no pass over the logits, and the shifted
+    logits are one (n, 2) @ (2, m) product: [u, -top] @ [cv; 1].
+    """
+    top = np.where(u >= 0.0, u * cv.max(axis=-1, keepdims=True), u * cv.min(axis=-1, keepdims=True))
+    # filled in place: np.stack would cost more than the matmul for one item at d=64
+    lhs = np.empty(u.shape + (2,))
+    lhs[..., 0] = u
+    np.negative(top, out=lhs[..., 1])
+    rhs = np.ones(cv.shape[:-1] + (2, cv.shape[-1]))
+    rhs[..., 0, :] = cv
+    e = np.matmul(lhs, rhs)
+    np.exp(e, out=e)
+    return e
+
+
+def rank1_softmax(u: np.ndarray, v: np.ndarray, c: float) -> np.ndarray:
+    """p[..., i, :] = softmax(c * u[..., i] * v): the row-wise softmax of the
+    scaled outer product of each pair of vectors, as a plain array.
+
+    This is the explicit (..., n, m) map that ``rank1_attention`` attends
+    through without keeping; it builds no tape node.
+    """
+    e = _rank1_exp(u, c * v)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def rank1_attention(u: Tensor, v: Tensor, c: float) -> Tensor:
+    """out[..., i] = sum_j softmax_j(c * u[..., i] * v[..., j]) * v[..., j]:
+    each entry of u attends over v through the rank-1 logits c u v^T.
+
+    One node, and the (..., n, m) attention map is no node at all: the
+    forward keeps only its unnormalised exp, and the backward builds no
+    (..., n, m) temporary. With p_i the softmax of row i,
+    d out_i / d u_i = c (E_p[v^2] - out_i^2), and the gradient of v is one
+    (2, n) @ (n, m) product with the kept exp.
     """
     if u.data.shape[:-1] != v.data.shape[:-1]:
-        raise ShapeError(f"outer_softmax batch dims disagree: {u.data.shape} vs {v.data.shape}")
-    cv = c * v.data
-    z = u.data[..., :, None] * cv[..., None, :]
-    top = np.where(
-        u.data >= 0.0, u.data * cv.max(axis=-1, keepdims=True), u.data * cv.min(axis=-1, keepdims=True)
-    )
-    z -= top[..., None]
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    out = Tensor(z, (u, v))
+        raise ShapeError(f"rank1_attention batch dims disagree: {u.data.shape} vs {v.data.shape}")
+    e = _rank1_exp(u.data, c * v.data)
+    # row sums of e, e * v and e * v^2 in one product
+    powers = np.ones(v.data.shape + (3,))
+    powers[..., 1] = v.data
+    np.multiply(v.data, v.data, out=powers[..., 2])
+    sums = np.matmul(e, powers)
+    total = sums[..., 0]
+    y = sums[..., 1] / total
+    second = sums[..., 2] / total
+    out = Tensor(y, (u, v))
 
     def _backward():
-        dz = out.grad - np.einsum("...ij,...ij->...i", out.grad, z)[..., None]
-        dz *= z
-        u.grad += c * np.matmul(dz, v.data[..., None])[..., 0]
-        v.grad += c * np.matmul(u.data[..., None, :], dz)[..., 0, :]
+        g = out.grad
+        u.grad += c * g * (second - y * y)
+        a = g / total
+        b = c * u.data * a
+        rows = np.matmul(np.stack([a - b * y, b], axis=-2), e)
+        v.grad += rows[..., 0, :] + v.data * rows[..., 1, :]
 
     out._backward = _backward
     return out

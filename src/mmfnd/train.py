@@ -58,7 +58,14 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard adaptive-moment estimation over a fixed parameter list."""
+    """Standard adaptive-moment estimation over a fixed parameter list.
+
+    A step updates in place, in the same operation order as
+    ``p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)``, so it allocates nothing
+    and its results are bit-identical to that formula. The numerator and
+    denominator of each parameter's update are views into two scratch rows
+    shared by all parameters, sized to the largest.
+    """
 
     def __init__(self, params: list[Param], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -66,28 +73,44 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        scratch = np.empty((2, max((p.data.size for p in self.params), default=0)))
+        self._num = [scratch[0, :p.data.size].reshape(p.data.shape) for p in self.params]
+        self._den = [scratch[1, :p.data.size].reshape(p.data.shape) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
+        for p, m, v, num, den in zip(self.params, self._m, self._v, self._num, self._den):
+            g = p.grad
             m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
+            np.multiply(g, 1.0 - self.beta1, out=num)
+            m += num
             v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad * p.grad
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=den)
+            den *= g
+            v += den
+            np.divide(m, b1c, out=num)
+            num *= self.lr
+            np.divide(v, b2c, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            p.data -= num
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries a dump of the offending batch."""
+    """Loss or a parameter gradient became non-finite; carries a dump of the
+    offending batch and, for a gradient, the first such parameter."""
 
-    def __init__(self, epoch: int, batch_ids: list[str], parts: dict):
+    def __init__(self, epoch: int, batch_ids: list[str], parts: dict, param: str | None = None):
         self.epoch = epoch
         self.batch_ids = batch_ids
         self.parts = parts
+        self.param = param
+        what = "loss" if param is None else f"gradient of parameter {param!r}"
         super().__init__(
-            f"non-finite loss at epoch {epoch} (parts={parts}); batch items: {', '.join(batch_ids)}"
+            f"non-finite {what} at epoch {epoch} (parts={parts}); batch items: {', '.join(batch_ids)}"
         )
 
 
@@ -137,6 +160,9 @@ def train(cfg: TrainConfig, train_ds: Dataset, precomputed=None, progress=None) 
                 raise TrainingDiverged(epoch, [b.item_id for b in batch], parts)
             model.params.reset_gradients()
             loss.backward()
+            bad = next((p.name for p in model.params if not np.isfinite(p.grad).all()), None)
+            if bad is not None:
+                raise TrainingDiverged(epoch, [b.item_id for b in batch], parts, param=bad)
             opt.step()
             for key in sums:
                 sums[key] += parts[key] * len(batch)

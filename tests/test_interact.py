@@ -7,6 +7,7 @@ from mmfnd import interact
 from mmfnd import tensor as T
 from mmfnd.gradcheck import finite_diff_check
 from mmfnd.rng import Rng
+from mmfnd.tensor import ShapeError
 
 
 def test_cross_attention_basis_example():
@@ -61,27 +62,52 @@ def test_cross_attention_divisor_is_exactly_sqrt_d():
 
 
 def test_modality_update_identity_and_uniform():
+    """Attention over a constant vector returns it unchanged; a zero query
+    attends uniformly, so it returns the other modality's mean."""
     gen = Rng(44).stream("update")
-    m_v = gen.normal(size=(2, 4))
     m_t = gen.normal(size=(2, 4))
-    eye = T.Tensor(np.stack([np.eye(4)] * 2))
-    out_v, out_t = interact.modality_update(eye, eye, T.Tensor(m_v), T.Tensor(m_t))
-    np.testing.assert_array_equal(out_v.data, m_v)
-    np.testing.assert_array_equal(out_t.data, m_t)
-    uniform = T.Tensor(np.full((2, 4, 4), 0.25))
-    out_v, _ = interact.modality_update(uniform, uniform, T.Tensor(m_v), T.Tensor(m_t))
-    np.testing.assert_allclose(out_v.data, np.repeat(m_v.mean(axis=1, keepdims=True), 4, axis=1), atol=1e-12)
+    const = np.array([[1.5] * 4, [-0.25] * 4])
+    out_v, out_t = interact.modality_update(T.Tensor(m_t), T.Tensor(const))
+    np.testing.assert_allclose(out_v.data, const, atol=1e-15)
+    out_v, out_t = interact.modality_update(T.Tensor(np.zeros((2, 4))), T.Tensor(m_t))
+    np.testing.assert_allclose(out_v.data, np.repeat(m_t.mean(axis=1, keepdims=True), 4, axis=1), atol=1e-12)
+    np.testing.assert_array_equal(out_t.data, np.zeros((2, 4)))
 
 
 def test_modality_update_matches_double_loop():
+    """Each output entry is a row of the cross-attention map times the
+    other modality's vector, summed term by term."""
     gen = Rng(45).stream("update-oracle")
-    f = gen.normal(size=(2, 5, 5))
-    m = gen.normal(size=(2, 5))
-    eye = T.Tensor(np.stack([np.eye(5)] * 2))
-    out, _ = interact.modality_update(T.Tensor(f), eye, T.Tensor(m), T.Tensor(m))
+    m_t = gen.normal(size=(2, 5))
+    m_v = gen.normal(size=(2, 5))
+    f_tv, f_vt = interact.cross_attention(T.Tensor(m_t), T.Tensor(m_v))
+    out_v, out_t = interact.modality_update(T.Tensor(m_t), T.Tensor(m_v))
     for b in range(2):
-        expected = [sum(f[b][i][j] * m[b][j] for j in range(5)) for i in range(5)]
-        np.testing.assert_allclose(out.data[b], expected, atol=1e-12)
+        expected_v = [sum(f_tv.data[b][i][j] * m_v[b][j] for j in range(5)) for i in range(5)]
+        expected_t = [sum(f_vt.data[b][i][j] * m_t[b][j] for j in range(5)) for i in range(5)]
+        np.testing.assert_allclose(out_v.data[b], expected_v, atol=1e-12)
+        np.testing.assert_allclose(out_t.data[b], expected_t, atol=1e-12)
+
+
+def test_modality_update_equals_cross_attention_maps_times_values():
+    gen = Rng(51).stream("update-maps")
+    m_t = gen.normal(size=(6, 32)) * 4.0
+    m_v = gen.normal(size=(6, 32)) * 4.0
+    f_tv, f_vt = interact.cross_attention(T.Tensor(m_t), T.Tensor(m_v))
+    out_v, out_t = interact.modality_update(T.Tensor(m_t), T.Tensor(m_v))
+    np.testing.assert_allclose(out_v.data, np.einsum("bij,bj->bi", f_tv.data, m_v), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out_t.data, np.einsum("bij,bj->bi", f_vt.data, m_t), rtol=0, atol=1e-12)
+
+
+def test_cross_attention_maps_are_off_the_tape():
+    m = T.Param("m", np.ones((1, 3)))
+    f_tv, f_vt = interact.cross_attention(m, m)
+    assert f_tv._parents == () and f_vt._parents == ()
+
+
+def test_modality_update_rejects_unequal_shapes():
+    with pytest.raises(ShapeError):
+        interact.modality_update(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 4))))
 
 
 def _mlp_params(gen, d, identity=False):
@@ -148,8 +174,7 @@ def test_interaction_matrix_is_rank_one():
     gen = Rng(49).stream("ifeat-rank")
     m_t = T.Tensor(gen.normal(size=(10, 5)))
     m_v = T.Tensor(gen.normal(size=(10, 5)))
-    f_tv, f_vt = interact.cross_attention(m_t, m_v)
-    m_f_v, m_f_t = interact.modality_update(f_tv, f_vt, m_v, m_t)
+    m_f_v, m_f_t = interact.modality_update(m_t, m_v)
     for u, v in zip(m_f_v.data, m_f_t.data):
         singular = np.linalg.svd(np.outer(u, v), compute_uv=False)
         assert singular[1] < 1e-9
@@ -164,8 +189,7 @@ def test_interaction_gradcheck_end_to_end():
     weights = gen.normal(size=(2, d))
 
     def f():
-        f_tv, f_vt = interact.cross_attention(m_t, m_v)
-        m_f_v, m_f_t = interact.modality_update(f_tv, f_vt, m_v, m_t)
+        m_f_v, m_f_t = interact.modality_update(m_t, m_v)
         r_f = interact.interaction_feature(m_f_v, m_f_t, w1, b1, w2, b2)
         return T.tsum(T.mul(r_f, T.Tensor(weights)))
 

@@ -290,3 +290,13 @@ def test_load_draws_no_random_weights(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Rng, "stream", no_draws)
     assert Model.load(path).params["w_t"].data.shape == (6, 6)
+
+
+def test_training_tape_holds_no_attention_map():
+    """Cross-modal attention is fused: no node of a training batch's tape
+    holds a (B, d, d) array, so none gets a (B, d, d) gradient either."""
+    model, feats = build_gradcheck_problem(d=8, n_items=4, n_desc=2)
+    loss, _ = model.batch_loss(feats)
+    shapes = {node.data.shape for node in T._topo_order(loss)}
+    assert (4, 8) in shapes
+    assert not [s for s in shapes if s[-2:] == (8, 8) and len(s) > 2]

@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -100,13 +101,60 @@ def test_rank1_max_pool_equals_column_max_of_outer_product():
     np.testing.assert_array_equal(out.data, expected)
 
 
-def test_outer_softmax_is_softmax_of_scaled_outer_product():
-    gen = Rng(8).stream("outer-softmax")
+def _attention_oracle(u, v, c):
+    """softmax(c u v^T) @ v for one pair of vectors, in 50-digit arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        out = []
+        for ui in u:
+            w = [mpmath.e ** (mpmath.mpf(c) * mpmath.mpf(ui) * mpmath.mpf(vj)) for vj in v]
+            out.append(float(sum(wj * mpmath.mpf(vj) for wj, vj in zip(w, v)) / sum(w)))
+        return out
+
+
+def test_rank1_attention_against_high_precision_oracle():
+    gen = Rng(8).stream("rank1-attention")
+    u, v = gen.normal(size=(2, 4)) * 3.0, gen.normal(size=(2, 5))
+    u[0, 1] = 0.0
+    out = T.rank1_attention(t(u), t(v), 0.5)
+    for b in range(2):
+        np.testing.assert_allclose(out.data[b], _attention_oracle(u[b], v[b], 0.5), rtol=1e-13, atol=1e-15)
+
+
+def test_rank1_attention_of_a_zero_query_is_the_mean_value():
+    v = np.array([[1.0, -2.0, 4.0, 0.5], [3.0, 3.0, -1.0, 7.0]])
+    out = T.rank1_attention(t(np.zeros((2, 3))), t(v), 2.0)
+    np.testing.assert_allclose(out.data, np.repeat(v.mean(axis=1, keepdims=True), 3, axis=1), atol=1e-15)
+
+
+def test_rank1_attention_extreme_logits_stay_finite_and_warning_free():
+    """|c u_i v_j| up to 1e4: rows collapse onto the value at the peak logit."""
+    u = t([[100.0, -100.0, 1e-3, 0.0]])
+    v = np.array([[-10.0, 3.0, 10.0]])
+    p = T.Param("v", v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.rank1_attention(u, p, 10.0)
+        T.tsum(out).backward()
+        probs = T.rank1_softmax(u.data, v, 10.0)
+    assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(p.grad)) and np.all(np.isfinite(probs))
+    np.testing.assert_allclose(out.data[0, :2], [10.0, -10.0], atol=1e-12)
+    np.testing.assert_allclose(out.data[0, 3], v.mean(), atol=1e-12)
+
+
+def test_rank1_softmax_is_softmax_of_scaled_outer_product():
+    gen = Rng(9).stream("rank1-softmax")
     u, v = gen.normal(size=(2, 4)), gen.normal(size=(2, 3))
-    out = T.outer_softmax(t(u), t(v), 0.5)
     logits = 0.5 * u[:, :, None] * v[:, None, :]
     expected = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
-    np.testing.assert_allclose(out.data, expected, atol=1e-15)
+    np.testing.assert_allclose(T.rank1_softmax(u, v, 0.5), expected, atol=1e-15)
+
+
+def test_rank1_attention_gradient_at_zero_and_mixed_sign_queries():
+    gen = Rng(10).stream("rank1-attention-grad")
+    u = np.array([[0.0, -1.3, 0.8, 0.0, 2.1], [1.1, 0.0, -0.4, -2.2, 0.0]])
+    _check_op(lambda ts: T.rank1_attention(ts[0], ts[1], 0.7), [u, gen.normal(size=(2, 4))])
 
 
 def test_sigmoid_extremes_finite():
@@ -240,7 +288,7 @@ OP_CASES = [
     ("clip_interior", lambda ts: T.clip(ts[0], -50.0, 50.0), [(3, 2)]),
     ("softmax_rows", lambda ts: T.softmax_rows(ts[0]), [(3, 4)]),
     ("softmax_rows_masked", lambda ts: T.softmax_rows(ts[0], MASK), [(3, 4)]),
-    ("outer_softmax", lambda ts: T.outer_softmax(ts[0], ts[1], 0.7), [(2, 4), (2, 3)]),
+    ("rank1_attention", lambda ts: T.rank1_attention(ts[0], ts[1], 0.7), [(2, 4), (2, 3)]),
     ("l2_normalize", lambda ts: T.l2_normalize(ts[0]), [(5,)]),
     ("l2_normalize_rows", lambda ts: T.l2_normalize(ts[0]), [(3, 5)]),
     ("mean_pool_0", lambda ts: T.mean_pool(ts[0], 0), [(3, 4)]),
