@@ -9,7 +9,12 @@ a batch of (B, d) vectors.
 The (B, d, d) maps can be inspected through ``cross_attention``, but
 training and inference attend without them: ``modality_update`` fuses each
 map's softmax with its value product in one ``rank1_attention`` node, so
-no map is a tape node and none gets a gradient.
+no map is a tape node and none gets a gradient. The aligned vectors are
+unit-norm and the logit scale is 1/sqrt(d), so every logit lies within
+1/sqrt(d) of zero. On such logits, in any call with enough of them (a
+training batch, or one item at d=256), ``rank1_attention`` sums a short
+power series over the vectors' entries instead of exponentiating d^2
+logits per item, and builds no (B, d, d) array at all.
 """
 
 from __future__ import annotations

@@ -88,6 +88,16 @@ def report_from_confusion(tp: int, fp: int, fn: int, tn: int) -> MetricsReport:
 
 
 def confusion_from_predictions(y_true: list[int], y_pred: list[int]) -> tuple[int, int, int, int]:
+    """(tp, fp, fn, tn) with fake (1) as the positive class.
+
+    Raises ``ValueError`` when the lists differ in length, or at the first
+    position where either holds a label other than 0 or 1.
+    """
+    if len(y_true) != len(y_pred):
+        raise ValueError(f"{len(y_true)} true labels but {len(y_pred)} predictions")
+    for i, (t, p) in enumerate(zip(y_true, y_pred)):
+        if t not in (0, 1) or p not in (0, 1):
+            raise ValueError(f"labels must be 0 or 1: position {i} has true {t!r}, predicted {p!r}")
     tp = sum(1 for t, p in zip(y_true, y_pred) if t == 1 and p == 1)
     fp = sum(1 for t, p in zip(y_true, y_pred) if t == 0 and p == 1)
     fn = sum(1 for t, p in zip(y_true, y_pred) if t == 1 and p == 0)

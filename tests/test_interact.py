@@ -90,13 +90,19 @@ def test_modality_update_matches_double_loop():
 
 
 def test_modality_update_equals_cross_attention_maps_times_values():
+    """Large logits (the exp path) and, above the logit floor, unit vectors
+    like the aligned ones the model attends over (the power-series path)."""
     gen = Rng(51).stream("update-maps")
-    m_t = gen.normal(size=(6, 32)) * 4.0
-    m_v = gen.normal(size=(6, 32)) * 4.0
-    f_tv, f_vt = interact.cross_attention(T.Tensor(m_t), T.Tensor(m_v))
-    out_v, out_t = interact.modality_update(T.Tensor(m_t), T.Tensor(m_v))
-    np.testing.assert_allclose(out_v.data, np.einsum("bij,bj->bi", f_tv.data, m_v), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(out_t.data, np.einsum("bij,bj->bi", f_vt.data, m_t), rtol=0, atol=1e-12)
+    large = (gen.normal(size=(6, 32)) * 4.0, gen.normal(size=(6, 32)) * 4.0)
+    unit = gen.normal(size=(2, 8, 64))
+    unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+    assert T._series_order(*large, 1.0 / np.sqrt(32)) is None
+    assert T._series_order(unit[0], unit[1], 1.0 / 8.0) is not None
+    for m_t, m_v in (large, tuple(unit)):
+        f_tv, f_vt = interact.cross_attention(T.Tensor(m_t), T.Tensor(m_v))
+        out_v, out_t = interact.modality_update(T.Tensor(m_t), T.Tensor(m_v))
+        np.testing.assert_allclose(out_v.data, np.einsum("bij,bj->bi", f_tv.data, m_v), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out_t.data, np.einsum("bij,bj->bi", f_vt.data, m_t), rtol=0, atol=1e-12)
 
 
 def test_cross_attention_maps_are_off_the_tape():

@@ -19,6 +19,24 @@ def test_empty_confusion_matrix_raises():
         metrics.report_from_confusion(0, 0, 0, 0)
 
 
+def test_confusion_counts_by_hand():
+    assert metrics.confusion_from_predictions([1, 0, 1, 0, 1], [1, 1, 0, 0, 1]) == (2, 1, 1, 1)
+
+
+def test_confusion_rejects_lists_of_unequal_length():
+    with pytest.raises(ValueError, match="3 true labels but 2 predictions"):
+        metrics.confusion_from_predictions([1, 0, 1], [1, 0])
+
+
+@pytest.mark.parametrize(
+    "y_true,y_pred,where",
+    [([1, 0, 2], [1, 0, 1], "position 2 has true 2"), ([1, 0, 1], [1, -1, 1], "position 1 has true 0, predicted -1")],
+)
+def test_confusion_rejects_a_label_outside_0_and_1(y_true, y_pred, where):
+    with pytest.raises(ValueError, match=where):
+        metrics.confusion_from_predictions(y_true, y_pred)
+
+
 @pytest.fixture(scope="module")
 def trained():
     art = data.synth_generate(40, 70, seed=3, d_raw=8)

@@ -157,10 +157,89 @@ def test_rank1_attention_gradient_at_zero_and_mixed_sign_queries():
     _check_op(lambda ts: T.rank1_attention(ts[0], ts[1], 0.7), [u, gen.normal(size=(2, 4))])
 
 
+def _unit_rows(gen, b, d):
+    x = gen.normal(size=(b, d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("b,d", [(8, 64), (1, 256)])
+def test_rank1_attention_series_against_high_precision_oracle(b, d):
+    """Unit-norm inputs at the model's scale 1/sqrt(d), above the logit floor:
+    the power-series path, checked row by row against 50-digit softmax."""
+    gen = Rng(12).stream("rank1-series", d)
+    u, v = _unit_rows(gen, b, d), _unit_rows(gen, b, d)
+    c = 1.0 / np.sqrt(d)
+    assert T._series_order(u, v, c) is not None
+    out = T.rank1_attention(t(u), t(v), c)
+    for k in range(b):
+        # the largest and smallest query entries and a few others
+        rows = np.unique(np.r_[np.argmax(u[k]), np.argmin(u[k]), gen.integers(0, d, size=6)])
+        np.testing.assert_allclose(out.data[k, rows], _attention_oracle(u[k, rows], v[k], c), rtol=1e-13, atol=1e-16)
+
+
+def test_rank1_attention_series_gradient_matches_finite_differences():
+    """Entries of magnitude 0.3-1.7 at c = 0.3 put the radius near 1, the
+    highest series order, with exact zeros in the query."""
+    gen = Rng(13).stream("rank1-series-grad")
+    u, v = (gen.uniform(0.3, 1.7, size=(8, 64)) * gen.choice([-1.0, 1.0], size=(8, 64)) for _ in range(2))
+    u[:, ::7] = 0.0
+    assert T._series_order(u, v, 0.3) >= 15
+    _check_op(lambda ts: T.rank1_attention(ts[0], ts[1], 0.3), [u, v])
+
+
+def _attention_and_gradients(u, v, c):
+    pu, pv = T.Param("u", u), T.Param("v", v)
+    out = T.rank1_attention(pu, pv, c)
+    T.tsum(T.mul(out, t(np.linspace(0.5, 1.5, out.data.size).reshape(out.data.shape)))).backward()
+    return out.data, pu.grad, pv.grad
+
+
+@pytest.mark.parametrize("radius", [0.0, 1.0 - 1e-9, 1.0 + 1e-9])
+def test_rank1_attention_series_and_exp_paths_agree_at_the_radius_limit(radius, monkeypatch):
+    """Just inside r = 1 the series runs, just outside the exp path does;
+    forward and gradients agree with the exp path on the same inputs."""
+    gen = Rng(14).stream("rank1-series-edge")
+    u, v = gen.uniform(-1.0, 1.0, size=(8, 64)), gen.uniform(-1.0, 1.0, size=(8, 64))
+    u /= np.abs(u).max()
+    v /= np.abs(v).max()
+    c = max(radius, 0.5)
+    u *= radius / c  # max|u| max|v| c = radius
+    assert (T._series_order(u, v, c) is not None) == (radius <= 1.0)
+    series = _attention_and_gradients(u, v, c)
+    monkeypatch.setattr(T, "_SERIES_MIN_LOGITS", np.inf)
+    exp = _attention_and_gradients(u, v, c)
+    for got, want in zip(series, exp):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(series[0], np.einsum("bij,bj->bi", T.rank1_softmax(u, v, c), v), rtol=1e-13, atol=1e-15)
+
+
+def test_rank1_attention_memory_stays_below_a_quarter_of_one_attention_map():
+    """Forward and backward at (32, 256) on unit vectors allocate nothing of
+    the (32, 256, 256) size: the peak stays below a quarter of one map."""
+    import tracemalloc
+
+    gen = Rng(15).stream("rank1-memory")
+    u, v = T.Param("u", _unit_rows(gen, 32, 256)), T.Param("v", _unit_rows(gen, 32, 256))
+    tracemalloc.start()
+    try:
+        T.tsum(T.rank1_attention(u, v, 1.0 / 16.0)).backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 256 * 256 * 8 / 4
+
+
 def test_sigmoid_extremes_finite():
     out = T.sigmoid(t([-1000.0, 0.0, 1000.0]))
     assert np.all(np.isfinite(out.data))
     np.testing.assert_allclose(out.data[1], 0.5)
+
+
+def test_sigmoid_is_bit_identical_to_the_three_exp_formula():
+    extremes = [-0.0, 0.0, 1e-300, -1e-300, 36.7, -36.7]
+    x = np.concatenate([np.linspace(-800.0, 800.0, 1601), extremes, Rng(16).stream("sigmoid").normal(size=500) * 5])
+    old = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    np.testing.assert_array_equal(T.sigmoid(t(x)).data, old)
 
 
 def test_clip_bounds():
