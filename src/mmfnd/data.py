@@ -65,8 +65,9 @@ def load_jsonl(path, split: str = "train") -> Dataset:
 
     Lines missing text, image features or a valid label are excluded with
     a warning (mirroring the usual multimodal preprocessing rule); broken
-    JSON, wrong field types, duplicate ids and inconsistent image widths
-    are hard errors naming the line.
+    JSON, wrong field types, duplicate ids, inconsistent image widths and
+    non-finite image values (the JSON literals NaN and Infinity) are hard
+    errors naming the line.
     """
     items: list[NewsItem] = []
     seen_ids: set[str] = set()
@@ -105,6 +106,8 @@ def load_jsonl(path, split: str = "train") -> Dataset:
                 raise DataFormatError(f"{path}: line {line_no}: image_vec must be numeric") from exc
             if image.ndim != 1:
                 raise DataFormatError(f"{path}: line {line_no}: image_vec must be a flat list")
+            if not np.isfinite(image).all():
+                raise DataFormatError(f"{path}: line {line_no}: image_vec has a non-finite value")
             if d_raw is None:
                 d_raw = image.shape[0]
             elif image.shape[0] != d_raw:

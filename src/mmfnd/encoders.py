@@ -157,7 +157,10 @@ class PrecomputedItem:
 def _as_float_vector(value, line_no: int, name: str) -> np.ndarray:
     if not isinstance(value, list) or not all(isinstance(v, (int, float)) for v in value):
         raise EmbeddingFileError(f"line {line_no}: field {name!r} must be a list of numbers")
-    return np.asarray(value, dtype=np.float64)
+    vec = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(vec).all():
+        raise EmbeddingFileError(f"line {line_no}: field {name!r} has a non-finite value")
+    return vec
 
 
 def load_precomputed(path) -> dict[str, PrecomputedItem]:
@@ -165,7 +168,7 @@ def load_precomputed(path) -> dict[str, PrecomputedItem]:
 
     Schema per line: {"id": str, "image_vec": [...], "text_vec": [...]?,
     "desc_vecs": [[...], ...]?}. Vector widths must be consistent across
-    the whole file.
+    the whole file, and every value must be finite.
     """
     items: dict[str, PrecomputedItem] = {}
     dims: dict[str, int] = {}

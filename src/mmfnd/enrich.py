@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .errors import DataFormatError
 from .tensor import DegenerateInputError, Param, Tensor
 
 
@@ -57,51 +58,74 @@ _WORD_RE = re.compile(r"\w+")
 
 
 def _title_key(title: str) -> tuple[str, ...]:
-    return tuple(_WORD_RE.findall(title.lower()))
+    # tokenized exactly like text in extract_entities: split, then lowercase
+    return tuple(word.lower() for word in _WORD_RE.findall(title))
+
+
+class Gazetteer:
+    """Entity titles in file order plus a longest-match index built once.
+
+    ``by_key`` maps each title's lowercased word-token tuple to the first
+    title with that key; ``lengths`` maps each first token to the key
+    lengths that start with it, longest first. Titles with no word
+    characters are kept in ``titles`` but never match.
+    """
+
+    def __init__(self, titles):
+        self.titles = list(titles)
+        self.by_key: dict[tuple[str, ...], str] = {}
+        lengths: dict[str, set[int]] = {}
+        for title in self.titles:
+            key = _title_key(title)
+            if key:
+                self.by_key.setdefault(key, title)
+                lengths.setdefault(key[0], set()).add(len(key))
+        self.lengths = {tok: sorted(ls, reverse=True) for tok, ls in lengths.items()}
+
+    def __iter__(self):
+        return iter(self.titles)
 
 
 def extract_entities(text: str, gazetteer) -> list[Entity]:
     """Greedy longest-match gazetteer scan, left to right.
 
     Matching is case-insensitive on word-token boundaries; overlapping
-    candidates resolve to the longest, and repeated titles keep only the
-    first mention.
+    candidates resolve to the longest, titles with the same key resolve to
+    the first in gazetteer order, and repeated titles keep only the first
+    mention. Pass a ``Gazetteer`` to reuse its index; any other iterable of
+    titles is indexed for this call only.
     """
-    by_first: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-    for title in gazetteer:
-        key = _title_key(title)
-        if not key:
-            continue
-        by_first.setdefault(key[0], []).append((key, title))
-    for candidates in by_first.values():
-        candidates.sort(key=lambda item: len(item[0]), reverse=True)
-
-    words = [(m.group().lower(), m.start(), m.end()) for m in _WORD_RE.finditer(text)]
+    if not isinstance(gazetteer, Gazetteer):
+        gazetteer = Gazetteer(gazetteer)
+    by_key, lengths = gazetteer.by_key, gazetteer.lengths
+    matches = list(_WORD_RE.finditer(text))
+    words = [m.group().lower() for m in matches]
+    n = len(words)
     found: list[Entity] = []
     seen_titles = set()
     i = 0
-    while i < len(words):
-        tok = words[i][0]
-        advanced = False
-        for key, title in by_first.get(tok, ()):
-            j = i + len(key)
-            if j <= len(words) and tuple(w[0] for w in words[i:j]) == key:
-                start, end = words[i][1], words[j - 1][2]
+    while i < n:
+        for length in lengths.get(words[i], ()):
+            j = i + length
+            title = by_key.get(tuple(words[i:j]))
+            if title is not None and j <= n:
                 if title not in seen_titles:
                     seen_titles.add(title)
+                    start, end = matches[i].start(), matches[j - 1].end()
                     found.append(Entity(surface=text[start:end], canonical_title=title, span=(start, end)))
                 i = j
-                advanced = True
                 break
-        if not advanced:
+        else:
             i += 1
     return found
 
 
-def load_gazetteer(path) -> list[str]:
-    """One title per line, UTF-8; blank lines ignored."""
+def load_gazetteer(path) -> Gazetteer:
+    """One title per line, UTF-8; blank lines ignored. The returned
+    ``Gazetteer`` iterates the titles in file order and carries the index
+    that ``extract_entities`` reuses on every call."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+        return Gazetteer(line.strip() for line in fh if line.strip())
 
 
 def write_gazetteer(path, titles) -> None:
@@ -159,27 +183,38 @@ class DescriptionCache:
     def __init__(self, root):
         self.root = Path(root)
 
-    def _path(self, title: str) -> Path:
-        return self.root / (urllib.parse.quote(title, safe="") + ".json")
+    def _path(self, title: str) -> str:
+        return os.path.join(self.root, urllib.parse.quote(title, safe="") + ".json")
 
     def get(self, title: str) -> str | None:
+        """The cached sentence, or None when the title has no entry. An
+        entry that is not JSON or has no string ``"sentence"`` raises
+        ``DataFormatError`` naming the title and the file."""
         path = self._path(title)
-        if not path.exists():
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except FileNotFoundError:
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)["sentence"]
+        try:
+            sentence = json.loads(raw)["sentence"]
+        except (ValueError, TypeError, KeyError):
+            sentence = None
+        if not isinstance(sentence, str):
+            raise DataFormatError(f"cache file {path} for {title!r} is not a JSON object with a string \"sentence\"")
+        return sentence
 
     def put(self, title: str, sentence: str) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
         path = self._path(title)
-        tmp = path.with_suffix(".json.tmp")
+        tmp = path + ".tmp"
         payload = {"title": title, "sentence": sentence, "fetched_at": time.time()}
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, ensure_ascii=False)
         os.replace(tmp, path)
 
     def __contains__(self, title: str) -> bool:
-        return self._path(title).exists()
+        return os.path.exists(self._path(title))
 
 
 def load_fixture(path) -> dict[str, str]:

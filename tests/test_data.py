@@ -62,6 +62,13 @@ def test_inconsistent_image_width_rejected(tmp_path):
         data.load_jsonl(path)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_image_value_rejected_naming_line_and_field(tmp_path, value):
+    path = _write(tmp_path, [_line("a"), _line("b", image=(1.0, value))])
+    with pytest.raises(DataFormatError, match="line 2: image_vec"):
+        data.load_jsonl(path)
+
+
 def test_invalid_label_rejected(tmp_path):
     path = _write(tmp_path, [_line("a", label=2)])
     with pytest.raises(DataFormatError, match="label"):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,17 @@ def test_precomputed_dimension_inconsistency(tmp_path):
         '{"id": "a", "image_vec": [1.0, 2.0]}\n{"id": "b", "image_vec": [1.0]}\n'
     )
     with pytest.raises(enc.EmbeddingFileError, match="line 2"):
+        enc.load_precomputed(path)
+
+
+@pytest.mark.parametrize("field", ["image_vec", "text_vec", "desc_vecs"])
+def test_precomputed_non_finite_value_names_line_and_field(tmp_path, field):
+    path = tmp_path / "emb.jsonl"
+    bad = {"id": "b", "image_vec": [1.0, 2.0], field: [1.0, float("nan")]}
+    if field == "desc_vecs":
+        bad[field] = [[1.0, 2.0], [float("inf"), 0.0]]
+    path.write_text('{"id": "a", "image_vec": [1.0, 2.0]}\n' + json.dumps(bad) + "\n")
+    with pytest.raises(enc.EmbeddingFileError, match=f"line 2: field '{field}' has a non-finite value"):
         enc.load_precomputed(path)
 
 

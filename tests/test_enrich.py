@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from mmfnd import enrich
 from mmfnd import tensor as T
+from mmfnd.data import synth_generate
+from mmfnd.errors import DataFormatError
 from mmfnd.gradcheck import finite_diff_check
 from mmfnd.rng import Rng
 
@@ -61,7 +64,107 @@ def test_gazetteer_file_roundtrip(tmp_path):
     path = tmp_path / "gaz.txt"
     titles = ["Ferguson", "New York City", "哈尔滨"]
     enrich.write_gazetteer(path, titles)
-    assert enrich.load_gazetteer(path) == titles
+    assert list(enrich.load_gazetteer(path)) == titles
+
+
+def test_extract_tokenizes_titles_like_text():
+    # "İ".lower() is "i" plus a combining dot, which is not a word character:
+    # lowercasing the title before splitting it made two tokens of one word
+    entities = enrich.extract_entities("Talks in İstanbul today", ["İstanbul"])
+    assert [(e.canonical_title, e.surface) for e in entities] == [("İstanbul", "İstanbul")]
+
+
+def test_extract_duplicate_keys_resolve_to_first_title_in_file_order():
+    gaz = enrich.Gazetteer(["new york", "New-York", "NEW YORK"])
+    entities = enrich.extract_entities("Flights to New York resumed", gaz)
+    assert [(e.canonical_title, e.surface) for e in entities] == [("new york", "New York")]
+
+
+def test_extract_overlaps_resolve_to_longest_title_in_any_file_order():
+    text = "The New York City Ballet toured New York"
+    titles = ["New York", "York City Ballet", "New York City Ballet", "New York City"]
+    for gaz in (titles, titles[::-1]):
+        entities = enrich.extract_entities(text, enrich.Gazetteer(gaz))
+        assert [(e.canonical_title, e.span) for e in entities] == [
+            ("New York City Ballet", (4, 24)), ("New York", (32, 40))]
+
+
+def test_extract_ignores_titles_without_word_characters():
+    gaz = enrich.Gazetteer(["", "!!!", " - ", "Ferguson"])
+    assert list(gaz) == ["", "!!!", " - ", "Ferguson"]
+    entities = enrich.extract_entities("!!! in Ferguson - now", gaz)
+    assert [e.canonical_title for e in entities] == ["Ferguson"]
+
+
+def test_one_gazetteer_tokenizes_each_title_once_across_calls(tmp_path, monkeypatch):
+    calls = []
+    title_key = enrich._title_key
+    monkeypatch.setattr(enrich, "_title_key", lambda title: calls.append(title) or title_key(title))
+    titles = ["Ferguson", "New York", "New York City", "Michael Brown"]
+    enrich.write_gazetteer(tmp_path / "gaz.txt", titles)
+    gaz = enrich.load_gazetteer(tmp_path / "gaz.txt")
+    for _ in range(5):
+        entities = enrich.extract_entities("Michael Brown left New York City for Ferguson", gaz)
+        assert [e.canonical_title for e in entities] == ["Michael Brown", "New York City", "Ferguson"]
+    assert sorted(calls) == sorted(titles)
+
+
+def _oracle_needles(titles):
+    """(token count, space-delimited key, title) for the first title with
+    each key, in file order."""
+    needles = {}
+    for title in titles:
+        key = [w.lower() for w in re.findall(r"\w+", title)]
+        if key:
+            needles.setdefault(" " + " ".join(key) + " ", (len(key), title))
+    return [(n, needle, title) for needle, (n, title) in needles.items()]
+
+
+def _oracle_extract(text, needles):
+    """Longest match by brute force: find every occurrence of every key in
+    the space-joined token string, keep the longest (then earliest in file
+    order) per start token, and take matches greedily left to right."""
+    spans = [m.span() for m in re.finditer(r"\w+", text)]
+    words = [text[a:b].lower() for a, b in spans]
+    joined = " " + " ".join(words) + " "
+    token_at, pos = {}, 1
+    for k, word in enumerate(words):
+        token_at[pos] = k
+        pos += len(word) + 1
+    best = {}
+    for n, needle, title in needles:
+        at = joined.find(needle)
+        while at != -1:
+            k = token_at[at + 1]
+            if k not in best or n > best[k][0]:
+                best[k] = (n, title)
+            at = joined.find(needle, at + 1)
+    found, seen, i = [], set(), 0
+    while i < len(words):
+        if i not in best:
+            i += 1
+            continue
+        n, title = best[i]
+        if title not in seen:
+            seen.add(title)
+            found.append((title, (spans[i][0], spans[i + n - 1][1])))
+        i += n
+    return found
+
+
+def test_extract_matches_brute_force_oracle_on_synthetic_corpus():
+    art = synth_generate(1024, 512, seed=3)
+    items = art.train.items + art.test.items
+    # upper-cased prefixes of every title add overlaps and duplicate keys
+    variants = [" ".join(t.split()[:k]).upper() for t in art.gazetteer for k in (1, 2, 3)]
+    for titles in (art.gazetteer, variants + art.gazetteer):
+        gaz, needles = enrich.Gazetteer(titles), _oracle_needles(titles)
+        total = 0
+        for item in items:
+            got = [(e.canonical_title, e.span) for e in enrich.extract_entities(item.text, gaz)]
+            assert got == _oracle_extract(item.text, needles), item.id
+            total += len(got)
+        assert total > len(items)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +209,17 @@ def test_cache_roundtrip_byte_exact(tmp_path):
     assert cache.get("missing") is None
     # atomic write leaves no temp files behind
     assert not list((tmp_path / "cache").glob("*.tmp"))
+
+
+@pytest.mark.parametrize("content", [b"{broken", b'["a list"]', b'{"title": "x"}', b'{"sentence": 3}', b"\xff\xfe\xfa"])
+def test_cache_bad_entry_names_title_and_file(tmp_path, content):
+    cache = enrich.DescriptionCache(tmp_path / "cache")
+    cache.put("Ferguson", "A city.")
+    path = tmp_path / "cache" / "Ferguson.json"
+    path.write_bytes(content)
+    with pytest.raises(DataFormatError) as err:
+        cache.get("Ferguson")
+    assert "'Ferguson'" in str(err.value) and str(path) in str(err.value)
 
 
 # ---------------------------------------------------------------------------
