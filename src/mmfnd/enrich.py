@@ -177,44 +177,85 @@ def first_sentence(text: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _cache_entry(raw: bytes) -> dict | None:
+    """A cache line as {"title": str, "sentence": str, ...}, or None."""
+    try:
+        entry = json.loads(raw)
+    except ValueError:
+        return None
+    if not isinstance(entry, dict) or not isinstance(entry.get("title"), str):
+        return None
+    return entry if isinstance(entry.get("sentence"), str) else None
+
+
 class DescriptionCache:
-    """One JSON file per title under a cache directory; writes are atomic."""
+    """Descriptions in one append-only JSON-lines file under a cache directory.
+
+    ``put`` appends one line ``{"title", "sentence", "fetched_at"}``, so a
+    new entry creates no file of its own; the last line for a title wins.
+    The cache indexes each title to the byte span of its line, reading
+    only lines appended since its last scan, and rescans when a lookup
+    misses, so caches on the same directory see each other's writes.
+    ``get`` reads the entry back from the file on every call.
+    """
+
+    FILE = "descriptions.jsonl"
 
     def __init__(self, root):
         self.root = Path(root)
+        self.path = os.path.join(self.root, self.FILE)
+        self._spans: dict[str, tuple[int, int]] = {}
+        self._scanned = 0  # bytes of the file indexed so far
 
-    def _path(self, title: str) -> str:
-        return os.path.join(self.root, urllib.parse.quote(title, safe="") + ".json")
+    def _scan(self, title: str) -> None:
+        """Index the complete lines appended since the last scan; a partial
+        last line (a write in progress) is left for the next one."""
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(self._scanned)
+                tail = fh.read()
+        except FileNotFoundError:
+            return
+        *lines, _partial = tail.split(b"\n")
+        for line in lines:
+            entry = _cache_entry(line)
+            if entry is None:
+                raise DataFormatError(
+                    f"cache file {self.path}: the line at byte {self._scanned} is not a JSON object with string "
+                    f"\"title\" and \"sentence\" (looking up {title!r})"
+                )
+            self._spans[entry["title"]] = (self._scanned, len(line))
+            self._scanned += len(line) + 1
+
+    def _span(self, title: str) -> tuple[int, int] | None:
+        if title not in self._spans:
+            self._scan(title)
+        return self._spans.get(title)
 
     def get(self, title: str) -> str | None:
         """The cached sentence, or None when the title has no entry. An
         entry that is not JSON or has no string ``"sentence"`` raises
         ``DataFormatError`` naming the title and the file."""
-        path = self._path(title)
-        try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-        except FileNotFoundError:
+        span = self._span(title)
+        if span is None:
             return None
-        try:
-            sentence = json.loads(raw)["sentence"]
-        except (ValueError, TypeError, KeyError):
-            sentence = None
-        if not isinstance(sentence, str):
-            raise DataFormatError(f"cache file {path} for {title!r} is not a JSON object with a string \"sentence\"")
-        return sentence
+        with open(self.path, "rb") as fh:
+            fh.seek(span[0])
+            raw = fh.read(span[1])
+        entry = _cache_entry(raw)
+        if entry is None or entry["title"] != title:
+            raise DataFormatError(f"cache file {self.path} for {title!r} no longer holds its entry")
+        return entry["sentence"]
 
     def put(self, title: str, sentence: str) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self._path(title)
-        tmp = path + ".tmp"
         payload = {"title": title, "sentence": sentence, "fetched_at": time.time()}
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False)
-        os.replace(tmp, path)
+        line = (json.dumps(payload, ensure_ascii=False) + "\n").encode("utf-8")
+        with open(self.path, "ab") as fh:
+            fh.write(line)
 
     def __contains__(self, title: str) -> bool:
-        return os.path.exists(self._path(title))
+        return self._span(title) is not None
 
 
 def load_fixture(path) -> dict[str, str]:

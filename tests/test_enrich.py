@@ -214,12 +214,64 @@ def test_cache_roundtrip_byte_exact(tmp_path):
 @pytest.mark.parametrize("content", [b"{broken", b'["a list"]', b'{"title": "x"}', b'{"sentence": 3}', b"\xff\xfe\xfa"])
 def test_cache_bad_entry_names_title_and_file(tmp_path, content):
     cache = enrich.DescriptionCache(tmp_path / "cache")
-    cache.put("Ferguson", "A city.")
-    path = tmp_path / "cache" / "Ferguson.json"
-    path.write_bytes(content)
+    cache.put("Missouri", "A state.")
+    path = Path(cache.path)
+    good = path.read_bytes()
+    path.write_bytes(good + content + b"\n")
     with pytest.raises(DataFormatError) as err:
         cache.get("Ferguson")
-    assert "'Ferguson'" in str(err.value) and str(path) in str(err.value)
+    assert "'Ferguson'" in str(err.value) and str(path) in str(err.value) and f"byte {len(good)}" in str(err.value)
+
+
+def test_cache_entry_overwritten_under_index_names_title_and_file(tmp_path):
+    cache = enrich.DescriptionCache(tmp_path / "cache")
+    cache.put("Ferguson", "A city.")
+    assert cache.get("Ferguson") == "A city."
+    Path(cache.path).write_bytes(b"x" * 80 + b"\n")
+    with pytest.raises(DataFormatError) as err:
+        cache.get("Ferguson")
+    assert "'Ferguson'" in str(err.value) and cache.path in str(err.value)
+
+
+def test_cache_keeps_every_entry_in_one_file(tmp_path):
+    cache = enrich.DescriptionCache(tmp_path / "cache")
+    titles = [f"Title {i}/{'é' * (i % 3)}" for i in range(50)]
+    for i, title in enumerate(titles):
+        cache.put(title, f"Sentence {i}.\nwith a newline")
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [enrich.DescriptionCache.FILE]
+    fresh = enrich.DescriptionCache(tmp_path / "cache")
+    assert [fresh.get(t) for t in titles] == [f"Sentence {i}.\nwith a newline" for i in range(50)]
+
+
+def test_cache_last_write_wins(tmp_path):
+    cache = enrich.DescriptionCache(tmp_path / "cache")
+    cache.put("Ferguson", "Old.")
+    assert cache.get("Ferguson") == "Old."
+    cache.put("Ferguson", "New.")
+    assert enrich.DescriptionCache(tmp_path / "cache").get("Ferguson") == "New."
+
+
+def test_caches_on_one_directory_see_each_others_writes(tmp_path):
+    a = enrich.DescriptionCache(tmp_path / "cache")
+    b = enrich.DescriptionCache(tmp_path / "cache")
+    assert b.get("Ferguson") is None and "Ferguson" not in b
+    a.put("Ferguson", "A city.")
+    assert b.get("Ferguson") == "A city." and "Ferguson" in b
+    b.put("Missouri", "A state.")
+    assert a.get("Missouri") == "A state."
+
+
+def test_cache_skips_a_partial_last_line_until_it_is_complete(tmp_path):
+    cache = enrich.DescriptionCache(tmp_path / "cache")
+    cache.put("Ferguson", "A city.")
+    line = json.dumps({"title": "Missouri", "sentence": "A state."}).encode("utf-8")
+    with open(cache.path, "ab") as fh:
+        fh.write(line[:10])
+    assert cache.get("Missouri") is None
+    assert cache.get("Ferguson") == "A city."
+    with open(cache.path, "ab") as fh:
+        fh.write(line[10:] + b"\n")
+    assert cache.get("Missouri") == "A state."
 
 
 # ---------------------------------------------------------------------------
