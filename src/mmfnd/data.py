@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .enrich import first_sentence
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, json_objects
 from .rng import Rng
 
 logger = logging.getLogger(__name__)
@@ -31,7 +31,9 @@ REQUIRED_FIELDS = ("id", "text", "image_vec", "label")
 
 @dataclass
 class NewsItem:
-    """One (text, image features, descriptions, label) record."""
+    """One (text, image features, descriptions, label) record. The optional
+    precomputed ``text_vec`` (d,) and ``desc_vecs`` (n, d) take the place of
+    the tokenized text and descriptions."""
 
     id: str
     text: str
@@ -39,6 +41,8 @@ class NewsItem:
     label: int
     entities: list[str] = field(default_factory=list)
     descriptions: list[str] = field(default_factory=list)
+    text_vec: np.ndarray | None = None
+    desc_vecs: np.ndarray | None = None
 
 
 @dataclass
@@ -60,70 +64,81 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
+def _vectors(obj: dict, name: str, ndim: int, widths: dict[str, int], where: str) -> np.ndarray | None:
+    """Field ``name`` as a finite float array with ``ndim`` axes and the same
+    last-axis width on every line; None when absent or an empty list."""
+    if obj.get(name) in (None, []):
+        return None
+    kind = "a flat list" if ndim == 1 else "a list of equal-length lists"
+    try:
+        vec = np.asarray(obj[name])
+    except ValueError as exc:  # rows of different lengths
+        raise DataFormatError(f"{where}: {name} must be {kind} of numbers") from exc
+    if vec.ndim != ndim or vec.dtype.kind not in "biuf":
+        raise DataFormatError(f"{where}: {name} must be {kind} of numbers")
+    vec = vec.astype(np.float64, copy=False)
+    if not np.isfinite(vec).all():
+        raise DataFormatError(f"{where}: {name} has a non-finite value")
+    width = widths.setdefault(name, vec.shape[-1])
+    if vec.shape[-1] != width:
+        raise DataFormatError(f"{where}: {name} has length {vec.shape[-1]}, expected {width}")
+    return vec
+
+
+def _strings(obj: dict, name: str, where: str) -> list[str]:
+    value = obj.get(name)
+    if value is None:
+        return []
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise DataFormatError(f"{where}: {name} must be a list of strings")
+    return value
+
+
 def load_jsonl(path, split: str = "train") -> Dataset:
     """Read one news item per line.
 
+    Schema per line: {"id": str, "text": str, "image_vec": [float, ...],
+    "label": 0 | 1, "entities": [str, ...]?, "desc_sentences": [str, ...]?,
+    "text_vec": [float, ...]?, "desc_vecs": [[float, ...], ...]?}.
+
     Lines missing text, image features or a valid label are excluded with
-    a warning (mirroring the usual multimodal preprocessing rule); broken
-    JSON, wrong field types, duplicate ids, inconsistent image widths and
-    non-finite image values (the JSON literals NaN and Infinity) are hard
-    errors naming the line.
+    a warning (mirroring the usual multimodal preprocessing rule). Broken
+    JSON, wrong field types, duplicate ids, and a vector (or ``desc_vecs``
+    row) that is not a flat list of numbers, holds a non-finite value (the
+    JSON literals NaN and Infinity) or changes width within the file are
+    hard errors naming the line and field.
     """
     items: list[NewsItem] = []
     seen_ids: set[str] = set()
     skipped = 0
-    d_raw: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise DataFormatError(f"{path}: line {line_no}: expected a JSON object")
-            missing = [
-                name
-                for name in REQUIRED_FIELDS
-                if obj.get(name) is None or obj.get(name) == "" or obj.get(name) == []
-            ]
-            if missing:
-                skipped += 1
-                logger.warning("%s: line %d: skipping item (missing %s)", path, line_no, ", ".join(missing))
-                continue
-            label = obj["label"]
-            if isinstance(label, bool) or label not in (0, 1):
-                raise DataFormatError(f"{path}: line {line_no}: label must be 0 or 1")
-            if not isinstance(obj["id"], str) or not isinstance(obj["text"], str):
-                raise DataFormatError(f"{path}: line {line_no}: id and text must be strings")
-            if obj["id"] in seen_ids:
-                raise DataFormatError(f"{path}: line {line_no}: duplicate id {obj['id']!r}")
-            seen_ids.add(obj["id"])
-            try:
-                image = np.asarray(obj["image_vec"], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path}: line {line_no}: image_vec must be numeric") from exc
-            if image.ndim != 1:
-                raise DataFormatError(f"{path}: line {line_no}: image_vec must be a flat list")
-            if not np.isfinite(image).all():
-                raise DataFormatError(f"{path}: line {line_no}: image_vec has a non-finite value")
-            if d_raw is None:
-                d_raw = image.shape[0]
-            elif image.shape[0] != d_raw:
-                raise DataFormatError(
-                    f"{path}: line {line_no}: image_vec has length {image.shape[0]}, expected {d_raw}"
-                )
-            items.append(
-                NewsItem(
-                    id=obj["id"],
-                    text=obj["text"],
-                    image=image,
-                    label=int(obj["label"]),
-                    entities=list(obj.get("entities") or []),
-                    descriptions=list(obj.get("desc_sentences") or []),
-                )
+    widths: dict[str, int] = {}
+    for line_no, obj in json_objects(path):
+        where = f"{path}: line {line_no}"
+        missing = [name for name in REQUIRED_FIELDS if obj.get(name) in (None, "", [])]
+        if missing:
+            skipped += 1
+            logger.warning("%s: skipping item (missing %s)", where, ", ".join(missing))
+            continue
+        label = obj["label"]
+        if isinstance(label, bool) or label not in (0, 1):
+            raise DataFormatError(f"{where}: label must be 0 or 1")
+        if not isinstance(obj["id"], str) or not isinstance(obj["text"], str):
+            raise DataFormatError(f"{where}: id and text must be strings")
+        if obj["id"] in seen_ids:
+            raise DataFormatError(f"{where}: duplicate id {obj['id']!r}")
+        seen_ids.add(obj["id"])
+        items.append(
+            NewsItem(
+                id=obj["id"],
+                text=obj["text"],
+                image=_vectors(obj, "image_vec", 1, widths, where),
+                label=int(label),
+                entities=_strings(obj, "entities", where),
+                descriptions=_strings(obj, "desc_sentences", where),
+                text_vec=_vectors(obj, "text_vec", 1, widths, where),
+                desc_vecs=_vectors(obj, "desc_vecs", 2, widths, where),
             )
+        )
     if not items:
         raise DataFormatError(f"{path}: no usable items")
     return Dataset(items=items, split=split, provenance=str(path), skipped=skipped)
@@ -142,6 +157,10 @@ def save_jsonl(path, dataset: Dataset) -> None:
                 obj["entities"] = item.entities
             if item.descriptions:
                 obj["desc_sentences"] = item.descriptions
+            if item.text_vec is not None:
+                obj["text_vec"] = item.text_vec.tolist()
+            if item.desc_vecs is not None:
+                obj["desc_vecs"] = item.desc_vecs.tolist()
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 

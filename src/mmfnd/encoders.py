@@ -3,16 +3,16 @@
 The text path emulates a pretrained sentence encoder at desk scale: a
 mean pool over trainable token embeddings followed by a linear
 projection. The image path linearly projects pre-extracted feature
-vectors. Externally computed embeddings can be swapped in through a
-JSONL file; the projection layers stay in place either way.
+vectors. Precomputed text and description embeddings (``text_vec`` and
+``desc_vecs`` of a news item) replace the pooled token embeddings; the
+projection layers stay in place either way.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from itertools import chain, compress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +26,6 @@ _TOKEN_RE = re.compile(r"\w+")
 
 class EmptyTextError(ValueError):
     """Text contains no tokens after normalization."""
-
-
-class EmbeddingFileError(ValueError):
-    """Precomputed embedding file is malformed."""
 
 
 def tokenize(text: str) -> list[str]:
@@ -138,92 +134,3 @@ def encode_description(emb: Param, w_df: Param, slots: list, lead: tuple[int, in
 def encode_image(w_vf: Param, img: Tensor) -> Tensor:
     """Projected image features from pre-extracted feature vectors (B, d_raw)."""
     return T.matvec(w_vf, img)
-
-
-# ---------------------------------------------------------------------------
-# precomputed embedding files (JSONL)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PrecomputedItem:
-    """Externally computed vectors that bypass the toy encoders."""
-
-    image_vec: np.ndarray
-    text_vec: np.ndarray | None = None
-    desc_vecs: list[np.ndarray] = field(default_factory=list)
-
-
-def _as_float_vector(value, line_no: int, name: str) -> np.ndarray:
-    if not isinstance(value, list) or not all(isinstance(v, (int, float)) for v in value):
-        raise EmbeddingFileError(f"line {line_no}: field {name!r} must be a list of numbers")
-    vec = np.asarray(value, dtype=np.float64)
-    if not np.isfinite(vec).all():
-        raise EmbeddingFileError(f"line {line_no}: field {name!r} has a non-finite value")
-    return vec
-
-
-def load_precomputed(path) -> dict[str, PrecomputedItem]:
-    """Read an embedding file: one JSON object per line.
-
-    Schema per line: {"id": str, "image_vec": [...], "text_vec": [...]?,
-    "desc_vecs": [[...], ...]?}. Vector widths must be consistent across
-    the whole file, and every value must be finite.
-    """
-    items: dict[str, PrecomputedItem] = {}
-    dims: dict[str, int] = {}
-
-    def check_dim(kind: str, vec: np.ndarray, line_no: int) -> None:
-        if kind not in dims:
-            dims[kind] = vec.shape[0]
-        elif dims[kind] != vec.shape[0]:
-            raise EmbeddingFileError(
-                f"line {line_no}: {kind} has length {vec.shape[0]}, expected {dims[kind]}"
-            )
-
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EmbeddingFileError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise EmbeddingFileError(f"line {line_no}: expected a JSON object")
-            for required in ("id", "image_vec"):
-                if required not in obj:
-                    raise EmbeddingFileError(f"line {line_no}: missing field {required!r}")
-            item_id = obj["id"]
-            if not isinstance(item_id, str):
-                raise EmbeddingFileError(f"line {line_no}: field 'id' must be a string")
-            if item_id in items:
-                raise EmbeddingFileError(f"line {line_no}: duplicate id {item_id!r}")
-            image_vec = _as_float_vector(obj["image_vec"], line_no, "image_vec")
-            check_dim("image_vec", image_vec, line_no)
-            text_vec = None
-            if obj.get("text_vec") is not None:
-                text_vec = _as_float_vector(obj["text_vec"], line_no, "text_vec")
-                check_dim("text_vec", text_vec, line_no)
-            desc_vecs = []
-            if obj.get("desc_vecs") is not None:
-                if not isinstance(obj["desc_vecs"], list):
-                    raise EmbeddingFileError(f"line {line_no}: field 'desc_vecs' must be a list")
-                for row in obj["desc_vecs"]:
-                    vec = _as_float_vector(row, line_no, "desc_vecs")
-                    check_dim("desc_vecs", vec, line_no)
-                    desc_vecs.append(vec)
-            items[item_id] = PrecomputedItem(image_vec=image_vec, text_vec=text_vec, desc_vecs=desc_vecs)
-    return items
-
-
-def write_precomputed(path, items: dict[str, PrecomputedItem]) -> None:
-    """Inverse of load_precomputed; floats round-trip exactly through JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for item_id, item in items.items():
-            obj = {"id": item_id, "image_vec": item.image_vec.tolist()}
-            if item.text_vec is not None:
-                obj["text_vec"] = item.text_vec.tolist()
-            if item.desc_vecs:
-                obj["desc_vecs"] = [v.tolist() for v in item.desc_vecs]
-            fh.write(json.dumps(obj) + "\n")

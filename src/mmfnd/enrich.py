@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .errors import DataFormatError
+from .errors import DataFormatError, json_objects
 from .tensor import DegenerateInputError, Param, Tensor
 
 
@@ -259,13 +259,15 @@ class DescriptionCache:
 
 
 def load_fixture(path) -> dict[str, str]:
-    """Fixture summaries: JSON lines of {"title": ..., "summary": ...}."""
+    """Fixture summaries: JSON lines of {"title": str, "summary": str}. A
+    line that breaks this raises ``DataFormatError`` naming the file, the
+    line and the field."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                out[obj["title"]] = obj["summary"]
+    for line_no, obj in json_objects(path):
+        for name in ("title", "summary"):
+            if not isinstance(obj.get(name), str):
+                raise DataFormatError(f"{path}: line {line_no}: {name} must be a string")
+        out[obj["title"]] = obj["summary"]
     return out
 
 
@@ -343,6 +345,10 @@ class WikiClient:
             self._throttle()
             try:
                 status, body = self.transport(url, headers, self.timeout)
+            except ImportError as exc:  # a missing package does not come back on retry
+                raise FetchError(
+                    f"live mode needs the 'live' extra (pip install 'mmfnd[live]'): {exc}"
+                ) from exc
             except Exception as exc:  # network-level failure: retry
                 last_error = str(exc)
                 continue

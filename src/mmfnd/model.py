@@ -150,12 +150,14 @@ class Model:
 
     # -- input preparation --------------------------------------------------
 
-    def featurize(self, item, precomputed: dict | None = None) -> ItemFeatures:
-        """Tokenize (or look up precomputed vectors for) one news item.
+    def featurize(self, item) -> ItemFeatures:
+        """Tokenize one news item, or take its precomputed ``text_vec`` and
+        ``desc_vecs`` in place of its text and descriptions.
 
         Description inputs are prepared only when the enhancement channel
-        is active; the ``no_E`` variant never reads them. Vector widths are
-        checked here, so a wrong one names its item and field.
+        is active; the ``no_E`` variant never reads them. Vector widths and
+        texts without word tokens are rejected here, naming the item and
+        the field.
         """
         cfg = self.config
 
@@ -165,18 +167,22 @@ class Model:
                 raise ConfigError(f"item {item.id!r}: {name} has shape {vec.shape}, expected ({width},)")
             return vec
 
-        pre = precomputed.get(item.id) if precomputed else None
-        image = checked("image_vec" if pre else "image", pre.image_vec if pre else item.image, cfg.d_raw)
-        feats = ItemFeatures(item_id=item.id, label=item.label, image=image)
-        if pre is not None and pre.text_vec is not None:
-            feats.text_vec = checked("text_vec", pre.text_vec, cfg.d)
+        def tokens(name, text):
+            seq = self.vocab.encode(text, cfg.max_len)
+            if not any(seq.mask):
+                raise enc.EmptyTextError(f"item {item.id!r}: {name} has no word tokens")
+            return seq
+
+        feats = ItemFeatures(item_id=item.id, label=item.label, image=checked("image", item.image, cfg.d_raw))
+        if item.text_vec is not None:
+            feats.text_vec = checked("text_vec", item.text_vec, cfg.d)
         else:
-            feats.text_seq = self.vocab.encode(item.text, cfg.max_len)
+            feats.text_seq = tokens("text", item.text)
         if cfg.uses_enhancement:
-            if pre is not None and pre.desc_vecs:
-                feats.desc_vecs = [checked("desc_vecs", v, cfg.d) for v in pre.desc_vecs]
+            if item.desc_vecs is not None:
+                feats.desc_vecs = [checked("desc_vecs", v, cfg.d) for v in item.desc_vecs]
             else:
-                feats.desc_seqs = [self.vocab.encode(s, cfg.max_len) for s in item.descriptions]
+                feats.desc_seqs = [tokens(f"desc_sentences[{i}]", s) for i, s in enumerate(item.descriptions)]
         return feats
 
     # -- forward ------------------------------------------------------------

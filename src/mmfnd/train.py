@@ -8,24 +8,20 @@ metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .data import Dataset
 from .encoders import Vocabulary
 from .errors import ConfigError
-from .model import ABLATIONS, Model, ModelConfig
+from .model import Model, ModelConfig
 from .rng import Rng
 from .tensor import Param
 
 
 @dataclass
-class TrainConfig:
-    d: int = 64
-    d_raw: int = 128
-    tau: float = 0.07
-    lambda_c: float = 1.0
+class TrainConfig(ModelConfig):
     batch: int = 32
     epochs: int = 30
     lr: float = 1e-3
@@ -33,11 +29,9 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    max_len: int = 64
-    ablation: str = "none"
 
     def validate(self) -> None:
-        self.model_config().validate()
+        super().validate()
         if self.epochs <= 0 or self.batch <= 0:
             raise ConfigError("epochs and batch size must be positive")
         if self.ablation != "no_M" and self.batch < 2:
@@ -48,10 +42,7 @@ class TrainConfig:
             raise ConfigError("beta1 and beta2 must lie in (0, 1)")
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            d=self.d, d_raw=self.d_raw, tau=self.tau, lambda_c=self.lambda_c,
-            max_len=self.max_len, ablation=self.ablation,
-        )
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -137,7 +128,7 @@ def build_vocabulary(dataset: Dataset, include_descriptions: bool) -> Vocabulary
     return Vocabulary.build(corpus)
 
 
-def train(cfg: TrainConfig, train_ds: Dataset, precomputed=None, progress=None) -> TrainResult:
+def train(cfg: TrainConfig, train_ds: Dataset, progress=None) -> TrainResult:
     """Run the full optimization and return the model plus the loss curve."""
     cfg.validate()
     if not train_ds.items:
@@ -145,7 +136,7 @@ def train(cfg: TrainConfig, train_ds: Dataset, precomputed=None, progress=None) 
     rng = Rng(cfg.seed)
     vocab = build_vocabulary(train_ds, include_descriptions=cfg.ablation != "no_E")
     model = Model.initialize(cfg.model_config(), vocab, rng)
-    feats = [model.featurize(item, precomputed) for item in train_ds.items]
+    feats = [model.featurize(item) for item in train_ds.items]
     opt = Adam(list(model.params), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     diagnostics: dict = {}
     curve: list[EpochStats] = []

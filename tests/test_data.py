@@ -7,6 +7,7 @@ import pytest
 from mmfnd import data
 from mmfnd.enrich import extract_entities
 from mmfnd.errors import ConfigError, DataFormatError
+from mmfnd.rng import Rng
 
 
 def _write(tmp_path, lines, name="data.jsonl"):
@@ -69,6 +70,83 @@ def test_non_finite_image_value_rejected_naming_line_and_field(tmp_path, value):
         data.load_jsonl(path)
 
 
+@pytest.mark.parametrize(
+    "field,first,second",
+    [
+        ("text_vec", [1.0, 2.0], [1.0]),
+        ("desc_vecs", [[1.0, 2.0]], [[1.0, 2.0, 3.0]]),
+    ],
+)
+def test_vector_width_change_rejected_naming_line_and_field(tmp_path, field, first, second):
+    path = _write(tmp_path, [_line("a", **{field: first}), _line("b"), _line("c", **{field: second})])
+    with pytest.raises(DataFormatError, match=f"line 3: {field} has length"):
+        data.load_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("text_vec", [float("-inf"), 0.0]),
+        ("desc_vecs", [[1.0, 2.0], [float("inf"), 0.0]]),
+    ],
+)
+def test_non_finite_vector_rejected_naming_line_and_field(tmp_path, field, value):
+    path = _write(tmp_path, [_line("a"), _line("b", **{field: value})])
+    with pytest.raises(DataFormatError, match=f"line 2: {field} has a non-finite value"):
+        data.load_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("image_vec", [[1.0, 2.0]]),
+        ("image_vec", ["one", "two"]),
+        ("text_vec", ["1.5", "2.5"]),
+        ("text_vec", [[1.0], [2.0]]),
+        ("desc_vecs", [[1.0, None]]),
+        ("desc_vecs", [1.0, 2.0]),
+        ("desc_vecs", [[1.0, 2.0], [1.0]]),
+    ],
+)
+def test_malformed_vector_rejected_naming_line_and_field(tmp_path, field, value):
+    path = _write(tmp_path, [_line("a"), _line("b", **{field: value})])
+    with pytest.raises(DataFormatError, match=f"line 2: {field} must be a"):
+        data.load_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("desc_sentences", "Paris is a city."), ("entities", "Paris"), ("entities", ["Paris", 3])],
+    ids=["desc_sentences-string", "entities-string", "entities-number"],
+)
+def test_string_list_fields_reject_other_values_naming_line_and_field(tmp_path, field, value):
+    path = _write(tmp_path, [_line("a"), _line("b", **{field: value})])
+    with pytest.raises(DataFormatError, match=f"line 2: {field} must be a list of strings"):
+        data.load_jsonl(path)
+
+
+def test_roundtrip_of_100_items_with_vectors_is_bit_exact(tmp_path):
+    gen = Rng(3).stream("vectors")
+    items = [
+        data.NewsItem(
+            id=f"item-{k}", text=f"word{k} text", image=gen.normal(size=8), label=k % 2,
+            text_vec=gen.normal(size=6) if k % 2 else None,
+            desc_vecs=gen.normal(size=(k % 3, 6)) if k % 3 else None,
+        )
+        for k in range(100)
+    ]
+    path = tmp_path / "vectors.jsonl"
+    data.save_jsonl(path, data.Dataset(items, "train", "test"))
+    loaded = data.load_jsonl(path)
+    assert [item.id for item in loaded.items] == [item.id for item in items]
+    for want, got in zip(items, loaded.items):
+        for name in ("image", "text_vec", "desc_vecs"):
+            if getattr(want, name) is None:
+                assert getattr(got, name) is None
+            else:
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_invalid_label_rejected(tmp_path):
     path = _write(tmp_path, [_line("a", label=2)])
     with pytest.raises(DataFormatError, match="label"):
@@ -79,6 +157,8 @@ def test_roundtrip_of_500_synthetic_items_is_lossless(tmp_path):
     art = data.synth_generate(500, 10, seed=3)
     path = tmp_path / "train.jsonl"
     data.save_jsonl(path, art.train)
+    keys = {key for line in path.read_text().splitlines() for key in json.loads(line)}
+    assert keys == {"id", "text", "image_vec", "label", "entities", "desc_sentences"}
     loaded = data.load_jsonl(path)
     assert len(loaded) == 500
     for a, b in zip(art.train.items, loaded.items):

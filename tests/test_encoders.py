@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -126,84 +124,3 @@ def test_gradcheck_through_text_and_image_encoders():
 
     report = finite_diff_check(f, [emb, w_tf, w_vf, w_df])
     assert report.max_rel_err < 1e-4
-
-
-# ---------------------------------------------------------------------------
-# precomputed embedding files
-# ---------------------------------------------------------------------------
-
-
-def test_precomputed_single_item_roundtrip(tmp_path):
-    path = tmp_path / "emb.jsonl"
-    items = {"a": enc.PrecomputedItem(image_vec=np.arange(4, dtype=np.float64))}
-    enc.write_precomputed(path, items)
-    loaded = enc.load_precomputed(path)
-    assert list(loaded) == ["a"]
-    np.testing.assert_array_equal(loaded["a"].image_vec, items["a"].image_vec)
-    assert loaded["a"].text_vec is None
-    assert loaded["a"].desc_vecs == []
-
-
-def test_precomputed_missing_field_names_it(tmp_path):
-    path = tmp_path / "emb.jsonl"
-    path.write_text('{"id": "a"}\n')
-    with pytest.raises(enc.EmbeddingFileError, match="image_vec"):
-        enc.load_precomputed(path)
-
-
-def test_precomputed_malformed_line_number(tmp_path):
-    path = tmp_path / "emb.jsonl"
-    path.write_text('{"id": "a", "image_vec": [1.0]}\nnot json\n')
-    with pytest.raises(enc.EmbeddingFileError, match="line 2"):
-        enc.load_precomputed(path)
-
-
-def test_precomputed_dimension_inconsistency(tmp_path):
-    path = tmp_path / "emb.jsonl"
-    path.write_text(
-        '{"id": "a", "image_vec": [1.0, 2.0]}\n{"id": "b", "image_vec": [1.0]}\n'
-    )
-    with pytest.raises(enc.EmbeddingFileError, match="line 2"):
-        enc.load_precomputed(path)
-
-
-@pytest.mark.parametrize("field", ["image_vec", "text_vec", "desc_vecs"])
-def test_precomputed_non_finite_value_names_line_and_field(tmp_path, field):
-    path = tmp_path / "emb.jsonl"
-    bad = {"id": "b", "image_vec": [1.0, 2.0], field: [1.0, float("nan")]}
-    if field == "desc_vecs":
-        bad[field] = [[1.0, 2.0], [float("inf"), 0.0]]
-    path.write_text('{"id": "a", "image_vec": [1.0, 2.0]}\n' + json.dumps(bad) + "\n")
-    with pytest.raises(enc.EmbeddingFileError, match=f"line 2: field '{field}' has a non-finite value"):
-        enc.load_precomputed(path)
-
-
-def test_precomputed_duplicate_id(tmp_path):
-    path = tmp_path / "emb.jsonl"
-    path.write_text(
-        '{"id": "a", "image_vec": [1.0]}\n{"id": "a", "image_vec": [2.0]}\n'
-    )
-    with pytest.raises(enc.EmbeddingFileError, match="duplicate"):
-        enc.load_precomputed(path)
-
-
-def test_precomputed_hundred_items_bit_exact(tmp_path):
-    gen = Rng(3).stream("precomp")
-    items = {}
-    for k in range(100):
-        items[f"item-{k}"] = enc.PrecomputedItem(
-            image_vec=gen.normal(size=8),
-            text_vec=gen.normal(size=6),
-            desc_vecs=[gen.normal(size=6) for _ in range(int(gen.integers(0, 3)))],
-        )
-    path = tmp_path / "emb.jsonl"
-    enc.write_precomputed(path, items)
-    loaded = enc.load_precomputed(path)
-    assert list(loaded) == list(items)
-    for key, item in items.items():
-        got = loaded[key]
-        np.testing.assert_array_equal(got.image_vec, item.image_vec)
-        np.testing.assert_array_equal(got.text_vec, item.text_vec)
-        assert len(got.desc_vecs) == len(item.desc_vecs)
-        for a, b in zip(got.desc_vecs, item.desc_vecs):
-            np.testing.assert_array_equal(a, b)

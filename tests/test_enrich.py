@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +398,40 @@ def test_live_requests_are_rate_limited(tmp_path):
     client.fetch_description("One", mode="live")
     client.fetch_description("Two", mode="live")
     assert any(abs(s - client.min_interval) < 1e-9 for s in ft.sleeps)
+
+
+def test_live_without_requests_fails_at_once_naming_the_extra(tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, "requests", None)
+    client, ft = _client(tmp_path, None)
+    with pytest.raises(enrich.FetchError, match=re.escape("mmfnd[live]")):
+        client.fetch_description("Paris", mode="live")
+    assert ft.sleeps == []
+
+
+def test_importing_every_module_leaves_requests_unimported():
+    code = (
+        "import importlib, pkgutil, sys, mmfnd\n"
+        "names = [m.name for m in pkgutil.iter_modules(mmfnd.__path__)]\n"
+        "for name in names: importlib.import_module('mmfnd.' + name)\n"
+        "print(len(names), 'requests' in sys.modules)\n"
+    )
+    src = str(Path(enrich.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    n_modules, imported = out.stdout.split()
+    assert int(n_modules) >= 10 and imported == "False"
+
+
+@pytest.mark.parametrize(
+    "second,where",
+    [('{"title": "B"}', "line 2: summary must be a string"), ("not json", "line 2: invalid JSON")],
+    ids=["no-summary", "not-json"],
+)
+def test_fixture_bad_line_names_file_line_and_field(tmp_path, second, where):
+    path = tmp_path / "fixture.jsonl"
+    path.write_text('{"title": "A", "summary": "A is a city."}\n' + second + "\n")
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: {where}")):
+        enrich.load_fixture(path)
 
 
 def test_unknown_mode_rejected(tmp_path):

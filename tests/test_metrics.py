@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mmfnd import data, metrics
-from mmfnd.encoders import PrecomputedItem
 from mmfnd.model import Model
 from mmfnd.train import TrainConfig, train
 
@@ -46,18 +45,14 @@ def trained():
 
 def test_evaluate_matches_item_by_item_and_batched_predictions(trained, tmp_path):
     model, test = trained
-    # a mix of tokenized items and items with precomputed text/description vectors
+    # a mix of tokenized items and items that carry text/description vectors
     gen = np.random.default_rng(1)
-    pre = {
-        item.id: PrecomputedItem(
-            image_vec=np.asarray(item.image),
-            text_vec=gen.normal(size=8) if k % 2 else None,
-            desc_vecs=[gen.normal(size=8)] if k % 3 == 0 else [],
-        )
-        for k, item in enumerate(test.items[::2])
-    }
-    report = metrics.evaluate(model, test, pre)
-    feats = [model.featurize(item, pre) for item in test.items]
+    for k, item in enumerate(test.items[::2]):
+        item.text_vec = gen.normal(size=8) if k % 2 else None
+        item.desc_vecs = gen.normal(size=(1, 8)) if k % 3 == 0 else None
+    report = metrics.evaluate(model, test)
+    feats = [model.featurize(item) for item in test.items]
+    assert feats[2].text_vec is not None and len(feats[0].desc_vecs) == 1
     by_item = [model.predict(f).label for f in feats]
     batched = [p.label for chunk in (feats[:64], feats[64:]) for p in model.predict_batch(chunk)]
     assert by_item == batched
@@ -68,5 +63,5 @@ def test_evaluate_matches_item_by_item_and_batched_predictions(trained, tmp_path
     # the same counts after a save/load round trip
     path = tmp_path / "model.npz"
     model.save(path)
-    again = metrics.evaluate(Model.load(path), test, pre)
+    again = metrics.evaluate(Model.load(path), test)
     assert (again.tp, again.fp, again.fn, again.tn) == counts

@@ -6,7 +6,8 @@ import pytest
 
 from mmfnd import fuse
 from mmfnd import tensor as T
-from mmfnd.encoders import Vocabulary
+from mmfnd.data import NewsItem
+from mmfnd.encoders import EmptyTextError
 from mmfnd.errors import ConfigError
 from mmfnd.gradcheck import finite_diff_check
 from mmfnd.model import ABLATIONS, ItemFeatures, Model, ModelConfig, build_gradcheck_problem
@@ -157,25 +158,18 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.forward(feats).probs.data, model.forward(feats).probs.data)
 
 
+def _item(item_id, d_raw, text="tok1 tok2", descriptions=("tok3",), **vectors):
+    return NewsItem(
+        id=item_id, text=text, image=np.linspace(-1.0, 1.0, d_raw), label=1,
+        descriptions=list(descriptions), **vectors,
+    )
+
+
 def test_featurize_uses_precomputed_vectors():
-    from mmfnd.encoders import PrecomputedItem
-
     model, _ = build_gradcheck_problem(d=6)
-
-    class Item:
-        id = "x"
-        text = "tok1 tok2"
-        image = np.zeros(6)
-        descriptions = ["tok3"]
-        label = 1
-
-    pre = {
-        "x": PrecomputedItem(
-            image_vec=np.ones(6), text_vec=np.full(6, 2.0), desc_vecs=[np.full(6, 3.0)]
-        )
-    }
-    feats = model.featurize(Item(), pre)
-    np.testing.assert_array_equal(feats.image, np.ones(6))
+    item = _item("x", 6, text_vec=np.full(6, 2.0), desc_vecs=np.full((1, 6), 3.0))
+    feats = model.featurize(item)
+    np.testing.assert_array_equal(feats.image, item.image)
     np.testing.assert_array_equal(feats.text_vec, np.full(6, 2.0))
     assert feats.text_seq is None
     assert len(feats.desc_vecs) == 1 and not feats.desc_seqs
@@ -183,48 +177,51 @@ def test_featurize_uses_precomputed_vectors():
     assert trace.probs.data.shape == (1, 2)
 
 
-class _Item:
-    def __init__(self, item_id, d_raw, text="tok1 tok2", descriptions=("tok3",), label=1):
-        self.id = item_id
-        self.text = text
-        self.image = np.linspace(-1.0, 1.0, d_raw)
-        self.descriptions = list(descriptions)
-        self.label = label
-
-
 @pytest.mark.parametrize(
     "field,vectors",
     [
-        ("image_vec", dict(image_vec=np.ones(5))),
-        ("text_vec", dict(image_vec=np.ones(6), text_vec=np.ones(7))),
-        ("desc_vecs", dict(image_vec=np.ones(6), desc_vecs=[np.ones(6), np.ones(4)])),
+        ("text_vec", dict(text_vec=np.ones(7))),
+        ("desc_vecs", dict(desc_vecs=np.ones((2, 4)))),
     ],
 )
 def test_featurize_rejects_wrong_precomputed_width_naming_item_and_field(field, vectors):
-    from mmfnd.encoders import PrecomputedItem
-
     model, _ = build_gradcheck_problem(d=6)
     with pytest.raises(ConfigError, match=f"'bad-7'.*{field}"):
-        model.featurize(_Item("bad-7", 6), {"bad-7": PrecomputedItem(**vectors)})
+        model.featurize(_item("bad-7", 6, **vectors))
 
 
 def test_featurize_rejects_wrong_image_width():
     model, _ = build_gradcheck_problem(d=6)
     with pytest.raises(ConfigError, match="'x'.*image"):
-        model.featurize(_Item("x", 9))
+        model.featurize(_item("x", 9))
+
+
+@pytest.mark.parametrize(
+    "text,descriptions,field",
+    [("!!! ???", ["tok3"], "text"), ("tok1", ["tok3", "tok4", "--"], "desc_sentences\\[2\\]")],
+    ids=["text", "desc_sentences"],
+)
+def test_featurize_rejects_a_text_without_word_tokens_naming_item_and_field(text, descriptions, field):
+    model, _ = build_gradcheck_problem(d=6)
+    with pytest.raises(EmptyTextError, match=f"item 'x': {field} has no word tokens"):
+        model.featurize(_item("x", 6, text=text, descriptions=descriptions))
+
+
+def test_featurize_skips_the_token_check_for_a_field_with_vectors():
+    model, _ = build_gradcheck_problem(d=6)
+    item = _item("x", 6, text="!!!", descriptions=["?"], text_vec=np.ones(6), desc_vecs=np.ones((1, 6)))
+    feats = model.featurize(item)
+    assert feats.text_seq is None and not feats.desc_seqs
 
 
 def test_predict_batch_matches_item_by_item_predict():
-    from mmfnd.encoders import PrecomputedItem
-
     model, _ = build_gradcheck_problem(d=6)
     gen = Rng(3).stream("mixed")
-    items = [_Item(f"i{k}", 6, descriptions=["tok1 tok4", "tok5"][: k % 3]) for k in range(5)]
-    pre = {
-        "i1": PrecomputedItem(image_vec=gen.normal(size=6), text_vec=gen.normal(size=6)),
-        "i3": PrecomputedItem(image_vec=gen.normal(size=6), desc_vecs=[gen.normal(size=6)]),
-    }
-    feats = [model.featurize(item, pre) for item in items]
+    items = [_item(f"i{k}", 6, descriptions=["tok1 tok4", "tok5"][: k % 3]) for k in range(5)]
+    items[1].text_vec = gen.normal(size=6)
+    items[3].desc_vecs = gen.normal(size=(1, 6))
+    feats = [model.featurize(item) for item in items]
+    assert feats[1].text_seq is None and feats[3].desc_vecs and not feats[3].desc_seqs
     batched = model.predict_batch(feats)
     for f, got in zip(feats, batched):
         single = model.predict(f)

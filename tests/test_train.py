@@ -3,10 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from mmfnd import data
+from mmfnd import data, metrics
 from mmfnd import tensor as T
-from mmfnd.model import Model
+from mmfnd.model import Model, ModelConfig
 from mmfnd.train import Adam, TrainConfig, TrainingDiverged, train
+
+
+def test_train_config_extends_the_model_config():
+    assert TrainConfig().model_config() == ModelConfig()
+    cfg = TrainConfig(d=16, d_raw=32, tau=0.5, batch=4, epochs=2, seed=9, ablation="no_E")
+    assert cfg.model_config() == ModelConfig(d=16, d_raw=32, tau=0.5, ablation="no_E")
+    assert set(cfg.to_dict()) == {
+        "d", "d_raw", "tau", "lambda_c", "batch", "epochs", "lr", "beta1", "beta2", "eps",
+        "seed", "max_len", "ablation",
+    }
+    assert cfg.to_dict()["batch"] == 4 and cfg.to_dict()["d"] == 16
 
 
 def test_adam_steps_match_hand_computation():
@@ -120,3 +131,22 @@ def test_non_finite_gradient_raises_before_the_adam_step(monkeypatch):
     assert all(i in str(exc.value) for i in exc.value.batch_ids)
     assert math.isfinite(exc.value.parts["total"])
     assert calls["step"] == 1
+
+
+def test_items_with_vectors_train_and_evaluate_from_jsonl(tmp_path):
+    """Items read back from a JSONL file with text and description vectors
+    train and evaluate, and the vectors reach the features unchanged."""
+    gen = np.random.default_rng(2)
+    items = _tiny_dataset().items
+    for k, item in enumerate(items):
+        item.text_vec = gen.normal(size=4) if k % 2 else None
+        item.desc_vecs = gen.normal(size=(k % 3, 4)) if k % 3 else None
+    path = tmp_path / "vectors.jsonl"
+    data.save_jsonl(path, data.Dataset(items, "train", "test"))
+    loaded = data.load_jsonl(path)
+    result = train(TrainConfig(d=4, d_raw=4, batch=2, epochs=2, max_len=8), loaded)
+    assert all(math.isfinite(s.total) for s in result.curve)
+    feats = [result.model.featurize(item) for item in loaded.items]
+    np.testing.assert_array_equal(feats[1].text_vec, items[1].text_vec)
+    np.testing.assert_array_equal(feats[2].desc_vecs[1], items[2].desc_vecs[1])
+    assert metrics.evaluate(result.model, loaded).n_items == 4
