@@ -173,7 +173,7 @@ class Model:
                 raise enc.EmptyTextError(f"item {item.id!r}: {name} has no word tokens")
             return seq
 
-        feats = ItemFeatures(item_id=item.id, label=item.label, image=checked("image", item.image, cfg.d_raw))
+        feats = ItemFeatures(item_id=item.id, label=item.label, image=checked("image_vec", item.image, cfg.d_raw))
         if item.text_vec is not None:
             feats.text_vec = checked("text_vec", item.text_vec, cfg.d)
         else:

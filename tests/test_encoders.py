@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+from mmfnd import data
 from mmfnd import encoders as enc
 from mmfnd import tensor as T
+from mmfnd.errors import DataFormatError
 from mmfnd.gradcheck import finite_diff_check
 from mmfnd.rng import Rng
 
@@ -124,3 +128,89 @@ def test_gradcheck_through_text_and_image_encoders():
 
     report = finite_diff_check(f, [emb, w_tf, w_vf, w_df])
     assert report.max_rel_err < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# precomputed encoder inputs: image_vec, text_vec and desc_vecs in the news JSONL
+# ---------------------------------------------------------------------------
+
+
+def _news_line(item_id, **vectors):
+    obj = {"id": item_id, "text": "some text", "label": 0, "image_vec": [1.0, 2.0]}
+    obj.update(vectors)
+    return json.dumps(obj)
+
+
+def _news_file(tmp_path, lines):
+    path = tmp_path / "news.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_precomputed_single_item_roundtrip(tmp_path):
+    path = tmp_path / "news.jsonl"
+    item = data.NewsItem(id="a", text="some text", image=np.arange(4, dtype=np.float64), label=1)
+    data.save_jsonl(path, data.Dataset([item], "train", "test"))
+    assert set(json.loads(path.read_text())) == {"id", "text", "image_vec", "label"}
+    loaded = data.load_jsonl(path)
+    assert [got.id for got in loaded.items] == ["a"]
+    np.testing.assert_array_equal(loaded.items[0].image, item.image)
+    assert loaded.items[0].text_vec is None
+    assert loaded.items[0].desc_vecs is None
+
+
+def test_precomputed_missing_field_names_it(tmp_path, caplog):
+    no_image = json.dumps({"id": "b", "text": "some text", "label": 0, "text_vec": [1.0, 2.0]})
+    path = _news_file(tmp_path, [_news_line("a", text_vec=[1.0, 2.0]), no_image])
+    with caplog.at_level("WARNING"):
+        loaded = data.load_jsonl(path)
+    assert [item.id for item in loaded.items] == ["a"] and loaded.skipped == 1
+    assert any("image_vec" in rec.message for rec in caplog.records)
+
+
+def test_precomputed_malformed_line_number(tmp_path):
+    path = _news_file(tmp_path, [_news_line("a", text_vec=[1.0, 2.0]), "not json"])
+    with pytest.raises(DataFormatError, match="line 2"):
+        data.load_jsonl(path)
+
+
+def test_precomputed_dimension_inconsistency(tmp_path):
+    path = _news_file(tmp_path, [_news_line("a", text_vec=[1.0, 2.0]), _news_line("b", text_vec=[1.0])])
+    with pytest.raises(DataFormatError, match="line 2: text_vec has length 1, expected 2"):
+        data.load_jsonl(path)
+
+
+@pytest.mark.parametrize("field", ["image_vec", "text_vec", "desc_vecs"])
+def test_precomputed_non_finite_value_names_line_and_field(tmp_path, field):
+    value = [[1.0, 2.0], [float("inf"), 0.0]] if field == "desc_vecs" else [1.0, float("nan")]
+    path = _news_file(tmp_path, [_news_line("a"), _news_line("b", **{field: value})])
+    with pytest.raises(DataFormatError, match=f"line 2: {field} has a non-finite value"):
+        data.load_jsonl(path)
+
+
+def test_precomputed_duplicate_id(tmp_path):
+    path = _news_file(tmp_path, [_news_line("a", text_vec=[1.0]), _news_line("a", text_vec=[2.0])])
+    with pytest.raises(DataFormatError, match="duplicate"):
+        data.load_jsonl(path)
+
+
+def test_precomputed_hundred_items_bit_exact(tmp_path):
+    gen = Rng(3).stream("vectors")
+    items = [
+        data.NewsItem(
+            id=f"item-{k}", text=f"word{k} text", image=gen.normal(size=8), label=k % 2,
+            text_vec=gen.normal(size=6) if k % 2 else None,
+            desc_vecs=gen.normal(size=(k % 3, 6)) if k % 3 else None,
+        )
+        for k in range(100)
+    ]
+    path = tmp_path / "vectors.jsonl"
+    data.save_jsonl(path, data.Dataset(items, "train", "test"))
+    loaded = data.load_jsonl(path)
+    assert [item.id for item in loaded.items] == [item.id for item in items]
+    for want, got in zip(items, loaded.items):
+        for name in ("image", "text_vec", "desc_vecs"):
+            if getattr(want, name) is None:
+                assert getattr(got, name) is None
+            else:
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))

@@ -159,10 +159,8 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def _item(item_id, d_raw, text="tok1 tok2", descriptions=("tok3",), **vectors):
-    return NewsItem(
-        id=item_id, text=text, image=np.linspace(-1.0, 1.0, d_raw), label=1,
-        descriptions=list(descriptions), **vectors,
-    )
+    vectors.setdefault("image", np.linspace(-1.0, 1.0, d_raw))
+    return NewsItem(id=item_id, text=text, label=1, descriptions=list(descriptions), **vectors)
 
 
 def test_featurize_uses_precomputed_vectors():
@@ -180,6 +178,7 @@ def test_featurize_uses_precomputed_vectors():
 @pytest.mark.parametrize(
     "field,vectors",
     [
+        ("image_vec", dict(image=np.ones(5))),
         ("text_vec", dict(text_vec=np.ones(7))),
         ("desc_vecs", dict(desc_vecs=np.ones((2, 4)))),
     ],
