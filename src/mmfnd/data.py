@@ -14,9 +14,13 @@ only recoverable through its description.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import os
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,13 +31,34 @@ from .rng import Rng
 logger = logging.getLogger(__name__)
 
 REQUIRED_FIELDS = ("id", "text", "image_vec", "label")
+# JSONL field name -> NewsItem attribute of each vector field
+VECTOR_FIELDS = {"image_vec": "image", "text_vec": "text_vec", "desc_vecs": "desc_vecs"}
+
+
+class VectorSource(NamedTuple):
+    """Where the JSON text of a loaded vector sits in its source file."""
+
+    array: np.ndarray
+    path: str
+    offset: int
+    length: int
+    digest: bytes
+
+
+def _digest(raw) -> bytes:
+    return hashlib.blake2b(raw, digest_size=16).digest()
 
 
 @dataclass
 class NewsItem:
     """One (text, image features, descriptions, label) record. The optional
     precomputed ``text_vec`` (d,) and ``desc_vecs`` (n, d) take the place of
-    the tokenized text and descriptions."""
+    the tokenized text and descriptions.
+
+    Vectors read by ``load_jsonl`` are read-only, and ``sources`` maps each
+    one's JSONL field name to where its text sits in the file, so that
+    ``save_jsonl`` can copy that text instead of formatting the floats anew.
+    """
 
     id: str
     text: str
@@ -43,6 +68,7 @@ class NewsItem:
     descriptions: list[str] = field(default_factory=list)
     text_vec: np.ndarray | None = None
     desc_vecs: np.ndarray | None = None
+    sources: dict[str, VectorSource] = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -107,12 +133,16 @@ def load_jsonl(path, split: str = "train") -> Dataset:
     row) that is not a flat list of numbers, holds a non-finite value (the
     JSON literals NaN and Infinity) or changes width within the file are
     hard errors naming the line and field.
+
+    Every vector of the result is read-only and remembers its source bytes
+    (``NewsItem.sources``): the file, their offset and length, and a digest.
     """
+    source = os.path.abspath(path)
     items: list[NewsItem] = []
     seen_ids: set[str] = set()
     skipped = 0
     widths: dict[str, int] = {}
-    for line_no, obj in json_objects(path):
+    for line_no, obj, spans in json_objects(path):
         where = f"{path}: line {line_no}"
         missing = [name for name in REQUIRED_FIELDS if obj.get(name) in (None, "", [])]
         if missing:
@@ -127,41 +157,109 @@ def load_jsonl(path, split: str = "train") -> Dataset:
         if obj["id"] in seen_ids:
             raise DataFormatError(f"{where}: duplicate id {obj['id']!r}")
         seen_ids.add(obj["id"])
-        items.append(
-            NewsItem(
-                id=obj["id"],
-                text=obj["text"],
-                image=_vectors(obj, "image_vec", 1, widths, where),
-                label=int(label),
-                entities=_strings(obj, "entities", where),
-                descriptions=_strings(obj, "desc_sentences", where),
-                text_vec=_vectors(obj, "text_vec", 1, widths, where),
-                desc_vecs=_vectors(obj, "desc_vecs", 2, widths, where),
-            )
+        item = NewsItem(
+            id=obj["id"],
+            text=obj["text"],
+            image=_vectors(obj, "image_vec", 1, widths, where),
+            label=int(label),
+            entities=_strings(obj, "entities", where),
+            descriptions=_strings(obj, "desc_sentences", where),
+            text_vec=_vectors(obj, "text_vec", 1, widths, where),
+            desc_vecs=_vectors(obj, "desc_vecs", 2, widths, where),
         )
+        for name, attr in VECTOR_FIELDS.items():
+            vec = getattr(item, attr)
+            if vec is not None:
+                vec.flags.writeable = False
+                if name in spans:
+                    offset, text = spans[name]
+                    item.sources[name] = VectorSource(vec, source, offset, len(text), _digest(text))
+        items.append(item)
     if not items:
         raise DataFormatError(f"{path}: no usable items")
     return Dataset(items=items, split=split, provenance=str(path), skipped=skipped)
 
 
+class _SourceText:
+    """Reads the recorded JSON text of loaded vectors back from their files,
+    never from the file being written."""
+
+    def __init__(self, out, stack: ExitStack):
+        out_stat = os.fstat(out.fileno())
+        self._out = (out_stat.st_dev, out_stat.st_ino)
+        self._stack = stack
+        self._files: dict = {}
+
+    def _open(self, path: str):
+        if path not in self._files:
+            try:
+                fh = self._stack.enter_context(open(path, "rb"))
+            except OSError:
+                fh = None
+            else:
+                st = os.fstat(fh.fileno())
+                if (st.st_dev, st.st_ino) == self._out:
+                    fh = None
+            self._files[path] = fh
+        return self._files[path]
+
+    def copy(self, source: VectorSource | None, array) -> str | None:
+        """The recorded text of ``array``, or None unless ``array`` is the
+        very array loaded there, still read-only, and the file still holds
+        the same bytes."""
+        if source is None or source.array is not array or array.flags.writeable:
+            return None
+        fh = self._open(source.path)
+        if fh is None:
+            return None
+        fh.seek(source.offset)
+        raw = fh.read(source.length)
+        return raw.decode("utf-8") if _digest(raw) == source.digest else None
+
+
+def _json_line(fields: dict, copied: dict[str, str]) -> str:
+    """``json.dumps(fields, ensure_ascii=False)`` for ``fields`` keyed by plain
+    ASCII names, with the JSON text of each field in ``copied`` taken as given."""
+    if not copied:  # one encoder call for the whole line is faster
+        return json.dumps(fields, ensure_ascii=False)
+    return "{" + ", ".join(
+        f'"{key}": ' + (copied[key] if key in copied else json.dumps(value, ensure_ascii=False))
+        for key, value in fields.items()
+    ) + "}"
+
+
 def save_jsonl(path, dataset: Dataset) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write one news item per line, in the schema ``load_jsonl`` reads.
+
+    A vector loaded by ``load_jsonl`` is written by copying its recorded
+    source bytes, so ``save_jsonl`` may read the source files. It copies
+    only when the item still holds that very array, the array is still
+    read-only, the source is not the file being written, and the bytes
+    there still have the recorded digest; otherwise it formats the floats.
+    Every other part of a line is ``json.dumps(obj, ensure_ascii=False)``.
+    """
+    with ExitStack() as stack:
+        fh = stack.enter_context(open(path, "w", encoding="utf-8"))
+        sources = _SourceText(fh, stack)
         for item in dataset.items:
-            obj = {
-                "id": item.id,
-                "text": item.text,
-                "image_vec": item.image.tolist(),
-                "label": item.label,
-            }
+            fields = {"id": item.id, "text": item.text, "image_vec": item.image, "label": item.label}
             if item.entities:
-                obj["entities"] = item.entities
+                fields["entities"] = item.entities
             if item.descriptions:
-                obj["desc_sentences"] = item.descriptions
+                fields["desc_sentences"] = item.descriptions
             if item.text_vec is not None:
-                obj["text_vec"] = item.text_vec.tolist()
+                fields["text_vec"] = item.text_vec
             if item.desc_vecs is not None:
-                obj["desc_vecs"] = item.desc_vecs.tolist()
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+                fields["desc_vecs"] = item.desc_vecs
+            copied = {}
+            for name in VECTOR_FIELDS:
+                if name in fields:
+                    raw = sources.copy(item.sources.get(name), fields[name])
+                    if raw is None:
+                        fields[name] = fields[name].tolist()
+                    else:
+                        copied[name] = raw
+            fh.write(_json_line(fields, copied) + "\n")
 
 
 # ---------------------------------------------------------------------------

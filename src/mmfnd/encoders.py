@@ -11,7 +11,7 @@ projection layers stay in place either way.
 from __future__ import annotations
 
 import re
-from itertools import chain, compress
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,20 +35,16 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class TokenSequence:
-    """Fixed-length id sequence; padded tail positions carry mask=False."""
+    """The token ids of one text, at most ``max_len`` of them."""
 
     ids: list[int]
-    mask: list[bool]
-
-    def active_ids(self) -> list[int]:
-        return list(compress(self.ids, self.mask))
 
 
 class Vocabulary:
     """Deterministic token -> id table built from a training corpus.
 
     Ids are assigned in sorted token order starting at 1; id 0 is reserved
-    for out-of-vocabulary tokens and padding.
+    for out-of-vocabulary tokens.
     """
 
     def __init__(self, tokens: list[str]):
@@ -63,16 +59,12 @@ class Vocabulary:
         return cls(sorted(seen))
 
     def __len__(self) -> int:
-        # embedding table size: all known tokens plus the OOV/pad row
+        # embedding table size: all known tokens plus the OOV row
         return len(self.tokens) + 1
 
     def encode(self, text: str, max_len: int = 64) -> TokenSequence:
-        toks = tokenize(text)[:max_len]
-        ids = [self.id_of.get(t, OOV_ID) for t in toks]
-        n = len(ids)
-        ids += [OOV_ID] * (max_len - n)
-        mask = [True] * n + [False] * (max_len - n)
-        return TokenSequence(ids=ids, mask=mask)
+        """Ids of the first ``max_len`` tokens of ``text``."""
+        return TokenSequence(ids=[self.id_of.get(t, OOV_ID) for t in tokenize(text)[:max_len]])
 
 
 # ---------------------------------------------------------------------------
@@ -82,15 +74,15 @@ class Vocabulary:
 
 def bag_of_ids(seqs: list, vocab_size: int) -> np.ndarray:
     """(N, V) pooling weights: row r holds k/n at an id that fills k of the
-    n unmasked positions of ``seqs[r]``, so its product with the embedding
-    table is the mean of those rows. A ``None`` entry leaves its row zero.
+    n positions of ``seqs[r]``, so its product with the embedding table is
+    the mean of those rows. A ``None`` entry leaves its row zero.
 
     On a desk-scale vocabulary one (N, V) x (V, d) product is far cheaper
-    than gathering and masking (N, L, d) token rows.
+    than gathering (N, L, d) token rows.
     """
-    active = [s.active_ids() if s is not None else None for s in seqs]
+    active = [s.ids if s is not None else None for s in seqs]
     if any(ids == [] for ids in active):
-        raise EmptyTextError("cannot encode an all-padding token sequence")
+        raise EmptyTextError("cannot encode an empty token sequence")
     lens = np.array([len(ids) if ids else 0 for ids in active])
     rows = np.repeat(np.arange(len(seqs)), lens)
     ids = np.fromiter(chain.from_iterable(ids for ids in active if ids), dtype=np.intp, count=rows.size)

@@ -263,7 +263,7 @@ def load_fixture(path) -> dict[str, str]:
     line that breaks this raises ``DataFormatError`` naming the file, the
     line and the field."""
     out: dict[str, str] = {}
-    for line_no, obj in json_objects(path):
+    for line_no, obj, _ in json_objects(path):
         for name in ("title", "summary"):
             if not isinstance(obj.get(name), str):
                 raise DataFormatError(f"{path}: line {line_no}: {name} must be a string")
@@ -286,8 +286,10 @@ class WikiClient:
     """Entity-description retrieval against the REST page-summary endpoint.
 
     The HTTP transport is injectable so tests can count or fake network
-    traffic; live requests are rate limited and retried with exponential
-    backoff. All successful lookups land in the on-disk cache.
+    traffic; live requests are rate limited, and a transport ``OSError`` or
+    a status other than 200 and 404 is retried with exponential backoff.
+    Any other exception from the transport propagates at once. All
+    successful lookups land in the on-disk cache.
     """
 
     def __init__(
@@ -349,7 +351,7 @@ class WikiClient:
                 raise FetchError(
                     f"live mode needs the 'live' extra (pip install 'mmfnd[live]'): {exc}"
                 ) from exc
-            except Exception as exc:  # network-level failure: retry
+            except OSError as exc:  # network-level failure (requests' errors included): retry
                 last_error = str(exc)
                 continue
             if status == 404:

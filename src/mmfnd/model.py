@@ -169,7 +169,7 @@ class Model:
 
         def tokens(name, text):
             seq = self.vocab.encode(text, cfg.max_len)
-            if not any(seq.mask):
+            if not seq.ids:
                 raise enc.EmptyTextError(f"item {item.id!r}: {name} has no word tokens")
             return seq
 
@@ -299,17 +299,11 @@ def build_gradcheck_problem(
     for i in range(n_items):
         gen = rng.stream("item", i)
         n_tok = int(gen.integers(3, 7))
-        text_seq = enc.TokenSequence(
-            ids=[int(t) for t in gen.integers(0, len(vocab), size=n_tok)], mask=[True] * n_tok
-        )
+        text_seq = enc.TokenSequence(ids=[int(t) for t in gen.integers(0, len(vocab), size=n_tok)])
         desc_seqs = []
         for j in range(n_desc):
             m = int(gen.integers(2, 5))
-            desc_seqs.append(
-                enc.TokenSequence(
-                    ids=[int(t) for t in gen.integers(0, len(vocab), size=m)], mask=[True] * m
-                )
-            )
+            desc_seqs.append(enc.TokenSequence(ids=[int(t) for t in gen.integers(0, len(vocab), size=m)]))
         feats.append(
             ItemFeatures(
                 item_id=f"probe-{i}",

@@ -21,14 +21,13 @@ def test_vocabulary_is_deterministic_and_reserves_oov():
     assert v1.tokens == v2.tokens == ["a", "b", "c"]
     assert v1.id_of["a"] == 1
     seq = v1.encode("a zzz b", max_len=5)
-    assert seq.ids[:3] == [1, enc.OOV_ID, 2]
-    assert seq.mask == [True, True, True, False, False]
+    assert seq.ids == [1, enc.OOV_ID, 2]
 
 
 def test_encode_truncates_to_max_len():
     v = enc.Vocabulary.build(["a b c d e"])
     seq = v.encode("a b c d e", max_len=3)
-    assert len(seq.ids) == 3 and all(seq.mask)
+    assert seq.ids == [1, 2, 3]
 
 
 def _identity_params(d, vocab_size):
@@ -45,7 +44,7 @@ def _encode_text(emb, proj, seqs):
 def test_encode_text_identity_weights_single_token():
     emb, proj = _identity_params(3, 4)
     emb.data[2] = [5.0, 6.0, 7.0]
-    seq = enc.TokenSequence(ids=[2, 0], mask=[True, False])
+    seq = enc.TokenSequence(ids=[2])
     out = _encode_text(emb, proj, [seq])
     np.testing.assert_array_equal(out.data, [[5.0, 6.0, 7.0]])
 
@@ -54,20 +53,20 @@ def test_encode_text_mean_pools_two_tokens():
     emb, proj = _identity_params(2, 4)
     emb.data[1] = [2.0, 0.0]
     emb.data[3] = [0.0, 4.0]
-    seq = enc.TokenSequence(ids=[1, 3], mask=[True, True])
+    seq = enc.TokenSequence(ids=[1, 3])
     out = _encode_text(emb, proj, [seq])
     np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
 
 
 def test_all_padding_sequence_rejected():
     emb, proj = _identity_params(2, 4)
-    seq = enc.TokenSequence(ids=[0, 0], mask=[False, False])
+    seq = enc.TokenSequence(ids=[])
     with pytest.raises(enc.EmptyTextError):
         _encode_text(emb, proj, [seq])
 
 
 def test_bag_of_ids_counts_repeats_and_leaves_empty_slots_zero():
-    seq = enc.TokenSequence(ids=[3, 1, 3, 0], mask=[True, True, True, False])
+    seq = enc.TokenSequence(ids=[3, 1, 3])
     bag = enc.bag_of_ids([seq, None], 5)
     np.testing.assert_allclose(bag, [[0.0, 1 / 3, 0.0, 2 / 3, 0.0], [0.0] * 5], atol=1e-15)
 
@@ -75,7 +74,7 @@ def test_bag_of_ids_counts_repeats_and_leaves_empty_slots_zero():
 def test_embed_rows_mixes_token_precomputed_and_padding_slots():
     emb, _ = _identity_params(2, 4)
     emb.data[1] = [2.0, 0.0]
-    slots = [enc.TokenSequence(ids=[1], mask=[True]), np.array([7.0, 8.0]), None, None]
+    slots = [enc.TokenSequence(ids=[1]), np.array([7.0, 8.0]), None, None]
     out = enc.embed_rows(emb, slots, (2, 2))
     np.testing.assert_array_equal(out.data, [[[2.0, 0.0], [7.0, 8.0]], [[0.0, 0.0], [0.0, 0.0]]])
 
@@ -96,7 +95,7 @@ def test_encoders_deterministic():
     gen = Rng(5).stream("enc")
     emb = T.Param("emb", gen.normal(size=(6, 4)))
     proj = T.Param("w", gen.normal(size=(4, 4)))
-    seq = enc.TokenSequence(ids=[1, 2, 5], mask=[True, True, True])
+    seq = enc.TokenSequence(ids=[1, 2, 5])
     a = _encode_text(emb, proj, [seq]).data
     b = _encode_text(emb, proj, [seq]).data
     np.testing.assert_array_equal(a, b)
@@ -109,8 +108,8 @@ def test_gradcheck_through_text_and_image_encoders():
     w_vf = T.Param("w_vf", gen.normal(size=(4, 3)))
     w_df = T.Param("w_df", gen.normal(size=(4, 4)))
     seqs = [
-        enc.TokenSequence(ids=[1, 2, 2, 5], mask=[True, True, True, True]),
-        enc.TokenSequence(ids=[3, 0], mask=[True, False]),
+        enc.TokenSequence(ids=[1, 2, 2, 5]),
+        enc.TokenSequence(ids=[3]),
     ]
     img = T.Tensor(gen.normal(size=(2, 3)))
     weights = gen.normal(size=(2, 4))

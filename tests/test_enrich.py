@@ -392,6 +392,15 @@ def test_live_failures_retry_with_backoff_then_raise(tmp_path):
     assert 0.5 in ft.sleeps and 1.0 in ft.sleeps
 
 
+def test_live_transport_bug_propagates_without_retry(tmp_path):
+    transport = FakeTransport([NameError("name 'undefined_name' is not defined")])
+    client, ft = _client(tmp_path, transport)
+    with pytest.raises(NameError, match="undefined_name"):
+        client.fetch_description("Paris", mode="live")
+    assert len(transport.calls) == 1
+    assert ft.sleeps == []
+
+
 def test_live_requests_are_rate_limited(tmp_path):
     transport = FakeTransport([(200, _summary_body("A one liner."))])
     client, ft = _client(tmp_path, transport)
