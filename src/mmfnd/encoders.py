@@ -21,7 +21,8 @@ from .tensor import Param, Tensor
 
 OOV_ID = 0
 
-_TOKEN_RE = re.compile(r"\w+")
+# one word token; enrich matches gazetteer titles on the same tokens
+WORD_RE = re.compile(r"\w+")
 
 
 class EmptyTextError(ValueError):
@@ -29,8 +30,11 @@ class EmptyTextError(ValueError):
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercased word tokens; punctuation and whitespace are separators."""
-    return _TOKEN_RE.findall(text.lower())
+    """Word tokens, each lowercased after splitting; punctuation and
+    whitespace are separators. Lowercasing first would split a word whose
+    lowercase form holds a non-word character ("İ" gives "i" and a
+    combining dot)."""
+    return [word.lower() for word in WORD_RE.findall(text)]
 
 
 @dataclass

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .encoders import WORD_RE, tokenize
 from .errors import DataFormatError, json_objects
 from .tensor import DegenerateInputError, Param, Tensor
 
@@ -54,12 +55,10 @@ class FetchError(RuntimeError):
 # entity extraction
 # ---------------------------------------------------------------------------
 
-_WORD_RE = re.compile(r"\w+")
-
 
 def _title_key(title: str) -> tuple[str, ...]:
     # tokenized exactly like text in extract_entities: split, then lowercase
-    return tuple(word.lower() for word in _WORD_RE.findall(title))
+    return tuple(tokenize(title))
 
 
 class Gazetteer:
@@ -86,19 +85,17 @@ class Gazetteer:
         return iter(self.titles)
 
 
-def extract_entities(text: str, gazetteer) -> list[Entity]:
-    """Greedy longest-match gazetteer scan, left to right.
+def extract_entities(text: str, gazetteer: Gazetteer) -> list[Entity]:
+    """Greedy longest-match scan of ``text`` against the index that
+    ``gazetteer`` built once, left to right.
 
     Matching is case-insensitive on word-token boundaries; overlapping
     candidates resolve to the longest, titles with the same key resolve to
     the first in gazetteer order, and repeated titles keep only the first
-    mention. Pass a ``Gazetteer`` to reuse its index; any other iterable of
-    titles is indexed for this call only.
+    mention.
     """
-    if not isinstance(gazetteer, Gazetteer):
-        gazetteer = Gazetteer(gazetteer)
     by_key, lengths = gazetteer.by_key, gazetteer.lengths
-    matches = list(_WORD_RE.finditer(text))
+    matches = list(WORD_RE.finditer(text))
     words = [m.group().lower() for m in matches]
     n = len(words)
     found: list[Entity] = []
@@ -193,10 +190,9 @@ class DescriptionCache:
 
     ``put`` appends one line ``{"title", "sentence", "fetched_at"}``, so a
     new entry creates no file of its own; the last line for a title wins.
-    The cache indexes each title to the byte span of its line, reading
-    only lines appended since its last scan, and rescans when a lookup
-    misses, so caches on the same directory see each other's writes.
-    ``get`` reads the entry back from the file on every call.
+    The cache maps each title to its sentence, reading only lines appended
+    since its last scan, and rescans when a lookup misses, so caches on the
+    same directory see each other's writes. A hit reads no file.
     """
 
     FILE = "descriptions.jsonl"
@@ -204,12 +200,15 @@ class DescriptionCache:
     def __init__(self, root):
         self.root = Path(root)
         self.path = os.path.join(self.root, self.FILE)
-        self._spans: dict[str, tuple[int, int]] = {}
-        self._scanned = 0  # bytes of the file indexed so far
+        self._sentences: dict[str, str] = {}
+        self._scanned = 0  # bytes of the file read so far
 
     def _scan(self, title: str) -> None:
-        """Index the complete lines appended since the last scan; a partial
-        last line (a write in progress) is left for the next one."""
+        """Read the complete lines appended since the last scan; a partial
+        last line (a write in progress) is left for the next one. A line
+        that is not a JSON object with string ``"title"`` and ``"sentence"``
+        raises ``DataFormatError`` naming the file, its byte offset and the
+        title being looked up."""
         try:
             with open(self.path, "rb") as fh:
                 fh.seek(self._scanned)
@@ -224,28 +223,15 @@ class DescriptionCache:
                     f"cache file {self.path}: the line at byte {self._scanned} is not a JSON object with string "
                     f"\"title\" and \"sentence\" (looking up {title!r})"
                 )
-            self._spans[entry["title"]] = (self._scanned, len(line))
+            self._sentences[entry["title"]] = entry["sentence"]
             self._scanned += len(line) + 1
 
-    def _span(self, title: str) -> tuple[int, int] | None:
-        if title not in self._spans:
-            self._scan(title)
-        return self._spans.get(title)
-
     def get(self, title: str) -> str | None:
-        """The cached sentence, or None when the title has no entry. An
-        entry that is not JSON or has no string ``"sentence"`` raises
-        ``DataFormatError`` naming the title and the file."""
-        span = self._span(title)
-        if span is None:
-            return None
-        with open(self.path, "rb") as fh:
-            fh.seek(span[0])
-            raw = fh.read(span[1])
-        entry = _cache_entry(raw)
-        if entry is None or entry["title"] != title:
-            raise DataFormatError(f"cache file {self.path} for {title!r} no longer holds its entry")
-        return entry["sentence"]
+        """The cached sentence, or None when the title has no entry; the
+        file is scanned only when the title is not yet known."""
+        if title not in self._sentences:
+            self._scan(title)
+        return self._sentences.get(title)
 
     def put(self, title: str, sentence: str) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
@@ -253,9 +239,6 @@ class DescriptionCache:
         line = (json.dumps(payload, ensure_ascii=False) + "\n").encode("utf-8")
         with open(self.path, "ab") as fh:
             fh.write(line)
-
-    def __contains__(self, title: str) -> bool:
-        return self._span(title) is not None
 
 
 def load_fixture(path) -> dict[str, str]:

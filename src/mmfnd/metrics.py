@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -40,23 +39,6 @@ class MetricsReport:
             "n_items": self.n_items,
             "warnings": list(self.warnings),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def to_text(self) -> str:
-        lines = [
-            f"accuracy  {self.accuracy:.4f}   ({self.tp + self.tn}/{self.n_items} correct)",
-            "",
-            f"{'class':<6}  {'precision':>9}  {'recall':>7}  {'f1-score':>8}  {'support':>7}",
-            f"{'fake':<6}  {self.fake.precision:>9.4f}  {self.fake.recall:>7.4f}  {self.fake.f1:>8.4f}  {self.tp + self.fn:>7d}",
-            f"{'real':<6}  {self.real.precision:>9.4f}  {self.real.recall:>7.4f}  {self.real.f1:>8.4f}  {self.tn + self.fp:>7d}",
-            "",
-            f"confusion  tp={self.tp} fp={self.fp} fn={self.fn} tn={self.tn}",
-        ]
-        for warning in self.warnings:
-            lines.append(f"warning: {warning}")
-        return "\n".join(lines)
 
 
 def _prf(tp: int, fp: int, fn: int, label: str, warnings: list[str]) -> ClassMetrics:

@@ -277,13 +277,29 @@ class Model:
 
     @classmethod
     def load(cls, path) -> "Model":
+        """The model a ``save`` call wrote. A checkpoint without ``__meta__``,
+        with an unknown config key or a config value of the wrong type, or
+        with parameters that do not fit its config raises ``ConfigError``
+        naming the file and the key."""
         with np.load(path, allow_pickle=False) as archive:
+            if "__meta__" not in archive.files:
+                raise ConfigError(f"{path}: checkpoint has no '__meta__' entry")
             meta = json.loads(str(archive["__meta__"]))
             arrays = {
                 key.removeprefix("param/"): archive[key]
                 for key in archive.files if key.startswith("param/")
             }
-        return cls(ModelConfig(**meta["config"]), enc.Vocabulary(meta["vocab"]), arrays)
+        defaults = asdict(ModelConfig())
+        for key, value in meta["config"].items():
+            if key not in defaults:
+                raise ConfigError(f"{path}: unknown config key {key!r}")
+            want = type(defaults[key])
+            if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
+                raise ConfigError(f"{path}: config key {key!r} must be {want.__name__}, got {value!r}")
+        try:
+            return cls(ModelConfig(**meta["config"]), enc.Vocabulary(meta["vocab"]), arrays)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def build_gradcheck_problem(

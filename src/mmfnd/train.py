@@ -167,10 +167,3 @@ def train(cfg: TrainConfig, train_ds: Dataset, progress=None) -> TrainResult:
         if progress is not None:
             progress(stats)
     return TrainResult(model=model, curve=curve, diagnostics=diagnostics)
-
-
-def write_loss_curve(path, curve: list[EpochStats]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,total,detection,contrastive\n")
-        for s in curve:
-            fh.write(f"{s.epoch},{s.total!r},{s.detection!r},{s.contrastive!r}\n")

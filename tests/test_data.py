@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mmfnd import data
-from mmfnd.enrich import extract_entities
+from mmfnd.enrich import Gazetteer, extract_entities
 from mmfnd.errors import ConfigError, DataFormatError
 from mmfnd.rng import Rng
 
@@ -170,10 +170,11 @@ def test_generator_rejects_tiny_splits():
 
 def test_generated_entities_are_extractable_and_described():
     art = data.synth_generate(40, 10, seed=6)
+    gaz = Gazetteer(art.gazetteer)
     for item in art.train.items[:20]:
         assert 1 <= len(item.entities) <= 3
         assert len(item.descriptions) == len(item.entities)
-        found = [e.canonical_title for e in extract_entities(item.text, art.gazetteer)]
+        found = [e.canonical_title for e in extract_entities(item.text, gaz)]
         assert set(item.entities) <= set(found)
         for title, sentence in zip(item.entities, item.descriptions):
             assert sentence == data.first_sentence(art.summaries[title])

@@ -5,6 +5,7 @@ import pytest
 
 from mmfnd import data
 from mmfnd import encoders as enc
+from mmfnd import enrich
 from mmfnd import tensor as T
 from mmfnd.errors import DataFormatError
 from mmfnd.gradcheck import finite_diff_check
@@ -13,6 +14,13 @@ from mmfnd.rng import Rng
 
 def test_tokenize_lowercases_and_splits_punctuation():
     assert enc.tokenize("Hello, World!  It's 2-fold.") == ["hello", "world", "it", "s", "2", "fold"]
+
+
+def test_tokenize_splits_before_lowercasing_like_gazetteer_titles():
+    # "İ".lower() is "i" plus a combining dot, which is not a word character
+    text = "Talks in İstanbul today"
+    assert enc.tokenize(text) == list(enrich._title_key(text))
+    assert enc.tokenize(text) == ["talks", "in", "i\u0307stanbul", "today"]
 
 
 def test_vocabulary_is_deterministic_and_reserves_oov():

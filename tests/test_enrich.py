@@ -26,7 +26,7 @@ DATA = Path(__file__).parent / "data"
 
 def test_extract_worked_example():
     text = "shooting of Michael Brown in Ferguson"
-    gaz = ["shooting of Michael Brown", "Ferguson"]
+    gaz = enrich.Gazetteer(["shooting of Michael Brown", "Ferguson"])
     entities = enrich.extract_entities(text, gaz)
     assert [e.canonical_title for e in entities] == ["shooting of Michael Brown", "Ferguson"]
     assert entities[0].span == (0, 25)
@@ -34,33 +34,33 @@ def test_extract_worked_example():
 
 
 def test_extract_no_hits():
-    assert enrich.extract_entities("nothing to see", ["Ferguson"]) == []
+    assert enrich.extract_entities("nothing to see", enrich.Gazetteer(["Ferguson"])) == []
 
 
 def test_extract_longest_match_wins():
     entities = enrich.extract_entities(
-        "Visit New York City now", ["New York", "New York City"]
+        "Visit New York City now", enrich.Gazetteer(["New York", "New York City"])
     )
     assert [e.canonical_title for e in entities] == ["New York City"]
     assert entities[0].surface == "New York City"
 
 
 def test_extract_case_insensitive_keeps_original_surface():
-    entities = enrich.extract_entities("we saw FERGUSON burn", ["Ferguson"])
+    entities = enrich.extract_entities("we saw FERGUSON burn", enrich.Gazetteer(["Ferguson"]))
     assert entities[0].canonical_title == "Ferguson"
     assert entities[0].surface == "FERGUSON"
 
 
 def test_extract_dedupes_by_title_keeping_first():
     entities = enrich.extract_entities(
-        "Ferguson stayed calm; Ferguson later erupted", ["Ferguson"]
+        "Ferguson stayed calm; Ferguson later erupted", enrich.Gazetteer(["Ferguson"])
     )
     assert len(entities) == 1
     assert entities[0].span == (0, 8)
 
 
 def test_extract_respects_word_boundaries():
-    assert enrich.extract_entities("the fergusonian view", ["Ferguson"]) == []
+    assert enrich.extract_entities("the fergusonian view", enrich.Gazetteer(["Ferguson"])) == []
 
 
 def test_gazetteer_file_roundtrip(tmp_path):
@@ -73,7 +73,7 @@ def test_gazetteer_file_roundtrip(tmp_path):
 def test_extract_tokenizes_titles_like_text():
     # "İ".lower() is "i" plus a combining dot, which is not a word character:
     # lowercasing the title before splitting it made two tokens of one word
-    entities = enrich.extract_entities("Talks in İstanbul today", ["İstanbul"])
+    entities = enrich.extract_entities("Talks in İstanbul today", enrich.Gazetteer(["İstanbul"]))
     assert [(e.canonical_title, e.surface) for e in entities] == [("İstanbul", "İstanbul")]
 
 
@@ -208,9 +208,8 @@ def test_cache_roundtrip_byte_exact(tmp_path):
     sentence = "哈尔滨 is a city — with ünïcode, quotes \"and\" all."
     cache.put("哈尔滨/weird title?", sentence)
     assert cache.get("哈尔滨/weird title?") == sentence
-    assert "哈尔滨/weird title?" in cache
     assert cache.get("missing") is None
-    # atomic write leaves no temp files behind
+    # put appends to the one cache file and leaves no temp file behind
     assert not list((tmp_path / "cache").glob("*.tmp"))
 
 
@@ -226,14 +225,12 @@ def test_cache_bad_entry_names_title_and_file(tmp_path, content):
     assert "'Ferguson'" in str(err.value) and str(path) in str(err.value) and f"byte {len(good)}" in str(err.value)
 
 
-def test_cache_entry_overwritten_under_index_names_title_and_file(tmp_path):
+def test_cache_hit_opens_no_file(tmp_path):
     cache = enrich.DescriptionCache(tmp_path / "cache")
     cache.put("Ferguson", "A city.")
     assert cache.get("Ferguson") == "A city."
-    Path(cache.path).write_bytes(b"x" * 80 + b"\n")
-    with pytest.raises(DataFormatError) as err:
-        cache.get("Ferguson")
-    assert "'Ferguson'" in str(err.value) and cache.path in str(err.value)
+    os.remove(cache.path)
+    assert cache.get("Ferguson") == "A city."
 
 
 def test_cache_keeps_every_entry_in_one_file(tmp_path):
@@ -257,9 +254,9 @@ def test_cache_last_write_wins(tmp_path):
 def test_caches_on_one_directory_see_each_others_writes(tmp_path):
     a = enrich.DescriptionCache(tmp_path / "cache")
     b = enrich.DescriptionCache(tmp_path / "cache")
-    assert b.get("Ferguson") is None and "Ferguson" not in b
+    assert b.get("Ferguson") is None
     a.put("Ferguson", "A city.")
-    assert b.get("Ferguson") == "A city." and "Ferguson" in b
+    assert b.get("Ferguson") == "A city."
     b.put("Missouri", "A state.")
     assert a.get("Missouri") == "A state."
 
@@ -339,7 +336,7 @@ def test_offline_fixture_hit_writes_cache_and_uses_no_network(tmp_path):
     assert desc.sentence == MICHAEL_BROWN_SENTENCE
     assert desc.source == "fixture"
     assert transport.calls == []
-    assert "Shooting of Michael Brown" in client.cache
+    assert client.cache.get("Shooting of Michael Brown") == MICHAEL_BROWN_SENTENCE
 
 
 def test_offline_cache_hit_is_byte_exact_with_zero_calls(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -276,6 +277,24 @@ def test_load_names_an_unexpected_parameter(tmp_path):
     path = _saved(tmp_path, lambda a: a.update({"param/w_extra": np.zeros(3)}))
     with pytest.raises(ConfigError, match="unexpected \\['w_extra'\\]"):
         Model.load(path)
+
+
+def _set_config(arrays, **changes):
+    meta = json.loads(str(arrays["__meta__"]))
+    meta["config"].update(changes)
+    arrays["__meta__"] = json.dumps(meta)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda a: _set_config(a, dropout=0.1), "'dropout'"),
+    (lambda a: _set_config(a, d="6"), "'d'"),
+    (lambda a: a.pop("__meta__"), "'__meta__'"),
+], ids=["unknown_key", "string_d", "no_meta"])
+def test_load_names_file_and_key_of_a_broken_checkpoint(tmp_path, edit, key):
+    path = _saved(tmp_path, edit)
+    with pytest.raises(ConfigError) as err:
+        Model.load(path)
+    assert str(path) in str(err.value) and key in str(err.value)
 
 
 def test_load_draws_no_random_weights(tmp_path, monkeypatch):
