@@ -14,11 +14,8 @@ only recoverable through its description.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
-import os
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,17 +33,10 @@ VECTOR_FIELDS = {"image_vec": "image", "text_vec": "text_vec", "desc_vecs": "des
 
 
 class VectorSource(NamedTuple):
-    """Where the JSON text of a loaded vector sits in its source file."""
+    """A loaded vector and the JSON text it was read from."""
 
     array: np.ndarray
-    path: str
-    offset: int
-    length: int
-    digest: bytes
-
-
-def _digest(raw) -> bytes:
-    return hashlib.blake2b(raw, digest_size=16).digest()
+    text: str
 
 
 @dataclass
@@ -56,7 +46,7 @@ class NewsItem:
     the tokenized text and descriptions.
 
     Vectors read by ``load_jsonl`` are read-only, and ``sources`` maps each
-    one's JSONL field name to where its text sits in the file, so that
+    one's JSONL field name to the JSON text it was read from, so that
     ``save_jsonl`` can copy that text instead of formatting the floats anew.
     """
 
@@ -134,15 +124,14 @@ def load_jsonl(path, split: str = "train") -> Dataset:
     JSON literals NaN and Infinity) or changes width within the file are
     hard errors naming the line and field.
 
-    Every vector of the result is read-only and remembers its source bytes
-    (``NewsItem.sources``): the file, their offset and length, and a digest.
+    Every vector of the result is read-only and keeps the JSON text it was
+    read from (``NewsItem.sources``).
     """
-    source = os.path.abspath(path)
     items: list[NewsItem] = []
     seen_ids: set[str] = set()
     skipped = 0
     widths: dict[str, int] = {}
-    for line_no, obj, spans in json_objects(path):
+    for line_no, obj, texts in json_objects(path):
         where = f"{path}: line {line_no}"
         missing = [name for name in REQUIRED_FIELDS if obj.get(name) in (None, "", [])]
         if missing:
@@ -171,50 +160,12 @@ def load_jsonl(path, split: str = "train") -> Dataset:
             vec = getattr(item, attr)
             if vec is not None:
                 vec.flags.writeable = False
-                if name in spans:
-                    offset, text = spans[name]
-                    item.sources[name] = VectorSource(vec, source, offset, len(text), _digest(text))
+                if name in texts:
+                    item.sources[name] = VectorSource(vec, texts[name])
         items.append(item)
     if not items:
         raise DataFormatError(f"{path}: no usable items")
     return Dataset(items=items, split=split, provenance=str(path), skipped=skipped)
-
-
-class _SourceText:
-    """Reads the recorded JSON text of loaded vectors back from their files,
-    never from the file being written."""
-
-    def __init__(self, out, stack: ExitStack):
-        out_stat = os.fstat(out.fileno())
-        self._out = (out_stat.st_dev, out_stat.st_ino)
-        self._stack = stack
-        self._files: dict = {}
-
-    def _open(self, path: str):
-        if path not in self._files:
-            try:
-                fh = self._stack.enter_context(open(path, "rb"))
-            except OSError:
-                fh = None
-            else:
-                st = os.fstat(fh.fileno())
-                if (st.st_dev, st.st_ino) == self._out:
-                    fh = None
-            self._files[path] = fh
-        return self._files[path]
-
-    def copy(self, source: VectorSource | None, array) -> str | None:
-        """The recorded text of ``array``, or None unless ``array`` is the
-        very array loaded there, still read-only, and the file still holds
-        the same bytes."""
-        if source is None or source.array is not array or array.flags.writeable:
-            return None
-        fh = self._open(source.path)
-        if fh is None:
-            return None
-        fh.seek(source.offset)
-        raw = fh.read(source.length)
-        return raw.decode("utf-8") if _digest(raw) == source.digest else None
 
 
 def _json_line(fields: dict, copied: dict[str, str]) -> str:
@@ -231,16 +182,13 @@ def _json_line(fields: dict, copied: dict[str, str]) -> str:
 def save_jsonl(path, dataset: Dataset) -> None:
     """Write one news item per line, in the schema ``load_jsonl`` reads.
 
-    A vector loaded by ``load_jsonl`` is written by copying its recorded
-    source bytes, so ``save_jsonl`` may read the source files. It copies
-    only when the item still holds that very array, the array is still
-    read-only, the source is not the file being written, and the bytes
-    there still have the recorded digest; otherwise it formats the floats.
-    Every other part of a line is ``json.dumps(obj, ensure_ascii=False)``.
+    A vector loaded by ``load_jsonl`` is written by copying the JSON text it
+    was read from, while the item still holds that very array and the array
+    is still read-only; otherwise its floats are formatted. Every other part
+    of a line is ``json.dumps(obj, ensure_ascii=False)``. Only the output
+    file is opened.
     """
-    with ExitStack() as stack:
-        fh = stack.enter_context(open(path, "w", encoding="utf-8"))
-        sources = _SourceText(fh, stack)
+    with open(path, "w", encoding="utf-8") as fh:
         for item in dataset.items:
             fields = {"id": item.id, "text": item.text, "image_vec": item.image, "label": item.label}
             if item.entities:
@@ -254,11 +202,11 @@ def save_jsonl(path, dataset: Dataset) -> None:
             copied = {}
             for name in VECTOR_FIELDS:
                 if name in fields:
-                    raw = sources.copy(item.sources.get(name), fields[name])
-                    if raw is None:
-                        fields[name] = fields[name].tolist()
+                    vec, source = fields[name], item.sources.get(name)
+                    if source is not None and source.array is vec and not vec.flags.writeable:
+                        copied[name] = source.text
                     else:
-                        copied[name] = raw
+                        fields[name] = vec.tolist()
             fh.write(_json_line(fields, copied) + "\n")
 
 

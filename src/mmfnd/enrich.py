@@ -192,7 +192,10 @@ class DescriptionCache:
     new entry creates no file of its own; the last line for a title wins.
     The cache maps each title to its sentence, reading only lines appended
     since its last scan, and rescans when a lookup misses, so caches on the
-    same directory see each other's writes. A hit reads no file.
+    same directory see each other's new titles. A hit reads no file, by
+    design: another cache's overwrite of a title this cache already holds
+    is seen by a new cache, and by this one only once a miss makes it
+    rescan. This cache's own ``put`` is seen at once.
     """
 
     FILE = "descriptions.jsonl"
@@ -239,6 +242,7 @@ class DescriptionCache:
         line = (json.dumps(payload, ensure_ascii=False) + "\n").encode("utf-8")
         with open(self.path, "ab") as fh:
             fh.write(line)
+        self._sentences[title] = sentence
 
 
 def load_fixture(path) -> dict[str, str]:

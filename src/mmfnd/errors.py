@@ -21,17 +21,17 @@ _COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*").match
 _NEXT = re.compile(r"[ \t\n\r]*([,}])[ \t\n\r]*").match
 
 
-def _walk_object(s: str) -> tuple[dict, dict[str, tuple[int, int]]]:
-    """``s`` parsed as one JSON object, plus the (start, end) character span
-    of each top-level value; a duplicate key's last value and span win, as
-    in ``json.loads``. Raises ValueError on any text that is not a single
-    object, without telling why (``json.loads`` says that)."""
+def _walk_object(s: str) -> tuple[dict, dict[str, str]]:
+    """``s`` parsed as one JSON object, plus the JSON text of each top-level
+    value; a duplicate key's last value and text win, as in ``json.loads``.
+    Raises ValueError on any text that is not a single object, without
+    telling why (``json.loads`` says that)."""
     m = _OPEN(s)
     if m is None:
         raise ValueError("not an object")
     idx = m.end()
     obj: dict = {}
-    spans: dict[str, tuple[int, int]] = {}
+    texts: dict[str, str] = {}
     if s[idx:idx + 1] == "}":
         idx = _WS(s, idx + 1).end()
     else:
@@ -44,7 +44,7 @@ def _walk_object(s: str) -> tuple[dict, dict[str, tuple[int, int]]]:
                 raise ValueError("expected ':'")
             start = m.end()
             obj[key], idx = _DECODER.raw_decode(s, start)
-            spans[key] = (start, idx)
+            texts[key] = s[start:idx]
             m = _NEXT(s, idx)
             if m is None:
                 raise ValueError("expected ',' or '}'")
@@ -53,36 +53,22 @@ def _walk_object(s: str) -> tuple[dict, dict[str, tuple[int, int]]]:
                 break
     if idx != len(s):
         raise ValueError("extra data")
-    return obj, spans
-
-
-def _byte_spans(line: str, raw: bytes, offset: int, spans: dict) -> dict[str, tuple[int, bytes]]:
-    """Character spans of ``line``, the decoded ``raw`` that starts at byte
-    ``offset`` of its file, as (file offset, bytes) pairs."""
-    if raw.isascii():
-        return {key: (offset + a, raw[a:b]) for key, (a, b) in spans.items()}
-    out = {}
-    for key, (a, b) in spans.items():
-        start = len(line[:a].encode("utf-8"))
-        end = start + len(line[a:b].encode("utf-8"))
-        out[key] = (offset + start, raw[start:end])
-    return out
+    return obj, texts
 
 
 def json_objects(path):
-    """(line number, object, spans) for each non-blank line of a JSON-lines
+    """(line number, object, texts) for each non-blank line of a JSON-lines
     file. Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as in a text-mode read.
-    ``spans[key]`` is (file offset, bytes) of the JSON text of the object's
-    top-level value under ``key``. A line that is not UTF-8 or not a JSON
+    ``texts[key]`` is the JSON text of the object's top-level value under
+    ``key``, as it stands in the line. A line that is not UTF-8 or not a JSON
     object raises ``DataFormatError`` naming the file and the line; a line
     is accepted exactly when ``json.loads`` accepts it, and yields the same
     object."""
     with open(path, "rb") as fh:
-        line_no = offset = 0
+        line_no = 0
         for chunk in fh:
             for raw in chunk.splitlines(keepends=True) if b"\r" in chunk else (chunk,):
                 line_no += 1
-                start, offset = offset, offset + len(raw)
                 try:
                     line = raw.decode("utf-8")
                 except UnicodeDecodeError as exc:
@@ -90,7 +76,7 @@ def json_objects(path):
                 if not line.strip():
                     continue
                 try:
-                    obj, spans = _walk_object(line)
+                    obj, texts = _walk_object(line)
                 except ValueError:
                     # json.loads gives the verdict and the message
                     try:
@@ -99,5 +85,5 @@ def json_objects(path):
                         raise DataFormatError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from exc
                     if not isinstance(obj, dict):
                         raise DataFormatError(f"{path}: line {line_no}: expected a JSON object")
-                    spans = {}  # an object the walker missed only loses its spans
-                yield line_no, obj, _byte_spans(line, raw, start, spans)
+                    texts = {}  # an object the walker missed only loses its texts
+                yield line_no, obj, texts

@@ -277,18 +277,32 @@ class Model:
 
     @classmethod
     def load(cls, path) -> "Model":
-        """The model a ``save`` call wrote. A checkpoint without ``__meta__``,
-        with an unknown config key or a config value of the wrong type, or
-        with parameters that do not fit its config raises ``ConfigError``
-        naming the file and the key."""
+        """The model a ``save`` call wrote. A checkpoint without ``__meta__``
+        or whose ``__meta__`` is not a JSON object with an object ``config``
+        and a string list ``vocab``, with an unknown config key or a config
+        value of the wrong type, or with parameters that do not fit its
+        config raises ``ConfigError`` naming the file and the key."""
         with np.load(path, allow_pickle=False) as archive:
             if "__meta__" not in archive.files:
                 raise ConfigError(f"{path}: checkpoint has no '__meta__' entry")
-            meta = json.loads(str(archive["__meta__"]))
+            meta_text = str(archive["__meta__"])
             arrays = {
                 key.removeprefix("param/"): archive[key]
                 for key in archive.files if key.startswith("param/")
             }
+        try:
+            meta = json.loads(meta_text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: '__meta__' is not JSON ({exc.msg})") from exc
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{path}: '__meta__' must be a JSON object")
+        for key in ("config", "vocab"):
+            if key not in meta:
+                raise ConfigError(f"{path}: '__meta__' has no {key!r} key")
+        if not isinstance(meta["config"], dict):
+            raise ConfigError(f"{path}: '__meta__' key 'config' must be an object")
+        if not isinstance(meta["vocab"], list) or not all(isinstance(t, str) for t in meta["vocab"]):
+            raise ConfigError(f"{path}: '__meta__' key 'vocab' must be a list of strings")
         defaults = asdict(ModelConfig())
         for key, value in meta["config"].items():
             if key not in defaults:

@@ -251,6 +251,14 @@ def test_cache_last_write_wins(tmp_path):
     assert enrich.DescriptionCache(tmp_path / "cache").get("Ferguson") == "New."
 
 
+def test_cache_sees_its_own_overwrite(tmp_path):
+    cache = enrich.DescriptionCache(tmp_path / "cache")
+    cache.put("Ferguson", "Old.")
+    assert cache.get("Ferguson") == "Old."
+    cache.put("Ferguson", "New.")
+    assert cache.get("Ferguson") == "New."
+
+
 def test_caches_on_one_directory_see_each_others_writes(tmp_path):
     a = enrich.DescriptionCache(tmp_path / "cache")
     b = enrich.DescriptionCache(tmp_path / "cache")

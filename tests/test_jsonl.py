@@ -1,6 +1,7 @@
 """The JSON-lines walker (``errors.json_objects``) against ``json.loads``, and
-``save_jsonl`` copying the source text of unchanged loaded vectors."""
+``save_jsonl`` copying the loaded JSON text of unchanged vectors."""
 
+import builtins
 import json
 import math
 import tempfile
@@ -28,7 +29,7 @@ _values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=8,
 )
-# few distinct keys, so lines often repeat one; "é" puts multi-byte text before later values
+# few distinct keys, so lines often repeat one; "é" puts non-ASCII text before later values
 _keys = st.sampled_from(["a", "b", "é", "image_vec"]) | st.text(max_size=6)
 _GAPS = ["", "", " ", "\t", " \t "]
 
@@ -98,31 +99,30 @@ def _walk_file(lines, ending):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "lines.jsonl"
         path.write_bytes("".join(line + ending for line in lines).encode("utf-8"))
-        raw = path.read_bytes()
         try:
-            return raw, list(json_objects(path)), None
+            return list(json_objects(path)), None
         except DataFormatError as exc:
-            return raw, None, str(exc).replace(str(path), "<path>")
+            return None, str(exc).replace(str(path), "<path>")
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_object_lines(), min_size=1, max_size=2), st.sampled_from(["\n", "\r\n"]))
 def test_walker_matches_json_loads_and_spans_parse_back(lines, ending):
-    raw, got, error = _walk_file(lines, ending)
+    got, error = _walk_file(lines, ending)
     assert error is None
     assert [line_no for line_no, _, _ in got] == list(range(1, len(lines) + 1))
-    for line, (_, obj, spans) in zip(lines, got):
+    for line, (_, obj, texts) in zip(lines, got):
         assert _same(obj, json.loads(line))
-        assert list(spans) == list(obj)
-        for key, (offset, text) in spans.items():
-            assert raw[offset:offset + len(text)] == text
-            assert _same(json.loads(text.decode("utf-8")), obj[key])
+        assert list(texts) == list(obj)
+        for key, text in texts.items():
+            assert text in line
+            assert _same(json.loads(text), obj[key])
 
 
 @settings(max_examples=100, deadline=None)
 @given(_any_lines(), st.sampled_from(["\n", "\r\n"]))
 def test_walker_rejects_exactly_what_json_loads_rejects(line, ending):
-    _, got, error = _walk_file([line], ending)
+    got, error = _walk_file([line], ending)
     if not line.strip():
         assert got == [] and error is None
         return
@@ -153,7 +153,7 @@ def test_walker_names_the_line_of_invalid_utf8(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# save_jsonl reusing loaded vectors' source text
+# save_jsonl reusing loaded vectors' JSON text
 # ---------------------------------------------------------------------------
 
 
@@ -239,33 +239,62 @@ def _unfrozen_and_changed(item):
 
 
 @pytest.mark.parametrize(
-    "change,text_vec",
+    "change",
     [
-        (lambda item, src: setattr(item, "image", np.array([1.5, 1e-5, 2.0])), "[3, 0.10]"),
-        (lambda item, src: _unfrozen_and_changed(item), "[3, 0.10]"),
-        # same length: text_vec's bytes still hash to their digest
-        (lambda item, src: src.write_text(_NON_CANONICAL.replace("1.50", "1.51"), encoding="utf-8"), "[3, 0.10]"),
-        (lambda item, src: src.unlink(), "[3.0, 0.1]"),
+        lambda item: setattr(item, "image", np.array([1.5, 1e-5, 2.0])),
+        _unfrozen_and_changed,
     ],
-    ids=["replaced", "made-writeable-and-changed", "source-edited", "source-deleted"],
+    ids=["replaced", "made-writeable-and-changed"],
 )
-def test_vector_is_serialized_from_the_array_when_its_source_text_may_be_stale(tmp_path, change, text_vec):
+def test_vector_is_serialized_from_the_array_when_its_source_text_may_be_stale(tmp_path, change):
     src, loaded = _non_canonical(tmp_path)
     item = loaded.items[0]
-    change(item, src)
+    change(item)
     data.save_jsonl(tmp_path / "out.jsonl", loaded)
     out = (tmp_path / "out.jsonl").read_text(encoding="utf-8")
     assert f'"image_vec": {json.dumps(item.image.tolist())}, ' in out
-    assert f'"text_vec": {text_vec}, ' in out
+    assert '"text_vec": [3, 0.10], ' in out
 
 
-def test_saving_onto_its_own_source_serializes_the_arrays(tmp_path):
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda src: src.write_text(_NON_CANONICAL.replace("1.50", "1.51").replace("0.10", "0.2"), encoding="utf-8"),
+        lambda src: src.unlink(),
+    ],
+    ids=["source-edited", "source-deleted"],
+)
+def test_vector_text_is_copied_after_the_source_is_edited_or_deleted(tmp_path, change):
+    src, loaded = _non_canonical(tmp_path)
+    change(src)
+    data.save_jsonl(tmp_path / "out.jsonl", loaded)
+    assert (tmp_path / "out.jsonl").read_text(encoding="utf-8") == _NON_CANONICAL
+
+
+def test_saving_onto_its_own_source_keeps_the_loaded_text(tmp_path):
     src, loaded = _non_canonical(tmp_path)
     data.save_jsonl(src, loaded)
-    assert src.read_bytes() == _old_formula(loaded.items)
-    again = data.load_jsonl(src).items[0]
-    np.testing.assert_array_equal(again.image, loaded.items[0].image)
-    np.testing.assert_array_equal(again.desc_vecs, loaded.items[0].desc_vecs)
+    assert src.read_text(encoding="utf-8") == _NON_CANONICAL
+    again, item = data.load_jsonl(src).items[0], loaded.items[0]
+    for attr in ("image", "text_vec", "desc_vecs"):
+        np.testing.assert_array_equal(getattr(again, attr), getattr(item, attr))
+
+
+def test_save_opens_only_the_output_file(tmp_path, monkeypatch):
+    data.save_jsonl(tmp_path / "a.jsonl", data.Dataset(_items(), "train", "test"))
+    loaded = data.load_jsonl(tmp_path / "a.jsonl")
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    data.save_jsonl(tmp_path / "b.jsonl", loaded)
+    monkeypatch.undo()
+    assert opened == [str(tmp_path / "b.jsonl")]
+    assert (tmp_path / "b.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
 
 
 def test_synthetic_corpus_bytes_survive_a_load_save_round_trip(tmp_path):

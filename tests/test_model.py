@@ -279,17 +279,31 @@ def test_load_names_an_unexpected_parameter(tmp_path):
         Model.load(path)
 
 
-def _set_config(arrays, **changes):
+def _set_meta(arrays, edit):
     meta = json.loads(str(arrays["__meta__"]))
-    meta["config"].update(changes)
+    edit(meta)
     arrays["__meta__"] = json.dumps(meta)
+
+
+def _set_config(arrays, **changes):
+    _set_meta(arrays, lambda meta: meta["config"].update(changes))
 
 
 @pytest.mark.parametrize("edit, key", [
     (lambda a: _set_config(a, dropout=0.1), "'dropout'"),
     (lambda a: _set_config(a, d="6"), "'d'"),
     (lambda a: a.pop("__meta__"), "'__meta__'"),
-], ids=["unknown_key", "string_d", "no_meta"])
+    (lambda a: a.update(__meta__="{not json"), "'__meta__'"),
+    (lambda a: a.update(__meta__="[1, 2]"), "'__meta__'"),
+    (lambda a: _set_meta(a, lambda m: m.pop("config")), "'config'"),
+    (lambda a: _set_meta(a, lambda m: m.pop("vocab")), "'vocab'"),
+    (lambda a: _set_meta(a, lambda m: m.update(config=[1])), "'config'"),
+    (lambda a: _set_meta(a, lambda m: m.update(vocab="tok0")), "'vocab'"),
+    (lambda a: _set_meta(a, lambda m: m.update(vocab=["tok0", 1])), "'vocab'"),
+], ids=[
+    "unknown_key", "string_d", "no_meta", "meta_not_json", "meta_not_object", "no_config",
+    "no_vocab", "config_not_object", "vocab_not_list", "vocab_not_strings",
+])
 def test_load_names_file_and_key_of_a_broken_checkpoint(tmp_path, edit, key):
     path = _saved(tmp_path, edit)
     with pytest.raises(ConfigError) as err:
