@@ -17,12 +17,11 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .enrich import first_sentence
-from .errors import ConfigError, DataFormatError, json_objects
+from .errors import ConfigError, DataFormatError, FlatNumbers, json_objects
 from .rng import Rng
 
 logger = logging.getLogger(__name__)
@@ -30,13 +29,57 @@ logger = logging.getLogger(__name__)
 REQUIRED_FIELDS = ("id", "text", "image_vec", "label")
 # JSONL field name -> NewsItem attribute of each vector field
 VECTOR_FIELDS = {"image_vec": "image", "text_vec": "text_vec", "desc_vecs": "desc_vecs"}
+# the flat vector fields load_jsonl checks without decoding them
+UNDECODED_FIELDS = frozenset({"image_vec", "text_vec"})
 
 
-class VectorSource(NamedTuple):
-    """A loaded vector and the JSON text it was read from."""
+class VectorSource:
+    """The JSON text a vector was loaded from, and its read-only array:
+    ``None`` until the first read when ``load_jsonl`` left the text
+    undecoded. Two threads reading at once may both parse it; they get
+    equal arrays."""
 
-    array: np.ndarray
-    text: str
+    __slots__ = ("text", "array")
+
+    def __init__(self, text: str, array: np.ndarray | None = None):
+        self.text = text
+        self.array = array
+
+    def read(self) -> np.ndarray:
+        """The array, parsed from ``text`` as ``load_jsonl`` decodes a vector
+        (``json.loads``, ``np.asarray``, float64) on the first call."""
+        if self.array is None:
+            vec = np.asarray(json.loads(self.text)).astype(np.float64, copy=False)
+            vec.flags.writeable = False
+            self.array = vec
+        return self.array
+
+
+class _Vector:
+    """Dataclass field descriptor of a vector attribute. The item holds an
+    array, ``None`` or a ``VectorSource``; reading it gives the array, parsed
+    on first read. Assigning the array the source already holds keeps the
+    source, so ``save_jsonl`` can still copy its text."""
+
+    def __init__(self, required: bool = False):
+        self.required = required
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, item, owner=None):
+        if item is None:  # the dataclass default; none for a required field
+            if self.required:
+                raise AttributeError(self.name)
+            return None
+        value = item.__dict__[self.name]
+        return value.read() if type(value) is VectorSource else value
+
+    def __set__(self, item, value):
+        held = item.__dict__.get(self.name)
+        if type(held) is VectorSource and held.array is not None and value is held.array:
+            return  # the loaded array itself: keep its source
+        item.__dict__[self.name] = value
 
 
 @dataclass
@@ -45,20 +88,33 @@ class NewsItem:
     precomputed ``text_vec`` (d,) and ``desc_vecs`` (n, d) take the place of
     the tokenized text and descriptions.
 
-    Vectors read by ``load_jsonl`` are read-only, and ``sources`` maps each
-    one's JSONL field name to the JSON text it was read from, so that
-    ``save_jsonl`` can copy that text instead of formatting the floats anew.
+    An item from ``load_jsonl`` holds each vector as a ``VectorSource``: the
+    JSON text it was read from, and the read-only array. An ``image`` or
+    ``text_vec`` whose text is a flat list of plain finite numbers (see
+    ``errors.json_objects``) is kept as text at load time and parsed the
+    first time the attribute is read; any other vector was decoded at load.
+    Assigning a new array drops the source.
     """
 
     id: str
     text: str
-    image: np.ndarray
+    image: np.ndarray = _Vector(required=True)
     label: int
     entities: list[str] = field(default_factory=list)
     descriptions: list[str] = field(default_factory=list)
-    text_vec: np.ndarray | None = None
-    desc_vecs: np.ndarray | None = None
-    sources: dict[str, VectorSource] = field(default_factory=dict, repr=False, compare=False)
+    text_vec: np.ndarray | None = _Vector()
+    desc_vecs: np.ndarray | None = _Vector()
+
+    @property
+    def sources(self) -> dict[str, VectorSource]:
+        """JSONL field name -> ``VectorSource`` of each vector the item holds
+        as loaded: not yet read, or read and still read-only."""
+        sources = {}
+        for name, attr in VECTOR_FIELDS.items():
+            value = self.__dict__[attr]
+            if type(value) is VectorSource and (value.array is None or not value.array.flags.writeable):
+                sources[name] = value
+        return sources
 
 
 @dataclass
@@ -80,25 +136,34 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _vectors(obj: dict, name: str, ndim: int, widths: dict[str, int], where: str) -> np.ndarray | None:
-    """Field ``name`` as a finite float array with ``ndim`` axes and the same
-    last-axis width on every line; None when absent or an empty list."""
-    if obj.get(name) in (None, []):
-        return None
-    kind = "a flat list" if ndim == 1 else "a list of equal-length lists"
-    try:
-        vec = np.asarray(obj[name])
-    except ValueError as exc:  # rows of different lengths
-        raise DataFormatError(f"{where}: {name} must be {kind} of numbers") from exc
-    if vec.ndim != ndim or vec.dtype.kind not in "biuf":
-        raise DataFormatError(f"{where}: {name} must be {kind} of numbers")
-    vec = vec.astype(np.float64, copy=False)
-    if not np.isfinite(vec).all():
-        raise DataFormatError(f"{where}: {name} has a non-finite value")
-    width = widths.setdefault(name, vec.shape[-1])
-    if vec.shape[-1] != width:
-        raise DataFormatError(f"{where}: {name} has length {vec.shape[-1]}, expected {width}")
-    return vec
+def _vector(obj: dict, texts: dict[str, str], name: str, ndim: int, widths: dict[str, int], where: str):
+    """Field ``name`` as a read-only finite float array with ``ndim`` axes and
+    the same last-axis width on every line, wrapped in the ``VectorSource`` of
+    its JSON text when the walker kept it; None when absent or an empty list.
+    Text the walker left undecoded is checked by its width alone and parsed
+    on first read."""
+    value = obj.get(name)
+    if isinstance(value, FlatNumbers):
+        vec, width = None, value.count(",") + 1
+    else:
+        if value in (None, []):
+            return None
+        kind = "a flat list" if ndim == 1 else "a list of equal-length lists"
+        try:
+            vec = np.asarray(value)
+        except ValueError as exc:  # rows of different lengths
+            raise DataFormatError(f"{where}: {name} must be {kind} of numbers") from exc
+        if vec.ndim != ndim or vec.dtype.kind not in "biuf":
+            raise DataFormatError(f"{where}: {name} must be {kind} of numbers")
+        vec = vec.astype(np.float64, copy=False)
+        if not np.isfinite(vec).all():
+            raise DataFormatError(f"{where}: {name} has a non-finite value")
+        vec.flags.writeable = False
+        width = vec.shape[-1]
+    expected = widths.setdefault(name, width)
+    if width != expected:
+        raise DataFormatError(f"{where}: {name} has length {width}, expected {expected}")
+    return VectorSource(texts[name], vec) if name in texts else vec
 
 
 def _strings(obj: dict, name: str, where: str) -> list[str]:
@@ -124,14 +189,21 @@ def load_jsonl(path, split: str = "train") -> Dataset:
     JSON literals NaN and Infinity) or changes width within the file are
     hard errors naming the line and field.
 
-    Every vector of the result is read-only and keeps the JSON text it was
-    read from (``NewsItem.sources``).
+    ``image_vec`` and ``text_vec`` are checked without being decoded when
+    their text is a flat list of plain numbers, each with at most 16 integer
+    digits and at most 2 exponent digits (``errors.json_objects``): every
+    such number is finite, so only the width (comma count plus one) is
+    checked, and the array is parsed the first time the item's attribute is
+    read. Any other value, and every ``desc_vecs``, is decoded and checked
+    here, with the errors above. Either way every error is raised here, and
+    every vector is read-only and keeps the JSON text it was read from
+    (``NewsItem.sources``).
     """
     items: list[NewsItem] = []
     seen_ids: set[str] = set()
     skipped = 0
     widths: dict[str, int] = {}
-    for line_no, obj, texts in json_objects(path):
+    for line_no, obj, texts in json_objects(path, UNDECODED_FIELDS):
         where = f"{path}: line {line_no}"
         missing = [name for name in REQUIRED_FIELDS if obj.get(name) in (None, "", [])]
         if missing:
@@ -146,23 +218,16 @@ def load_jsonl(path, split: str = "train") -> Dataset:
         if obj["id"] in seen_ids:
             raise DataFormatError(f"{where}: duplicate id {obj['id']!r}")
         seen_ids.add(obj["id"])
-        item = NewsItem(
+        items.append(NewsItem(
             id=obj["id"],
             text=obj["text"],
-            image=_vectors(obj, "image_vec", 1, widths, where),
+            image=_vector(obj, texts, "image_vec", 1, widths, where),
             label=int(label),
             entities=_strings(obj, "entities", where),
             descriptions=_strings(obj, "desc_sentences", where),
-            text_vec=_vectors(obj, "text_vec", 1, widths, where),
-            desc_vecs=_vectors(obj, "desc_vecs", 2, widths, where),
-        )
-        for name, attr in VECTOR_FIELDS.items():
-            vec = getattr(item, attr)
-            if vec is not None:
-                vec.flags.writeable = False
-                if name in texts:
-                    item.sources[name] = VectorSource(vec, texts[name])
-        items.append(item)
+            text_vec=_vector(obj, texts, "text_vec", 1, widths, where),
+            desc_vecs=_vector(obj, texts, "desc_vecs", 2, widths, where),
+        ))
     if not items:
         raise DataFormatError(f"{path}: no usable items")
     return Dataset(items=items, split=split, provenance=str(path), skipped=skipped)
@@ -179,34 +244,40 @@ def _json_line(fields: dict, copied: dict[str, str]) -> str:
     ) + "}"
 
 
+def _vector_json(item: NewsItem, name: str, copied: dict[str, str]):
+    """The value of vector field ``name`` for ``_json_line``: its copied text
+    when it has one, else its list of floats; None when the item has none."""
+    if name in copied:
+        return copied[name]
+    vec = getattr(item, VECTOR_FIELDS[name])
+    return None if vec is None else vec.tolist()
+
+
 def save_jsonl(path, dataset: Dataset) -> None:
     """Write one news item per line, in the schema ``load_jsonl`` reads.
 
-    A vector loaded by ``load_jsonl`` is written by copying the JSON text it
-    was read from, while the item still holds that very array and the array
-    is still read-only; otherwise its floats are formatted. Every other part
-    of a line is ``json.dumps(obj, ensure_ascii=False)``. Only the output
-    file is opened.
+    A vector the item still holds as loaded (``NewsItem.sources``) is
+    written by copying the JSON text it was read from: one never read is not
+    parsed at all, and one that was read is copied while the item holds that
+    very array and the array is still read-only. Otherwise its floats are
+    formatted. Every other part of a line is ``json.dumps(obj,
+    ensure_ascii=False)``. Only the output file is opened.
     """
     with open(path, "w", encoding="utf-8") as fh:
         for item in dataset.items:
-            fields = {"id": item.id, "text": item.text, "image_vec": item.image, "label": item.label}
+            copied = {name: source.text for name, source in item.sources.items()}
+            fields = {
+                "id": item.id, "text": item.text,
+                "image_vec": _vector_json(item, "image_vec", copied), "label": item.label,
+            }
             if item.entities:
                 fields["entities"] = item.entities
             if item.descriptions:
                 fields["desc_sentences"] = item.descriptions
-            if item.text_vec is not None:
-                fields["text_vec"] = item.text_vec
-            if item.desc_vecs is not None:
-                fields["desc_vecs"] = item.desc_vecs
-            copied = {}
-            for name in VECTOR_FIELDS:
-                if name in fields:
-                    vec, source = fields[name], item.sources.get(name)
-                    if source is not None and source.array is vec and not vec.flags.writeable:
-                        copied[name] = source.text
-                    else:
-                        fields[name] = vec.tolist()
+            for name in ("text_vec", "desc_vecs"):
+                value = _vector_json(item, name, copied)
+                if value is not None:
+                    fields[name] = value
             fh.write(_json_line(fields, copied) + "\n")
 
 

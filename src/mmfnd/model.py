@@ -285,9 +285,16 @@ class Model:
         with np.load(path, allow_pickle=False) as archive:
             if "__meta__" not in archive.files:
                 raise ConfigError(f"{path}: checkpoint has no '__meta__' entry")
-            meta_text = str(archive["__meta__"])
+
+            def entry(key):
+                try:
+                    return archive[key]
+                except ValueError as exc:  # an object array, which needs pickle
+                    raise ConfigError(f"{path}: entry {key!r} cannot be read ({exc})") from exc
+
+            meta_text = str(entry("__meta__"))
             arrays = {
-                key.removeprefix("param/"): archive[key]
+                key.removeprefix("param/"): entry(key)
                 for key in archive.files if key.startswith("param/")
             }
         try:

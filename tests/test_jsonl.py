@@ -1,4 +1,5 @@
-"""The JSON-lines walker (``errors.json_objects``) against ``json.loads``, and
+"""The JSON-lines walker (``errors.json_objects``) against ``json.loads``,
+vectors ``load_jsonl`` leaves undecoded against eagerly decoded ones, and
 ``save_jsonl`` copying the loaded JSON text of unchanged vectors."""
 
 import builtins
@@ -6,6 +7,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmfnd import data
-from mmfnd.errors import DataFormatError, json_objects
+from mmfnd.errors import DataFormatError, FlatNumbers, json_objects
 from mmfnd.rng import Rng
 
 # ---------------------------------------------------------------------------
@@ -95,12 +97,12 @@ def _same(a, b):
     return a == b
 
 
-def _walk_file(lines, ending):
+def _walk_file(lines, ending, undecoded=frozenset()):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "lines.jsonl"
         path.write_bytes("".join(line + ending for line in lines).encode("utf-8"))
         try:
-            return list(json_objects(path)), None
+            return list(json_objects(path, undecoded)), None
         except DataFormatError as exc:
             return None, str(exc).replace(str(path), "<path>")
 
@@ -137,6 +139,23 @@ def test_walker_rejects_exactly_what_json_loads_rejects(line, ending):
     assert error is None and len(got) == 1 and _same(got[0][1], want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_object_lines(), min_size=1, max_size=2))
+def test_undecoded_values_parse_back_to_what_json_loads_gives(lines):
+    undecoded = {"image_vec", "vec"}
+    got, error = _walk_file(lines, "\n", undecoded)
+    assert error is None
+    for line, (_, obj, texts) in zip(lines, got):
+        want = json.loads(line)
+        assert list(obj) == list(want)
+        for key, value in obj.items():
+            if isinstance(value, FlatNumbers):
+                assert key in undecoded and texts[key] is value
+                value = json.loads(value)
+                assert value and all(math.isfinite(v) for v in value)
+            assert _same(value, want[key])
+
+
 def test_walker_counts_lines_like_a_text_mode_read(tmp_path):
     path = tmp_path / "mixed.jsonl"
     path.write_bytes(b'{"a": 1}\r\n\r\n{"b": 2}\r{"c": [1,\n')
@@ -150,6 +169,169 @@ def test_walker_names_the_line_of_invalid_utf8(tmp_path):
     path.write_bytes(b'{"a": 1}\n{"a": "\xff"}\n')
     with pytest.raises(DataFormatError, match="line 2: invalid UTF-8"):
         list(json_objects(path))
+
+
+# ---------------------------------------------------------------------------
+# vectors checked at load time, parsed on first read
+# ---------------------------------------------------------------------------
+
+
+def _load(path):
+    """(dataset, None) or (None, error message) of ``load_jsonl``."""
+    try:
+        return data.load_jsonl(path), None
+    except DataFormatError as exc:
+        return None, str(exc)
+
+
+def _load_eagerly(path):
+    """``_load`` with every vector decoded while the line is read."""
+    with mock.patch.object(data, "UNDECODED_FIELDS", frozenset()):
+        return _load(path)
+
+
+def _assert_same_vectors(lazy, eager):
+    assert len(lazy) == len(eager) and lazy.skipped == eager.skipped
+    for got, want in zip(lazy.items, eager.items):
+        for attr in ("image", "text_vec", "desc_vecs"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert (a is None) == (b is None), attr
+            if a is not None:
+                assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), attr
+                assert not a.flags.writeable
+
+
+_GOOD = {"id": "a", "text": "t", "image_vec": [0.5, 2], "label": 0}
+
+
+@pytest.mark.parametrize("vector, outcome", [
+    ("[-0.0, 1]", "matched"),
+    ("[5e-324, 1]", "decoded"),  # 3 exponent digits
+    ("[1e-05, 1E5]", "matched"),
+    ("[1e+05, -1.5e-99]", "matched"),
+    ("[1.7976931348623157e+308, 1]", "decoded"),
+    ("[1.7976931348623157e+30, 1]", "matched"),
+    ("[1234567890123456, -9999999999999999]", "matched"),
+    ("[12345678901234567, 1]", "decoded"),  # 17 integer digits
+    ("[1, 2.5]", "matched"),
+    ("[1, 2]", "matched"),
+    ("[ \t1 ,\t2.5 ]", "matched"),
+    ("[NaN, 1]", "line 2: image_vec has a non-finite value"),
+    ("[Infinity, 1]", "line 2: image_vec has a non-finite value"),
+    ("[1, 1e400]", "line 2: image_vec has a non-finite value"),
+    ("[01, 1]", "line 2: invalid JSON (Expecting ',' delimiter)"),
+    ("[1., 1]", "line 2: invalid JSON (Expecting ',' delimiter)"),
+    ("[.5, 1]", "line 2: invalid JSON (Expecting value)"),
+    ("[+1, 1]", "line 2: invalid JSON (Expecting value)"),
+    ("[]", "skipped"),
+    ("[[1, 2]]", "line 2: image_vec must be a flat list of numbers"),
+    ('["1", 2]', "line 2: image_vec must be a flat list of numbers"),
+    ("[1]", "line 2: image_vec has length 1, expected 2"),
+    ("[1, 2, 3]", "line 2: image_vec has length 3, expected 2"),
+])
+def test_vector_literal_loads_like_an_eager_decode(tmp_path, vector, outcome):
+    path = tmp_path / "v.jsonl"
+    line = json.dumps({"id": "b", "text": "t", "image_vec": "@", "label": 1}).replace('"@"', vector)
+    path.write_text(json.dumps(_GOOD) + "\n" + line + "\n", encoding="utf-8")
+    (lazy, error), (eager, eager_error) = _load(path), _load_eagerly(path)
+    assert error == eager_error
+    if outcome in ("matched", "decoded", "skipped"):
+        assert error is None
+        assert len(lazy) == (1 if outcome == "skipped" else 2)
+        if outcome != "skipped":
+            assert (lazy.items[1].sources["image_vec"].array is None) == (outcome == "matched")
+        _assert_same_vectors(lazy, eager)
+    else:
+        assert error == f"{path}: {outcome}"
+
+
+_EXTREMES = [
+    "-0.0", "0", "-0", "5e-324", "1e-05", "1E5", "1e+05", "1.7976931348623157e+308",
+    "1234567890123456", "12345678901234567", "NaN", "Infinity", "-Infinity", "1e400",
+    "01", "1.", ".5", "+1", "-", '"1"', "true", "null", "[1]",
+]
+_numbers = (
+    st.sampled_from(_EXTREMES)
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.integers(-10**18, 10**18).map(str)
+    | st.builds("{}{}{}".format, st.floats(-10, 10).map(repr), st.sampled_from(["e", "E", "e+", "e-"]),
+                st.integers(0, 400))
+)
+_vector_texts = st.one_of(
+    st.builds(
+        lambda tokens, rnd: "[" + ",".join(rnd.choice(_GAPS) + t + rnd.choice(_GAPS) for t in tokens) + "]",
+        st.lists(_numbers, min_size=1, max_size=3), st.randoms(use_true_random=False),
+    ),
+    st.sampled_from(["[]", "[ ]", "[[1, 2]]", '"[1]"', "1", "null"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_vector_texts, st.none() | _vector_texts), min_size=1, max_size=3))
+def test_loaded_vectors_equal_eagerly_decoded_ones(vectors):
+    lines = []
+    for k, (image, text_vec) in enumerate(vectors):
+        line = json.dumps({"id": f"n{k}", "text": "t", "image_vec": "@i", "label": k % 2, "text_vec": "@t"})
+        lines.append(line.replace('"@i"', image).replace('"@t"', text_vec or "null"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (lazy, error), (eager, eager_error) = _load(path), _load_eagerly(path)
+    assert error == eager_error
+    if error is None:
+        _assert_same_vectors(lazy, eager)
+
+
+def _counting_decoder(monkeypatch):
+    """A list that grows by one for every flat list of numbers a JSON decoder
+    returns, the walker's and ``json.loads``'s alike."""
+    vectors = []
+    real = json.JSONDecoder.raw_decode
+
+    def raw_decode(self, s, idx=0):
+        value, end = real(self, s, idx)
+        if isinstance(value, list) and value and all(type(v) in (int, float) for v in value):
+            vectors.append(value)
+        return value, end
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", raw_decode)
+    return vectors
+
+
+def test_loaded_items_keep_the_json_text_of_every_vector(tmp_path):
+    items = _items()
+    data.save_jsonl(tmp_path / "a.jsonl", data.Dataset(items, "train", "test"))
+    loaded = data.load_jsonl(tmp_path / "a.jsonl")
+    assert all(item.sources for item in loaded.items)
+    for item, line in zip(loaded.items, (tmp_path / "a.jsonl").read_text(encoding="utf-8").splitlines()):
+        obj = json.loads(line)
+        assert sorted(item.sources) == sorted(obj.keys() & data.VECTOR_FIELDS)
+        for name, source in item.sources.items():
+            assert json.loads(source.text) == obj[name]
+            assert (source.array is None) == (name in data.UNDECODED_FIELDS)
+
+
+def test_save_of_unread_vectors_parses_none_and_a_later_read_is_read_only(tmp_path, monkeypatch):
+    data.save_jsonl(tmp_path / "a.jsonl", data.Dataset(_items(), "train", "test"))
+    decoded = _counting_decoder(monkeypatch)
+    loaded = data.load_jsonl(tmp_path / "a.jsonl")
+    data.save_jsonl(tmp_path / "b.jsonl", loaded)
+    assert decoded == []
+    assert (tmp_path / "b.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
+    item = loaded.items[5]
+    image = item.image
+    assert len(decoded) == 1 and item.image is image
+    assert not image.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        image[0] = 1.0
+    eager = np.asarray(json.loads(item.sources["image_vec"].text)).astype(np.float64)
+    assert image.tobytes() == eager.tobytes()
+    # a read vector, even assigned back, is still copied and not parsed again
+    item.image = image
+    data.save_jsonl(tmp_path / "c.jsonl", loaded)
+    assert len(decoded) == 2  # json.loads above
+    assert (tmp_path / "c.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +378,6 @@ def test_save_of_plain_items_writes_the_json_dumps_bytes(tmp_path):
 def test_load_then_save_reproduces_the_file_byte_for_byte(tmp_path):
     data.save_jsonl(tmp_path / "a.jsonl", data.Dataset(_items(), "train", "test"))
     loaded = data.load_jsonl(tmp_path / "a.jsonl")
-    assert all(item.sources for item in loaded.items)
     data.save_jsonl(tmp_path / "b.jsonl", loaded)
     assert (tmp_path / "b.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
     # changed non-vector fields are written, unchanged vectors still copied

@@ -300,9 +300,12 @@ def _set_config(arrays, **changes):
     (lambda a: _set_meta(a, lambda m: m.update(config=[1])), "'config'"),
     (lambda a: _set_meta(a, lambda m: m.update(vocab="tok0")), "'vocab'"),
     (lambda a: _set_meta(a, lambda m: m.update(vocab=["tok0", 1])), "'vocab'"),
+    (lambda a: a.update(__meta__=np.array([{"config": {}}], dtype=object)), "'__meta__'"),
+    (lambda a: a.update({"param/w_d": np.array([None, 1.0], dtype=object)}), "'param/w_d'"),
 ], ids=[
     "unknown_key", "string_d", "no_meta", "meta_not_json", "meta_not_object", "no_config",
     "no_vocab", "config_not_object", "vocab_not_list", "vocab_not_strings",
+    "meta_object_array", "param_object_array",
 ])
 def test_load_names_file_and_key_of_a_broken_checkpoint(tmp_path, edit, key):
     path = _saved(tmp_path, edit)
