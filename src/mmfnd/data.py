@@ -46,10 +46,18 @@ class VectorSource:
         self.array = array
 
     def read(self) -> np.ndarray:
-        """The array, parsed from ``text`` as ``load_jsonl`` decodes a vector
-        (``json.loads``, ``np.asarray``, float64) on the first call."""
+        """The array, parsed from ``text`` on the first call into the bytes
+        an eager decode gives (``json.loads``, ``np.asarray``, float64).
+        The text is a ``FlatNumbers`` list, so ``np.fromstring`` reads each
+        number as ``json.loads`` does (both round the decimal correctly),
+        except an integer ``-0``: it gives -0.0 where ``json.loads`` gives
+        the int 0, hence +0.0."""
         if self.array is None:
-            vec = np.asarray(json.loads(self.text)).astype(np.float64, copy=False)
+            vec = np.fromstring(self.text[1:-1], sep=",")
+            if not vec.all():
+                numbers = self.text[1:-1].split(",")
+                zeros = np.flatnonzero(vec == 0.0)
+                vec[zeros] = [json.loads(numbers[i]) for i in zeros]
             vec.flags.writeable = False
             self.array = vec
         return self.array

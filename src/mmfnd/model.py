@@ -122,7 +122,6 @@ class Model:
         config.validate()
         self.config = config
         self.vocab = vocab
-        self.params = T.ParamRegistry()
         specs = param_specs(config, len(vocab))
         missing = [name for name in specs if name not in arrays]
         unexpected = [name for name in arrays if name not in specs]
@@ -131,11 +130,15 @@ class Model:
                 f"parameters do not match the {config.ablation!r} model: "
                 f"missing {missing}, unexpected {unexpected}"
             )
+        checked = []
         for name, (shape, _) in specs.items():
             data = np.asarray(arrays[name], dtype=np.float64)
             if data.shape != shape:
                 raise ConfigError(f"parameter {name} has shape {data.shape}, expected {shape}")
-            setattr(self, name, self.params.register(name, data))
+            checked.append((name, data))
+        self.params = T.ParamRegistry(checked)
+        for p in self.params:
+            setattr(self, p.name, p)
 
     @classmethod
     def initialize(cls, config: ModelConfig, vocab: enc.Vocabulary, rng: Rng) -> "Model":

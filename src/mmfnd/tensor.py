@@ -63,31 +63,54 @@ class Tensor:
 
 
 class Param(Tensor):
-    """Trainable leaf tensor with a persistent, accumulated gradient."""
+    """Trainable leaf tensor with a persistent, accumulated gradient.
+
+    A standalone Param owns its arrays. One built by ``ParamRegistry`` is
+    given ``data`` and ``grad`` as views into the registry's flat buffers.
+    Every update therefore writes into those arrays in place (``+=``,
+    ``[...] =``). Rebinding ``p.data`` or ``p.grad`` to a new array would
+    detach the parameter from the buffers that the optimizer, the gradient
+    reset and the finite check read.
+    """
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str, data):
+    def __init__(self, name: str, data, grad=None):
         super().__init__(data)
         self.name = name
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros_like(self.data) if grad is None else grad
 
     def __repr__(self):
         return f"Param({self.name!r}, shape={self.data.shape})"
 
 
 class ParamRegistry:
-    """Ordered name -> Param map holding every trainable weight of a model."""
+    """Ordered name -> Param map holding every trainable weight of a model.
 
-    def __init__(self):
+    The registry owns the parameter memory: two contiguous float64 arrays,
+    ``data`` and ``grad``, laid out in registry order. Each Param's ``data``
+    and ``grad`` are reshaped views into them, so whole-model passes (the
+    optimizer step, the gradient reset, the finite check) are a few calls
+    over the flat arrays instead of one loop iteration per parameter.
+    """
+
+    def __init__(self, arrays):
+        """Copy each ``(name, array)`` pair, in order, into the flat buffer.
+        A repeated name raises ValueError."""
+        arrays = [(name, np.asarray(a, dtype=np.float64)) for name, a in arrays]
+        size = sum(a.size for _, a in arrays)
+        self.data = np.empty(size)
+        self.grad = np.zeros(size)  # calloc'd: pages cost no memory until written
         self._params: dict[str, Param] = {}
-
-    def register(self, name: str, data) -> Param:
-        if name in self._params:
-            raise ValueError(f"parameter {name!r} already registered")
-        p = Param(name, data)
-        self._params[name] = p
-        return p
+        start = 0
+        for name, a in arrays:
+            if name in self._params:
+                raise ValueError(f"parameter {name!r} already registered")
+            end = start + a.size
+            data = self.data[start:end].reshape(a.shape)
+            data[...] = a
+            self._params[name] = Param(name, data, self.grad[start:end].reshape(a.shape))
+            start = end
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
@@ -99,8 +122,7 @@ class ParamRegistry:
         return list(self._params)
 
     def reset_gradients(self) -> None:
-        for p in self._params.values():
-            p.grad[...] = 0.0
+        self.grad.fill(0.0)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

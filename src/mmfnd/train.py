@@ -17,7 +17,7 @@ from .encoders import Vocabulary
 from .errors import ConfigError
 from .model import Model, ModelConfig
 from .rng import Rng
-from .tensor import Param
+from .tensor import ParamRegistry
 
 
 @dataclass
@@ -34,7 +34,7 @@ class TrainConfig(ModelConfig):
         super().validate()
         if self.epochs <= 0 or self.batch <= 0:
             raise ConfigError("epochs and batch size must be positive")
-        if self.ablation != "no_M" and self.batch < 2:
+        if self.uses_interaction and self.batch < 2:
             raise ConfigError("contrastive training needs batches of at least 2 items")
         if self.lr <= 0 or self.eps <= 0:
             raise ConfigError("lr and eps must be positive")
@@ -48,32 +48,48 @@ class TrainConfig(ModelConfig):
         return asdict(self)
 
 
-class Adam:
-    """Standard adaptive-moment estimation over a fixed parameter list.
+# Coordinates per block of an Adam step. A step walks the flat arrays block
+# by block, so its six arrays (parameters, gradients, both moments and the
+# two scratch rows) take 256 KB each per block and fit a 2 MB L2 together.
+# Median ms per step, 2-vCPU Xeon VM (2 MB L2 per core), one BLAS thread,
+# alternating rounds of 30 steps. d=64 (61,573 coordinates): one loop
+# iteration per parameter 0.79, blocks of 32,768 0.52. d=256 (885,253):
+# per parameter 9.2; blocks of 8,192 10.0, 16,384 9.2, 32,768 9.0, 65,536
+# 8.6, 131,072 9.6; one block 10.1, with 14 MB of scratch. 32,768 and
+# 65,536 are within the noise; the smaller halves the scratch.
+_ADAM_BLOCK = 32768
 
-    A step updates in place, in the same operation order as
-    ``p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)``, so it allocates nothing
+
+class Adam:
+    """Standard adaptive-moment estimation over a ``ParamRegistry``.
+
+    The moments are flat arrays laid out like the registry's ``data`` and
+    ``grad``. A step walks the four in blocks of ``_ADAM_BLOCK`` coordinates
+    and updates each block in place, in the same operation order as
+    ``p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)``. So it allocates nothing,
     and its results are bit-identical to that formula. The numerator and
-    denominator of each parameter's update are views into two scratch rows
-    shared by all parameters, sized to the largest.
+    denominator of a block's update are two scratch rows one block long.
+    The step writes through the registry's buffers, so it reaches a
+    parameter only while that parameter's arrays are still views into them.
     """
 
-    def __init__(self, params: list[Param], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = list(params)
+    def __init__(self, params: ParamRegistry, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        scratch = np.empty((2, max((p.data.size for p in self.params), default=0)))
-        self._num = [scratch[0, :p.data.size].reshape(p.data.shape) for p in self.params]
-        self._den = [scratch[1, :p.data.size].reshape(p.data.shape) for p in self.params]
+        size = params.data.size
+        m, v = np.zeros(size), np.zeros(size)
+        scratch = np.empty((2, min(size, _ADAM_BLOCK)))
+        bounds = [(s, min(s + _ADAM_BLOCK, size)) for s in range(0, size, _ADAM_BLOCK)]
+        self._blocks = [
+            (params.data[s:e], params.grad[s:e], m[s:e], v[s:e], scratch[0, :e - s], scratch[1, :e - s])
+            for s, e in bounds
+        ]
 
     def step(self) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for p, m, v, num, den in zip(self.params, self._m, self._v, self._num, self._den):
-            g = p.grad
+        for p, g, m, v, num, den in self._blocks:
             m *= self.beta1
             np.multiply(g, 1.0 - self.beta1, out=num)
             m += num
@@ -87,7 +103,7 @@ class Adam:
             np.sqrt(den, out=den)
             den += self.eps
             num /= den
-            p.data -= num
+            p -= num
 
 
 class TrainingDiverged(RuntimeError):
@@ -134,10 +150,10 @@ def train(cfg: TrainConfig, train_ds: Dataset, progress=None) -> TrainResult:
     if not train_ds.items:
         raise ConfigError("training dataset is empty")
     rng = Rng(cfg.seed)
-    vocab = build_vocabulary(train_ds, include_descriptions=cfg.ablation != "no_E")
+    vocab = build_vocabulary(train_ds, include_descriptions=cfg.uses_enhancement)
     model = Model.initialize(cfg.model_config(), vocab, rng)
     feats = [model.featurize(item) for item in train_ds.items]
-    opt = Adam(list(model.params), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    opt = Adam(model.params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     diagnostics: dict = {}
     curve: list[EpochStats] = []
     n = len(feats)
@@ -151,8 +167,8 @@ def train(cfg: TrainConfig, train_ds: Dataset, progress=None) -> TrainResult:
                 raise TrainingDiverged(epoch, [b.item_id for b in batch], parts)
             model.params.reset_gradients()
             loss.backward()
-            bad = next((p.name for p in model.params if not np.isfinite(p.grad).all()), None)
-            if bad is not None:
+            if not np.isfinite(model.params.grad).all():
+                bad = next(p.name for p in model.params if not np.isfinite(p.grad).all())
                 raise TrainingDiverged(epoch, [b.item_id for b in batch], parts, param=bad)
             opt.step()
             for key in sums:

@@ -283,11 +283,24 @@ def test_loaded_vectors_equal_eagerly_decoded_ones(vectors):
         _assert_same_vectors(lazy, eager)
 
 
+@pytest.mark.parametrize("text", [
+    "[-0]", "[-0, 1.5]", "[ 1e5 , -0 ]", "[-0.0]", "[-0e0, 0, -0.0e-1]", "[\t-0\n]",
+    "[1234567890123456, -1234567890123456]", "[0.1, 1.7976931348623157e+30, 5e-99]",
+])
+def test_read_parses_as_json_loads_does_signed_zeros_included(text):
+    got = data.VectorSource(text).read()
+    want = np.asarray(json.loads(text)).astype(np.float64)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def _counting_decoder(monkeypatch):
     """A list that grows by one for every flat list of numbers a JSON decoder
-    returns, the walker's and ``json.loads``'s alike."""
+    returns, the walker's and ``json.loads``'s alike, and for every array
+    ``np.fromstring`` parses (``VectorSource.read``)."""
     vectors = []
     real = json.JSONDecoder.raw_decode
+    real_fromstring = np.fromstring
 
     def raw_decode(self, s, idx=0):
         value, end = real(self, s, idx)
@@ -295,7 +308,13 @@ def _counting_decoder(monkeypatch):
             vectors.append(value)
         return value, end
 
+    def fromstring(*args, **kwargs):
+        value = real_fromstring(*args, **kwargs)
+        vectors.append(value)
+        return value
+
     monkeypatch.setattr(json.JSONDecoder, "raw_decode", raw_decode)
+    monkeypatch.setattr(np, "fromstring", fromstring)
     return vectors
 
 

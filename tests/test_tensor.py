@@ -280,9 +280,8 @@ def test_l2_normalize_unit_norm(v):
 
 
 def test_param_registry_reset():
-    reg = T.ParamRegistry()
-    p = reg.register("w", np.ones((2, 2)))
-    q = reg.register("b", np.zeros(3))
+    reg = T.ParamRegistry([("w", np.ones((2, 2))), ("b", np.zeros(3))])
+    p, q = reg["w"], reg["b"]
     loss = T.tsum(T.matmul(p, p))
     loss.backward()
     assert np.any(p.grad != 0.0)
@@ -294,10 +293,8 @@ def test_param_registry_reset():
 
 
 def test_registry_rejects_duplicate_names():
-    reg = T.ParamRegistry()
-    reg.register("w", np.ones(2))
     with pytest.raises(ValueError):
-        reg.register("w", np.ones(2))
+        T.ParamRegistry([("w", np.ones(2)), ("w", np.ones(2))])
 
 
 def test_gradients_accumulate_across_backwards():

@@ -6,7 +6,8 @@ import pytest
 from mmfnd import data, metrics
 from mmfnd import tensor as T
 from mmfnd.model import Model, ModelConfig
-from mmfnd.train import Adam, TrainConfig, TrainingDiverged, train
+from mmfnd.rng import Rng
+from mmfnd.train import _ADAM_BLOCK, Adam, TrainConfig, TrainingDiverged, build_vocabulary, train
 
 
 def test_train_config_extends_the_model_config():
@@ -21,8 +22,9 @@ def test_train_config_extends_the_model_config():
 
 
 def test_adam_steps_match_hand_computation():
-    p = T.Param("p", np.array([1.0, -2.0]))
-    opt = Adam([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    reg = T.ParamRegistry([("p", np.array([1.0, -2.0]))])
+    p = reg["p"]
+    opt = Adam(reg, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
     g1, g2 = np.array([0.5, -0.25]), np.array([-1.0, 0.5])
     p.grad[...] = g1
     opt.step()
@@ -41,8 +43,9 @@ def test_adam_steps_match_hand_computation():
 def test_in_place_adam_is_bit_identical_to_the_textbook_formula():
     gen = np.random.default_rng(3)
     start = [gen.normal(size=(3, 4)), gen.normal(size=5)]
-    params = [T.Param(f"p{k}", a.copy()) for k, a in enumerate(start)]
-    opt = Adam(params, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
+    reg = T.ParamRegistry((f"p{k}", a) for k, a in enumerate(start))
+    params = list(reg)
+    opt = Adam(reg, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
     ref = [a.copy() for a in start]
     m = [np.zeros_like(a) for a in start]
     v = [np.zeros_like(a) for a in start]
@@ -59,6 +62,59 @@ def test_in_place_adam_is_bit_identical_to_the_textbook_formula():
             ref[k] -= 0.01 * (m[k] / (1.0 - 0.8 ** step)) / (np.sqrt(v[k] / (1.0 - 0.99 ** step)) + 1e-6)
         for p, r in zip(params, ref):
             np.testing.assert_array_equal(p.data, r)
+
+
+def test_adam_blocks_match_the_textbook_formula_across_block_boundaries():
+    gen = np.random.default_rng(5)
+    start = [gen.normal(size=(70, 1000)), gen.normal(size=7)]
+    reg = T.ParamRegistry((f"p{k}", a) for k, a in enumerate(start))
+    assert reg.data.size > 2 * _ADAM_BLOCK
+    opt = Adam(reg, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
+    ref = [a.copy() for a in start]
+    m = [np.zeros_like(a) for a in start]
+    v = [np.zeros_like(a) for a in start]
+    for step in range(1, 4):
+        grads = [gen.normal(size=a.shape) for a in start]
+        for p, g in zip(reg, grads):
+            p.grad[...] = g
+        opt.step()
+        for k, g in enumerate(grads):
+            m[k] *= 0.8
+            m[k] += (1.0 - 0.8) * g
+            v[k] *= 0.99
+            v[k] += (1.0 - 0.99) * g * g
+            ref[k] -= 0.01 * (m[k] / (1.0 - 0.8 ** step)) / (np.sqrt(v[k] / (1.0 - 0.99 ** step)) + 1e-6)
+        for p, r in zip(reg, ref):
+            np.testing.assert_array_equal(p.data, r)
+
+
+def _assert_params_are_views_of_the_registry(model):
+    reg, start = model.params, 0
+    for p in reg:
+        end = start + p.data.size
+        assert np.shares_memory(p.data, reg.data) and np.shares_memory(p.grad, reg.grad)
+        assert p.data.base is reg.data and p.grad.base is reg.grad
+        np.testing.assert_array_equal(p.data.reshape(-1), reg.data[start:end])
+        np.testing.assert_array_equal(p.grad.reshape(-1), reg.grad[start:end])
+        start = end
+    assert start == reg.data.size == reg.grad.size
+
+
+def test_parameters_stay_views_of_the_flat_buffers(tmp_path):
+    """After initialization, a load and a training run, every parameter's
+    data and gradient are views into the registry's two flat arrays, in
+    registry order, so no step rebound them."""
+    cfg = TrainConfig(d=4, d_raw=4, batch=2, epochs=2, max_len=8)
+    ds = _tiny_dataset()
+    fresh = Model.initialize(cfg.model_config(), build_vocabulary(ds, True), Rng(0))
+    _assert_params_are_views_of_the_registry(fresh)
+    trained = train(cfg, ds).model
+    _assert_params_are_views_of_the_registry(trained)
+    assert np.any(trained.params.grad != 0.0)
+    trained.save(tmp_path / "model.npz")
+    loaded = Model.load(tmp_path / "model.npz")
+    _assert_params_are_views_of_the_registry(loaded)
+    np.testing.assert_array_equal(loaded.params.data, trained.params.data)
 
 
 def _tiny_dataset(bad_id=None):
@@ -131,6 +187,32 @@ def test_non_finite_gradient_raises_before_the_adam_step(monkeypatch):
     assert all(i in str(exc.value) for i in exc.value.batch_ids)
     assert math.isfinite(exc.value.parts["total"])
     assert calls["step"] == 1
+
+
+def test_non_finite_last_gradient_coordinate_names_the_last_parameter(monkeypatch):
+    """A NaN in the last coordinate of the flat gradient buffer is found,
+    and the error names the parameter that holds it."""
+    original_loss = Model.batch_loss
+    names = []
+
+    def poisoned_loss(self, batch, diagnostics=None):
+        loss, parts = original_loss(self, batch, diagnostics)
+        out = T.affine(loss, 1.0, 0.0)
+        last = list(self.params)[-1]
+        names.append(last.name)
+
+        def _backward():
+            loss.grad += out.grad
+            last.grad.reshape(-1)[-1] = np.nan
+
+        out._backward = _backward
+        return out, parts
+
+    monkeypatch.setattr(Model, "batch_loss", poisoned_loss)
+    with pytest.raises(TrainingDiverged) as exc:
+        train(TrainConfig(d=4, d_raw=4, batch=2, epochs=1, max_len=8), _tiny_dataset())
+    assert exc.value.param == names[0] == "b_c2"
+    assert exc.value.epoch == 0
 
 
 def test_items_with_vectors_train_and_evaluate_from_jsonl(tmp_path):
