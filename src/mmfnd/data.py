@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
+from json.decoder import scanstring
 
 import numpy as np
 
-from .enrich import first_sentence
-from .errors import ConfigError, DataFormatError, FlatNumbers, json_objects
+from .errors import ConfigError, DataFormatError
 from .rng import Rng
 
 logger = logging.getLogger(__name__)
@@ -35,7 +36,7 @@ UNDECODED_FIELDS = frozenset({"image_vec", "text_vec"})
 
 class VectorSource:
     """The JSON text a vector was loaded from, and its read-only array:
-    ``None`` until the first read when ``load_jsonl`` left the text
+    ``None`` until the first read when ``json_objects`` left the text
     undecoded. Two threads reading at once may both parse it; they get
     equal arrays."""
 
@@ -48,10 +49,10 @@ class VectorSource:
     def read(self) -> np.ndarray:
         """The array, parsed from ``text`` on the first call into the bytes
         an eager decode gives (``json.loads``, ``np.asarray``, float64).
-        The text is a ``FlatNumbers`` list, so ``np.fromstring`` reads each
-        number as ``json.loads`` does (both round the decimal correctly),
-        except an integer ``-0``: it gives -0.0 where ``json.loads`` gives
-        the int 0, hence +0.0."""
+        The text is in the ``_FLAT_NUMBERS`` subset, so ``np.fromstring``
+        reads each number as ``json.loads`` does (both round the decimal
+        correctly), except an integer ``-0``: it gives -0.0 where
+        ``json.loads`` gives the int 0, hence +0.0."""
         if self.array is None:
             vec = np.fromstring(self.text[1:-1], sep=",")
             if not vec.all():
@@ -98,10 +99,10 @@ class NewsItem:
 
     An item from ``load_jsonl`` holds each vector as a ``VectorSource``: the
     JSON text it was read from, and the read-only array. An ``image`` or
-    ``text_vec`` whose text is a flat list of plain finite numbers (see
-    ``errors.json_objects``) is kept as text at load time and parsed the
-    first time the attribute is read; any other vector was decoded at load.
-    Assigning a new array drops the source.
+    ``text_vec`` whose text is in the flat-number subset (``_FLAT_NUMBERS``)
+    is kept as text at load time and parsed the first time the attribute is
+    read; any other vector was decoded at load. Assigning a new array drops
+    the source.
     """
 
     id: str
@@ -143,16 +144,112 @@ class Dataset:
 # JSONL input/output
 # ---------------------------------------------------------------------------
 
+_DECODER = json.JSONDecoder()
+_WS = json.decoder.WHITESPACE.match
+_OPEN = re.compile(r"[ \t\n\r]*\{[ \t\n\r]*").match
+_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*").match
+_NEXT = re.compile(r"[ \t\n\r]*([,}])[ \t\n\r]*").match
+# The flat-number subset of JSON, the one text format that a vector is kept in
+# undecoded: a flat, non-empty list of plain numbers, each with at most 16
+# integer digits and at most 2 exponent digits (``[1.5, -2e-05, 3]``, but not
+# ``[]``, ``[[1]]``, ``[NaN]`` or ``[1e400]``). So every number is a finite
+# float64 (and an integer fits int64), and the list's width is its comma count
+# plus one. Possessive quantifiers never backtrack.
+_NUMBER = r"-?+(?:0|[1-9][0-9]{0,15}+)(?:\.[0-9]++)?+(?:[eE][-+]?+[0-9]{1,2}+)?+"
+_FLAT_NUMBERS = re.compile(
+    rf"\[[ \t\n\r]*+{_NUMBER}[ \t\n\r]*+(?:,[ \t\n\r]*+{_NUMBER}[ \t\n\r]*+)*+\]"
+).match
+
+
+def _walk_object(s: str, undecoded) -> tuple[dict, dict[str, str]]:
+    """``s`` parsed as one JSON object, plus the JSON text of each top-level
+    value; a duplicate key's last value and text win, as in ``json.loads``.
+    The value of a key in ``undecoded`` whose text ``_FLAT_NUMBERS`` matches
+    is left undecoded, as a ``VectorSource`` of that text. Raises ValueError
+    on any text that is not a single object, without telling why
+    (``json.loads`` says that)."""
+    m = _OPEN(s)
+    if m is None:
+        raise ValueError("not an object")
+    idx = m.end()
+    obj: dict = {}
+    texts: dict[str, str] = {}
+    if s[idx:idx + 1] == "}":
+        idx = _WS(s, idx + 1).end()
+    else:
+        while True:
+            if s[idx:idx + 1] != '"':
+                raise ValueError("expected a key")
+            key, idx = scanstring(s, idx + 1)
+            m = _COLON(s, idx)
+            if m is None:
+                raise ValueError("expected ':'")
+            start = m.end()
+            m = _FLAT_NUMBERS(s, start) if key in undecoded else None
+            if m is None:
+                obj[key], idx = _DECODER.raw_decode(s, start)
+                texts[key] = s[start:idx]
+            else:
+                idx = m.end()
+                texts[key] = text = s[start:idx]
+                obj[key] = VectorSource(text)
+            m = _NEXT(s, idx)
+            if m is None:
+                raise ValueError("expected ',' or '}'")
+            idx = m.end()
+            if m[1] == "}":
+                break
+    if idx != len(s):
+        raise ValueError("extra data")
+    return obj, texts
+
+
+def json_objects(path, undecoded=frozenset()):
+    """(line number, object, texts) for each non-blank line of a JSON-lines
+    file. Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as in a text-mode read.
+    ``texts[key]`` is the JSON text of the object's top-level value under
+    ``key``, as it stands in the line. A line that is not UTF-8 or not a JSON
+    object raises ``DataFormatError`` naming the file and the line; a line
+    is accepted exactly when ``json.loads`` accepts it, and yields the same
+    object, except for the top-level keys in ``undecoded``: a value in the
+    flat-number subset (``_FLAT_NUMBERS``) is left as the ``VectorSource`` of
+    its text, and ``json.loads`` of that text gives the value. Any other
+    value is decoded as usual, so acceptance and error messages stay those
+    of ``json.loads``."""
+    with open(path, "rb") as fh:
+        line_no = 0
+        for chunk in fh:
+            for raw in chunk.splitlines(keepends=True) if b"\r" in chunk else (chunk,):
+                line_no += 1
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataFormatError(f"{path}: line {line_no}: invalid UTF-8 ({exc.reason})") from exc
+                if not line.strip():
+                    continue
+                try:
+                    obj, texts = _walk_object(line, undecoded)
+                except ValueError:
+                    # json.loads gives the verdict and the message
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise DataFormatError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from exc
+                    if not isinstance(obj, dict):
+                        raise DataFormatError(f"{path}: line {line_no}: expected a JSON object")
+                    texts = {}  # an object the walker missed only loses its texts
+                yield line_no, obj, texts
+
 
 def _vector(obj: dict, texts: dict[str, str], name: str, ndim: int, widths: dict[str, int], where: str):
     """Field ``name`` as a read-only finite float array with ``ndim`` axes and
     the same last-axis width on every line, wrapped in the ``VectorSource`` of
     its JSON text when the walker kept it; None when absent or an empty list.
-    Text the walker left undecoded is checked by its width alone and parsed
-    on first read."""
+    A ``VectorSource`` the walker left undecoded is checked by its width
+    alone and parsed on first read."""
     value = obj.get(name)
-    if isinstance(value, FlatNumbers):
-        vec, width = None, value.count(",") + 1
+    if type(value) is VectorSource:
+        vec, width = value, value.text.count(",") + 1
     else:
         if value in (None, []):
             return None
@@ -168,10 +265,12 @@ def _vector(obj: dict, texts: dict[str, str], name: str, ndim: int, widths: dict
             raise DataFormatError(f"{where}: {name} has a non-finite value")
         vec.flags.writeable = False
         width = vec.shape[-1]
+        if name in texts:
+            vec = VectorSource(texts[name], vec)
     expected = widths.setdefault(name, width)
     if width != expected:
         raise DataFormatError(f"{where}: {name} has length {width}, expected {expected}")
-    return VectorSource(texts[name], vec) if name in texts else vec
+    return vec
 
 
 def _strings(obj: dict, name: str, where: str) -> list[str]:
@@ -198,14 +297,12 @@ def load_jsonl(path, split: str = "train") -> Dataset:
     hard errors naming the line and field.
 
     ``image_vec`` and ``text_vec`` are checked without being decoded when
-    their text is a flat list of plain numbers, each with at most 16 integer
-    digits and at most 2 exponent digits (``errors.json_objects``): every
-    such number is finite, so only the width (comma count plus one) is
-    checked, and the array is parsed the first time the item's attribute is
-    read. Any other value, and every ``desc_vecs``, is decoded and checked
-    here, with the errors above. Either way every error is raised here, and
-    every vector is read-only and keeps the JSON text it was read from
-    (``NewsItem.sources``).
+    their text is in the flat-number subset (``_FLAT_NUMBERS``): every such
+    number is finite, so only the width is checked, and the array is parsed
+    the first time the item's attribute is read. Any other value, and every
+    ``desc_vecs``, is decoded and checked here, with the errors above.
+    Either way every error is raised here, and every vector is read-only and
+    keeps the JSON text it was read from (``NewsItem.sources``).
     """
     items: list[NewsItem] = []
     seen_ids: set[str] = set()
@@ -241,24 +338,14 @@ def load_jsonl(path, split: str = "train") -> Dataset:
     return Dataset(items=items, split=split, provenance=str(path), skipped=skipped)
 
 
-def _json_line(fields: dict, copied: dict[str, str]) -> str:
-    """``json.dumps(fields, ensure_ascii=False)`` for ``fields`` keyed by plain
-    ASCII names, with the JSON text of each field in ``copied`` taken as given."""
-    if not copied:  # one encoder call for the whole line is faster
-        return json.dumps(fields, ensure_ascii=False)
-    return "{" + ", ".join(
-        f'"{key}": ' + (copied[key] if key in copied else json.dumps(value, ensure_ascii=False))
-        for key, value in fields.items()
-    ) + "}"
-
-
-def _vector_json(item: NewsItem, name: str, copied: dict[str, str]):
-    """The value of vector field ``name`` for ``_json_line``: its copied text
-    when it has one, else its list of floats; None when the item has none."""
-    if name in copied:
-        return copied[name]
+def _vector_json(item: NewsItem, name: str, sources: dict[str, VectorSource]) -> str | None:
+    """The JSON text of vector field ``name``: the text it was loaded from
+    when the item still holds it as loaded, else its floats formatted; None
+    when the item has none."""
+    if name in sources:
+        return sources[name].text
     vec = getattr(item, VECTOR_FIELDS[name])
-    return None if vec is None else vec.tolist()
+    return None if vec is None else json.dumps(vec.tolist())
 
 
 def save_jsonl(path, dataset: Dataset) -> None:
@@ -268,25 +355,27 @@ def save_jsonl(path, dataset: Dataset) -> None:
     written by copying the JSON text it was read from: one never read is not
     parsed at all, and one that was read is copied while the item holds that
     very array and the array is still read-only. Otherwise its floats are
-    formatted. Every other part of a line is ``json.dumps(obj,
-    ensure_ascii=False)``. Only the output file is opened.
+    formatted. A line has the bytes of ``json.dumps(obj, ensure_ascii=False)``
+    with each copied text in place of its value. Only the output file is
+    opened.
     """
+    dumps = json.JSONEncoder(ensure_ascii=False).encode
     with open(path, "w", encoding="utf-8") as fh:
         for item in dataset.items:
-            copied = {name: source.text for name, source in item.sources.items()}
+            sources = item.sources
             fields = {
-                "id": item.id, "text": item.text,
-                "image_vec": _vector_json(item, "image_vec", copied), "label": item.label,
+                "id": dumps(item.id), "text": dumps(item.text),
+                "image_vec": _vector_json(item, "image_vec", sources) or "null", "label": dumps(item.label),
             }
             if item.entities:
-                fields["entities"] = item.entities
+                fields["entities"] = dumps(item.entities)
             if item.descriptions:
-                fields["desc_sentences"] = item.descriptions
+                fields["desc_sentences"] = dumps(item.descriptions)
             for name in ("text_vec", "desc_vecs"):
-                value = _vector_json(item, name, copied)
-                if value is not None:
-                    fields[name] = value
-            fh.write(_json_line(fields, copied) + "\n")
+                text = _vector_json(item, name, sources)
+                if text is not None:
+                    fields[name] = text
+            fh.write("{" + ", ".join(f'"{key}": {text}' for key, text in fields.items()) + "}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +466,15 @@ def _entities(cfg: SynthConfig, rng: Rng) -> tuple[list[str], dict[str, tuple[in
     return sorted(titles), cell_of
 
 
-def _summary_for(title: str, axis: int, polarity: int, topic_words, gen) -> str:
+def _summary_sentences(title: str, axis: int, polarity: int, topic_words, gen) -> tuple[str, str]:
+    """The two sentences of an entity's summary. Titles and topic words hold
+    no '.', so the first is what ``enrich.first_sentence`` cuts from the
+    summary."""
     words = topic_words[axis][polarity]
     picks = [words[int(i)] for i in gen.integers(0, len(words), size=3)]
     return (
-        f"{title} is a widely covered {picks[0]} {picks[1]} landmark. "
-        f"It appears in {picks[2]} reports every season."
+        f"{title} is a widely covered {picks[0]} {picks[1]} landmark.",
+        f"It appears in {picks[2]} reports every season.",
     )
 
 
@@ -392,7 +484,7 @@ def _polarity(value: float) -> int:
 
 def _make_item(
     idx: int, split: str, cfg: SynthConfig, rng: Rng, topic_words, by_cell,
-    summaries, mixing, label: int,
+    descriptions, mixing, label: int,
 ) -> NewsItem:
     gen = rng.stream("item", split, idx)
     z = gen.normal(size=cfg.z_dim)
@@ -453,7 +545,7 @@ def _make_item(
         image=image,
         label=label,
         entities=mentions,
-        descriptions=[first_sentence(summaries[m]) for m in mentions],
+        descriptions=[descriptions[m] for m in mentions],
     )
 
 
@@ -467,10 +559,12 @@ def synth_generate(n_train: int, n_test: int, seed: int, **overrides) -> SynthAr
     by_cell: dict[tuple[int, int], list[str]] = {}
     for title in titles:
         by_cell.setdefault(cell_of[title], []).append(title)
-    summaries = {
-        title: _summary_for(title, *cell_of[title], topic_words, rng.stream("summary", title))
+    sentences = {
+        title: _summary_sentences(title, *cell_of[title], topic_words, rng.stream("summary", title))
         for title in titles
     }
+    summaries = {title: " ".join(pair) for title, pair in sentences.items()}
+    descriptions = {title: first for title, (first, _) in sentences.items()}
     mixing = rng.stream("mixing").normal(size=(cfg.d_raw, cfg.z_dim)) / np.sqrt(cfg.z_dim)
 
     def build_split(split: str, n: int) -> Dataset:
@@ -478,7 +572,7 @@ def synth_generate(n_train: int, n_test: int, seed: int, **overrides) -> SynthAr
         labels = labels[rng.stream("labels", split).permutation(n)]
         items = [
             _make_item(
-                i, split, cfg, rng, topic_words, by_cell, summaries, mixing, int(labels[i])
+                i, split, cfg, rng, topic_words, by_cell, descriptions, mixing, int(labels[i])
             )
             for i in range(n)
         ]

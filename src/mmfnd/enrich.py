@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .data import json_objects
 from .encoders import WORD_RE, tokenize
-from .errors import DataFormatError, json_objects
+from .errors import DataFormatError
 from .tensor import DegenerateInputError, Param, Tensor
 
 

@@ -35,13 +35,18 @@ class ModelConfig:
     max_len: int = 64
     ablation: str = "none"
 
+    def _require(self, name: str, holds, rule: str) -> None:
+        """Raise ``ConfigError`` naming field ``name`` unless its value is
+        finite and ``holds`` for it, so NaN and ±inf fail whatever the
+        rule."""
+        value = getattr(self, name)
+        if not (math.isfinite(value) and holds(value)):
+            raise ConfigError(f"{name} must be {rule}, got {value!r}")
+
     def validate(self) -> None:
-        if self.d <= 0 or self.d_raw <= 0 or self.max_len <= 0:
-            raise ConfigError("model dimensions must be positive")
-        if self.tau <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.tau}")
-        if self.lambda_c < 0:
-            raise ConfigError(f"contrastive weight must be non-negative, got {self.lambda_c}")
+        for name in ("d", "d_raw", "max_len", "tau"):
+            self._require(name, lambda v: v > 0, "positive")
+        self._require("lambda_c", lambda v: v >= 0, "non-negative")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}, expected one of {ABLATIONS}")
 
@@ -158,9 +163,9 @@ class Model:
         ``desc_vecs`` in place of its text and descriptions.
 
         Description inputs are prepared only when the enhancement channel
-        is active; the ``no_E`` variant never reads them. Vector widths and
-        texts without word tokens are rejected here, naming the item and
-        the field.
+        is active; the ``no_E`` variant never reads them. Vector widths,
+        non-finite vector values and texts without word tokens are rejected
+        here, naming the item and the field.
         """
         cfg = self.config
 
@@ -168,6 +173,8 @@ class Model:
             vec = np.asarray(vec, dtype=np.float64)
             if vec.shape != (width,):
                 raise ConfigError(f"item {item.id!r}: {name} has shape {vec.shape}, expected ({width},)")
+            if not np.isfinite(vec).all():
+                raise ConfigError(f"item {item.id!r}: {name} has a non-finite value")
             return vec
 
         def tokens(name, text):
@@ -324,33 +331,3 @@ class Model:
             return cls(ModelConfig(**meta["config"]), enc.Vocabulary(meta["vocab"]), arrays)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-
-
-def build_gradcheck_problem(
-    d: int = 8, n_items: int = 4, n_desc: int = 2, seed: int = 7, ablation: str = "none"
-) -> tuple[Model, list[ItemFeatures]]:
-    """A tiny deterministic model plus batch for gradient verification."""
-    rng = Rng(seed)
-    vocab = enc.Vocabulary([f"tok{i}" for i in range(12)])
-    model = Model.initialize(
-        ModelConfig(d=d, d_raw=d, max_len=8, tau=0.5, ablation=ablation), vocab, rng
-    )
-    feats = []
-    for i in range(n_items):
-        gen = rng.stream("item", i)
-        n_tok = int(gen.integers(3, 7))
-        text_seq = enc.TokenSequence(ids=[int(t) for t in gen.integers(0, len(vocab), size=n_tok)])
-        desc_seqs = []
-        for j in range(n_desc):
-            m = int(gen.integers(2, 5))
-            desc_seqs.append(enc.TokenSequence(ids=[int(t) for t in gen.integers(0, len(vocab), size=m)]))
-        feats.append(
-            ItemFeatures(
-                item_id=f"probe-{i}",
-                label=int(gen.integers(0, 2)),
-                image=gen.normal(size=d),
-                text_seq=text_seq,
-                desc_seqs=desc_seqs if model.config.uses_enhancement else [],
-            )
-        )
-    return model, feats

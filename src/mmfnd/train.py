@@ -32,14 +32,12 @@ class TrainConfig(ModelConfig):
 
     def validate(self) -> None:
         super().validate()
-        if self.epochs <= 0 or self.batch <= 0:
-            raise ConfigError("epochs and batch size must be positive")
+        for name in ("epochs", "batch", "lr", "eps"):
+            self._require(name, lambda v: v > 0, "positive")
         if self.uses_interaction and self.batch < 2:
             raise ConfigError("contrastive training needs batches of at least 2 items")
-        if self.lr <= 0 or self.eps <= 0:
-            raise ConfigError("lr and eps must be positive")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ConfigError("beta1 and beta2 must lie in (0, 1)")
+        for name in ("beta1", "beta2"):
+            self._require(name, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})

@@ -1,11 +1,15 @@
-"""Central finite-difference verification of analytic gradients."""
+"""Central finite-difference verification of analytic gradients, and the
+tiny deterministic model that the gradient and batching tests share."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-from .tensor import Param
+from mmfnd import encoders as enc
+from mmfnd.model import ItemFeatures, Model, ModelConfig
+from mmfnd.rng import Rng
+from mmfnd.tensor import Param
 
 
 @dataclass
@@ -53,3 +57,33 @@ def finite_diff_check(f, params: list[Param], h: float = 1e-4) -> GradCheckRepor
         report.per_param[p.name] = worst
         report.max_rel_err = max(report.max_rel_err, worst)
     return report
+
+
+def build_gradcheck_problem(
+    d: int = 8, n_items: int = 4, n_desc: int = 2, seed: int = 7, ablation: str = "none"
+) -> tuple[Model, list[ItemFeatures]]:
+    """A tiny deterministic model plus batch for gradient verification."""
+    rng = Rng(seed)
+    vocab = enc.Vocabulary([f"tok{i}" for i in range(12)])
+    model = Model.initialize(
+        ModelConfig(d=d, d_raw=d, max_len=8, tau=0.5, ablation=ablation), vocab, rng
+    )
+    feats = []
+    for i in range(n_items):
+        gen = rng.stream("item", i)
+        n_tok = int(gen.integers(3, 7))
+        text_seq = enc.TokenSequence(ids=[int(t) for t in gen.integers(0, len(vocab), size=n_tok)])
+        desc_seqs = []
+        for j in range(n_desc):
+            m = int(gen.integers(2, 5))
+            desc_seqs.append(enc.TokenSequence(ids=[int(t) for t in gen.integers(0, len(vocab), size=m)]))
+        feats.append(
+            ItemFeatures(
+                item_id=f"probe-{i}",
+                label=int(gen.integers(0, 2)),
+                image=gen.normal(size=d),
+                text_seq=text_seq,
+                desc_seqs=desc_seqs if model.config.uses_enhancement else [],
+            )
+        )
+    return model, feats

@@ -6,8 +6,9 @@ import pytest
 from mmfnd import align
 from mmfnd import tensor as T
 from mmfnd.errors import ConfigError
-from mmfnd.gradcheck import finite_diff_check
 from mmfnd.rng import Rng
+
+from gradcheck import finite_diff_check
 
 
 def _unit_rows(gen, n, d):

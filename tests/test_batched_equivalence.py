@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmfnd.model import build_gradcheck_problem
 from mmfnd.rng import Rng
+
+from gradcheck import build_gradcheck_problem
 
 REFERENCE = Path(__file__).parent / "data" / "reference_batches.npz"
 CASES = ("none", "no_A", "no_M", "no_E", "ragged")

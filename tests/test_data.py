@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mmfnd import data
+from mmfnd import data, enrich
 from mmfnd.enrich import Gazetteer, extract_entities
 from mmfnd.errors import ConfigError, DataFormatError
 from mmfnd.rng import Rng
@@ -177,7 +177,7 @@ def test_generated_entities_are_extractable_and_described():
         found = [e.canonical_title for e in extract_entities(item.text, gaz)]
         assert set(item.entities) <= set(found)
         for title, sentence in zip(item.entities, item.descriptions):
-            assert sentence == data.first_sentence(art.summaries[title])
+            assert sentence == enrich.first_sentence(art.summaries[title])
 
 
 def test_generated_ids_are_unique_and_split_tagged():

@@ -8,8 +8,9 @@ from mmfnd import encoders as enc
 from mmfnd import enrich
 from mmfnd import tensor as T
 from mmfnd.errors import DataFormatError
-from mmfnd.gradcheck import finite_diff_check
 from mmfnd.rng import Rng
+
+from gradcheck import finite_diff_check
 
 
 def test_tokenize_lowercases_and_splits_punctuation():

@@ -13,8 +13,9 @@ from mmfnd import enrich
 from mmfnd import tensor as T
 from mmfnd.data import synth_generate
 from mmfnd.errors import DataFormatError
-from mmfnd.gradcheck import finite_diff_check
 from mmfnd.rng import Rng
+
+from gradcheck import finite_diff_check
 
 DATA = Path(__file__).parent / "data"
 

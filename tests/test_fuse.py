@@ -5,8 +5,9 @@ import pytest
 
 from mmfnd import fuse
 from mmfnd import tensor as T
-from mmfnd.gradcheck import finite_diff_check
 from mmfnd.rng import Rng
+
+from gradcheck import finite_diff_check
 
 
 def _features(gen, d, k=3, batch=2):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mmfnd import tensor as T
-from mmfnd.gradcheck import finite_diff_check
 from mmfnd.rng import Rng
+
+from gradcheck import finite_diff_check
 
 
 def test_quadratic_is_exact_under_central_differences():

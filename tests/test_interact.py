@@ -5,9 +5,10 @@ import pytest
 
 from mmfnd import interact
 from mmfnd import tensor as T
-from mmfnd.gradcheck import finite_diff_check
 from mmfnd.rng import Rng
 from mmfnd.tensor import ShapeError
+
+from gradcheck import finite_diff_check
 
 
 def test_cross_attention_basis_example():

@@ -1,4 +1,4 @@
-"""The JSON-lines walker (``errors.json_objects``) against ``json.loads``,
+"""The JSON-lines walker (``data.json_objects``) against ``json.loads``,
 vectors ``load_jsonl`` leaves undecoded against eagerly decoded ones, and
 ``save_jsonl`` copying the loaded JSON text of unchanged vectors."""
 
@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmfnd import data
-from mmfnd.errors import DataFormatError, FlatNumbers, json_objects
+from mmfnd.data import VectorSource, json_objects
+from mmfnd.errors import DataFormatError
 from mmfnd.rng import Rng
 
 # ---------------------------------------------------------------------------
@@ -149,9 +150,9 @@ def test_undecoded_values_parse_back_to_what_json_loads_gives(lines):
         want = json.loads(line)
         assert list(obj) == list(want)
         for key, value in obj.items():
-            if isinstance(value, FlatNumbers):
-                assert key in undecoded and texts[key] is value
-                value = json.loads(value)
+            if isinstance(value, VectorSource):
+                assert key in undecoded and texts[key] is value.text
+                value = json.loads(value.text)
                 assert value and all(math.isfinite(v) for v in value)
             assert _same(value, want[key])
 

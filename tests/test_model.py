@@ -10,9 +10,10 @@ from mmfnd import tensor as T
 from mmfnd.data import NewsItem
 from mmfnd.encoders import EmptyTextError
 from mmfnd.errors import ConfigError
-from mmfnd.gradcheck import finite_diff_check
-from mmfnd.model import ABLATIONS, ItemFeatures, Model, ModelConfig, build_gradcheck_problem
+from mmfnd.model import ABLATIONS, ItemFeatures, Model, ModelConfig
 from mmfnd.rng import Rng
+
+from gradcheck import build_gradcheck_problem, finite_diff_check
 
 
 def test_config_validation():
@@ -196,6 +197,21 @@ def test_featurize_rejects_wrong_image_width():
         model.featurize(_item("x", 9))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["image_vec", "text_vec", "desc_vecs"])
+def test_featurize_rejects_a_non_finite_vector_naming_item_and_field(field, bad):
+    model, _ = build_gradcheck_problem(d=6)
+    vec = np.linspace(-1.0, 1.0, 6)
+    vec[2] = bad
+    vectors = {
+        "image_vec": dict(image=vec),
+        "text_vec": dict(text_vec=vec),
+        "desc_vecs": dict(desc_vecs=np.stack([np.ones(6), vec])),
+    }[field]
+    with pytest.raises(ConfigError, match=f"item 'bad-7': {field} has a non-finite value"):
+        model.featurize(_item("bad-7", 6, **vectors))
+
+
 @pytest.mark.parametrize(
     "text,descriptions,field",
     [("!!! ???", ["tok3"], "text"), ("tok1", ["tok3", "tok4", "--"], "desc_sentences\\[2\\]")],
@@ -312,6 +328,13 @@ def test_load_names_file_and_key_of_a_broken_checkpoint(tmp_path, edit, key):
     with pytest.raises(ConfigError) as err:
         Model.load(path)
     assert str(path) in str(err.value) and key in str(err.value)
+
+
+def test_load_rejects_a_checkpoint_whose_config_holds_nan(tmp_path):
+    path = _saved(tmp_path, lambda a: _set_config(a, tau=math.nan))
+    with pytest.raises(ConfigError) as err:
+        Model.load(path)
+    assert str(path) in str(err.value) and "tau must be positive, got nan" in str(err.value)
 
 
 def test_load_draws_no_random_weights(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from mmfnd import data, metrics
 from mmfnd import tensor as T
+from mmfnd.errors import ConfigError
 from mmfnd.model import Model, ModelConfig
 from mmfnd.rng import Rng
 from mmfnd.train import _ADAM_BLOCK, Adam, TrainConfig, TrainingDiverged, build_vocabulary, train
@@ -19,6 +20,17 @@ def test_train_config_extends_the_model_config():
         "seed", "max_len", "ablation",
     }
     assert cfg.to_dict()["batch"] == 4 and cfg.to_dict()["d"] == 16
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d", math.nan), ("max_len", math.inf),
+    ("tau", math.nan), ("tau", math.inf), ("lambda_c", math.nan), ("lambda_c", math.inf),
+    ("lr", math.nan), ("lr", math.inf), ("eps", math.nan), ("eps", math.inf),
+    ("beta1", math.nan), ("beta2", math.inf), ("epochs", math.inf), ("batch", math.nan),
+])
+def test_non_finite_hyperparameters_are_rejected_naming_the_field(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be .*, got {value!r}$"):
+        TrainConfig(**{field: value}).validate()
 
 
 def test_adam_steps_match_hand_computation():
@@ -125,7 +137,7 @@ def _tiny_dataset(bad_id=None):
     ]
     for item in items:
         if item.id == bad_id:
-            item.image = np.full(4, np.inf)
+            item.image = np.full(4, np.finfo(np.float64).max)  # finite, but overflows in the forward pass
     return data.Dataset(items, "train", "test")
 
 
