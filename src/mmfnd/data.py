@@ -318,8 +318,9 @@ def load_jsonl(path, split: str = "train") -> Dataset:
         label = obj["label"]
         if isinstance(label, bool) or label not in (0, 1):
             raise DataFormatError(f"{where}: label must be 0 or 1")
-        if not isinstance(obj["id"], str) or not isinstance(obj["text"], str):
-            raise DataFormatError(f"{where}: id and text must be strings")
+        for name in ("id", "text"):
+            if not isinstance(obj[name], str):
+                raise DataFormatError(f"{where}: {name} must be a string")
         if obj["id"] in seen_ids:
             raise DataFormatError(f"{where}: duplicate id {obj['id']!r}")
         seen_ids.add(obj["id"])
@@ -396,30 +397,30 @@ _ENTITY_FIRST = ("veltor", "casmun", "dorlin", "quenby", "marsa", "tilvane", "or
 _ENTITY_SECOND = ("ridge", "hall", "bridge", "garden", "station", "archive", "harbor", "tower")
 
 
+# The generator's fixed shape. Changing any of these changes every corpus's
+# bytes, which tests/test_data.py pins.
+Z_DIM = 3  # topic axes; at most len(_POS_STEMS)
+WORDS_PER_LIST = 8  # words per (axis, polarity) list
+ENTITIES_PER_CELL = 32  # entity titles per (axis, polarity) cell
+TEXT_LEN = (24, 36)  # inclusive range of tokens per text, before mentions
+ENTITIES_RANGE = (2, 3)  # inclusive range of entity mentions per item, at most Z_DIM
+TOPIC_WORD_RATE = 0.8  # share of text tokens drawn from the topic lists
+IMAGE_NOISE = 0.4  # standard deviation of the image's additive noise
+NOISY_IMAGE_RATE = 0.15  # share of items whose image noise is boosted
+NOISY_IMAGE_BOOST = 2.0  # noise multiplier of those items
+IMAGE_SCALE_RANGE = (0.6, 1.8)  # per-item image scale, drawn log-uniformly
+
+
 @dataclass
 class SynthConfig:
-    n_train: int = 2000
-    n_test: int = 500
-    seed: int = 42
-    z_dim: int = 3
-    d_raw: int = 128
-    words_per_list: int = 8
-    entities_per_cell: int = 32
-    text_len: tuple[int, int] = (24, 36)
-    entities_range: tuple[int, int] = (2, 3)
-    topic_word_rate: float = 0.8
-    image_noise: float = 0.4
-    noisy_image_rate: float = 0.15
-    noisy_image_boost: float = 2.0
-    image_scale_range: tuple[float, float] = (0.6, 1.8)
+    n_train: int
+    n_test: int
+    seed: int
+    d_raw: int
 
     def validate(self) -> None:
         if self.n_train < 10 or self.n_test < 10:
             raise ConfigError("synthetic splits need at least 10 items each")
-        if not (1 <= self.z_dim <= len(_POS_STEMS)):
-            raise ConfigError(f"z_dim must lie in 1..{len(_POS_STEMS)}")
-        if self.entities_range[0] < 0 or self.entities_range[1] > self.z_dim:
-            raise ConfigError("entities_range must fit inside the topic axes")
 
 
 @dataclass
@@ -434,32 +435,32 @@ class SynthArtifacts:
     config: SynthConfig
 
 
-def _topic_vocab(cfg: SynthConfig) -> list[tuple[list[str], list[str]]]:
+def _topic_vocab() -> list[tuple[list[str], list[str]]]:
     return [
         (
-            [f"{_POS_STEMS[k]}{j}" for j in range(cfg.words_per_list)],
-            [f"{_NEG_STEMS[k]}{j}" for j in range(cfg.words_per_list)],
+            [f"{_POS_STEMS[k]}{j}" for j in range(WORDS_PER_LIST)],
+            [f"{_NEG_STEMS[k]}{j}" for j in range(WORDS_PER_LIST)],
         )
-        for k in range(cfg.z_dim)
+        for k in range(Z_DIM)
     ]
 
 
-def _entities(cfg: SynthConfig, rng: Rng) -> tuple[list[str], dict[str, tuple[int, int]]]:
+def _entities(rng: Rng) -> tuple[list[str], dict[str, tuple[int, int]]]:
     """Unique entity titles, shuffled onto (axis, polarity) cells.
 
     The shuffle keeps title wording independent of the cell, so a mention
     reveals its polarity only through the entity's description.
     """
-    n_cells = cfg.z_dim * 2
+    n_cells = Z_DIM * 2
     pool = [
         f"{first.title()} {second.title()} {i}"
-        for i in range(1 + (n_cells * cfg.entities_per_cell - 1) // (len(_ENTITY_FIRST) * len(_ENTITY_SECOND)))
+        for i in range(1 + (n_cells * ENTITIES_PER_CELL - 1) // (len(_ENTITY_FIRST) * len(_ENTITY_SECOND)))
         for first in _ENTITY_FIRST
         for second in _ENTITY_SECOND
     ]
     order = rng.stream("entity-assign").permutation(len(pool))
     titles, cell_of = [], {}
-    for slot in range(n_cells * cfg.entities_per_cell):
+    for slot in range(n_cells * ENTITIES_PER_CELL):
         title = pool[int(order[slot])]
         titles.append(title)
         cell_of[title] = (slot % n_cells // 2, slot % 2)  # (axis, polarity)
@@ -483,20 +484,19 @@ def _polarity(value: float) -> int:
 
 
 def _make_item(
-    idx: int, split: str, cfg: SynthConfig, rng: Rng, topic_words, by_cell,
-    descriptions, mixing, label: int,
+    idx: int, split: str, rng: Rng, topic_words, by_cell, descriptions, mixing, label: int,
 ) -> NewsItem:
     gen = rng.stream("item", split, idx)
-    z = gen.normal(size=cfg.z_dim)
+    z = gen.normal(size=Z_DIM)
 
     # text: axis words encode the sign pattern of z; axes cycle in a random
     # order so every axis gets roughly even coverage
-    n_tok = int(gen.integers(cfg.text_len[0], cfg.text_len[1] + 1))
-    axis_cycle = [int(a) for a in gen.permutation(cfg.z_dim)]
+    n_tok = int(gen.integers(TEXT_LEN[0], TEXT_LEN[1] + 1))
+    axis_cycle = [int(a) for a in gen.permutation(Z_DIM)]
     tokens, cursor = [], 0
     for _ in range(n_tok):
-        if gen.random() < cfg.topic_word_rate:
-            axis = axis_cycle[cursor % cfg.z_dim]
+        if gen.random() < TOPIC_WORD_RATE:
+            axis = axis_cycle[cursor % Z_DIM]
             cursor += 1
             words = topic_words[axis][_polarity(z[axis])]
             tokens.append(words[int(gen.integers(len(words)))])
@@ -505,10 +505,10 @@ def _make_item(
 
     # entity mentions: polarity matches the text for real news, is flipped
     # for fake news; descriptions carry the mentioned cell's vocabulary
-    n_e = int(gen.integers(cfg.entities_range[0], cfg.entities_range[1] + 1))
+    n_e = int(gen.integers(ENTITIES_RANGE[0], ENTITIES_RANGE[1] + 1))
     mentions = []
     if n_e > 0:
-        axes = [int(a) for a in gen.choice(cfg.z_dim, size=n_e, replace=False)]
+        axes = [int(a) for a in gen.choice(Z_DIM, size=n_e, replace=False)]
         for axis in axes:
             polarity = _polarity(z[axis])
             if label == 1:
@@ -526,18 +526,18 @@ def _make_item(
     if label == 0:
         z_img = z
     else:
-        magnitudes = np.abs(gen.normal(size=cfg.z_dim))
+        magnitudes = np.abs(gen.normal(size=Z_DIM))
         signs = np.sign(z) + (z == 0)
-        n_flip = int(gen.integers(max(1, cfg.z_dim // 2), cfg.z_dim + 1))
-        flip = gen.choice(cfg.z_dim, size=n_flip, replace=False)
+        n_flip = int(gen.integers(max(1, Z_DIM // 2), Z_DIM + 1))
+        flip = gen.choice(Z_DIM, size=n_flip, replace=False)
         signs[flip] *= -1.0
         z_img = signs * magnitudes
-    sigma = cfg.image_noise
-    if gen.random() < cfg.noisy_image_rate:
-        sigma *= cfg.noisy_image_boost
-    lo, hi = cfg.image_scale_range
+    sigma = IMAGE_NOISE
+    if gen.random() < NOISY_IMAGE_RATE:
+        sigma *= NOISY_IMAGE_BOOST
+    lo, hi = IMAGE_SCALE_RANGE
     image_scale = float(np.exp(gen.uniform(np.log(lo), np.log(hi))))
-    image = image_scale * (mixing @ z_img + sigma * gen.normal(size=cfg.d_raw))
+    image = image_scale * (mixing @ z_img + sigma * gen.normal(size=mixing.shape[0]))
 
     return NewsItem(
         id=f"{split}-{idx:05d}",
@@ -549,13 +549,14 @@ def _make_item(
     )
 
 
-def synth_generate(n_train: int, n_test: int, seed: int, **overrides) -> SynthArtifacts:
-    """Deterministic synthetic corpus; identical seeds give identical bytes."""
-    cfg = SynthConfig(n_train=n_train, n_test=n_test, seed=seed, **overrides)
+def synth_generate(n_train: int, n_test: int, seed: int, d_raw: int = 128) -> SynthArtifacts:
+    """Deterministic synthetic corpus with ``d_raw``-wide image features;
+    identical arguments give identical bytes."""
+    cfg = SynthConfig(n_train=n_train, n_test=n_test, seed=seed, d_raw=d_raw)
     cfg.validate()
     rng = Rng(cfg.seed)
-    topic_words = _topic_vocab(cfg)
-    titles, cell_of = _entities(cfg, rng)
+    topic_words = _topic_vocab()
+    titles, cell_of = _entities(rng)
     by_cell: dict[tuple[int, int], list[str]] = {}
     for title in titles:
         by_cell.setdefault(cell_of[title], []).append(title)
@@ -565,15 +566,13 @@ def synth_generate(n_train: int, n_test: int, seed: int, **overrides) -> SynthAr
     }
     summaries = {title: " ".join(pair) for title, pair in sentences.items()}
     descriptions = {title: first for title, (first, _) in sentences.items()}
-    mixing = rng.stream("mixing").normal(size=(cfg.d_raw, cfg.z_dim)) / np.sqrt(cfg.z_dim)
+    mixing = rng.stream("mixing").normal(size=(cfg.d_raw, Z_DIM)) / np.sqrt(Z_DIM)
 
     def build_split(split: str, n: int) -> Dataset:
         labels = np.array([0, 1] * (n // 2) + [0] * (n % 2))
         labels = labels[rng.stream("labels", split).permutation(n)]
         items = [
-            _make_item(
-                i, split, cfg, rng, topic_words, by_cell, descriptions, mixing, int(labels[i])
-            )
+            _make_item(i, split, rng, topic_words, by_cell, descriptions, mixing, int(labels[i]))
             for i in range(n)
         ]
         return Dataset(

@@ -66,7 +66,7 @@ class Vocabulary:
         # embedding table size: all known tokens plus the OOV row
         return len(self.tokens) + 1
 
-    def encode(self, text: str, max_len: int = 64) -> TokenSequence:
+    def encode(self, text: str, max_len: int) -> TokenSequence:
         """Ids of the first ``max_len`` tokens of ``text``."""
         return TokenSequence(ids=[self.id_of.get(t, OOV_ID) for t in tokenize(text)[:max_len]])
 
@@ -91,7 +91,8 @@ def bag_of_ids(seqs: list, vocab_size: int) -> np.ndarray:
     rows = np.repeat(np.arange(len(seqs)), lens)
     ids = np.fromiter(chain.from_iterable(ids for ids in active if ids), dtype=np.intp, count=rows.size)
     if ids.size and not 0 <= ids.min() <= ids.max() < vocab_size:
-        raise ValueError(f"token ids must lie in [0, {vocab_size}), got {ids.min()}..{ids.max()}")
+        bad = np.flatnonzero((ids < 0) | (ids >= vocab_size))[0]
+        raise ValueError(f"slot {rows[bad]}: token id {ids[bad]} is outside [0, {vocab_size})")
     weights = np.repeat(1.0 / np.maximum(lens, 1), lens)
     bag = np.bincount(rows * vocab_size + ids, weights=weights, minlength=len(seqs) * vocab_size)
     return bag.reshape(len(seqs), vocab_size)
@@ -105,9 +106,10 @@ def pooled_embedding(emb: Param, bag: np.ndarray) -> Tensor:
 def embed_rows(emb: Param, slots: list, lead: tuple[int, ...]) -> Tensor | None:
     """Feature rows shaped ``lead + (d,)`` from ``slots`` in row-major order.
 
-    A TokenSequence slot gives the mean of its token embeddings, an array
-    slot is a precomputed vector taken as it is, and a None slot (padding)
-    gives a zero row. Returns None when every slot is None.
+    The one place that tells a slot's kind: a TokenSequence slot gives the
+    mean of its token embeddings, an array slot is a precomputed vector
+    taken as it is, and a None slot (padding) gives a zero row. A batch may
+    mix all three. Returns None when every slot is None.
     """
     n_vocab, d = emb.data.shape
     seqs = [s if isinstance(s, TokenSequence) else None for s in slots]

@@ -247,14 +247,16 @@ class DescriptionCache:
 
 
 def load_fixture(path) -> dict[str, str]:
-    """Fixture summaries: JSON lines of {"title": str, "summary": str}. A
-    line that breaks this raises ``DataFormatError`` naming the file, the
-    line and the field."""
+    """Fixture summaries: JSON lines of {"title": str, "summary": str}, with
+    a summary that is not blank. A line that breaks this raises
+    ``DataFormatError`` naming the file, the line and the field."""
     out: dict[str, str] = {}
     for line_no, obj, _ in json_objects(path):
         for name in ("title", "summary"):
             if not isinstance(obj.get(name), str):
                 raise DataFormatError(f"{path}: line {line_no}: {name} must be a string")
+        if not obj["summary"].strip():
+            raise DataFormatError(f"{path}: line {line_no}: summary is blank")
         out[obj["title"]] = obj["summary"]
     return out
 
@@ -349,8 +351,12 @@ class WikiClient:
                 continue
             try:
                 extract = json.loads(body.decode("utf-8"))["extract"]
-            except (ValueError, KeyError, UnicodeDecodeError) as exc:
+            except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
                 raise FetchError(f"unparseable summary response for {title!r}: {exc}") from exc
+            if not isinstance(extract, str) or not extract.strip():
+                raise FetchError(
+                    f"unparseable summary response for {title!r}: 'extract' must be a non-blank string, got {extract!r}"
+                )
             sentence = first_sentence(extract)
             self.cache.put(title, sentence)
             return EntityDescription(entity=title, sentence=sentence, source="live")

@@ -65,8 +65,7 @@ def detection_loss(probs: Tensor, labels) -> Tensor:
     return T.scale(T.mean_pool(T.log(p_true), axis=0), -1.0)
 
 
-def total_loss(l_c: Tensor, l_d: Tensor, lambda_c: float = 1.0) -> Tensor:
-    """Combined objective; the default weight keeps the plain sum."""
-    if lambda_c == 1.0:
-        return T.add(l_c, l_d)
+def total_loss(l_c: Tensor, l_d: Tensor, lambda_c: float) -> Tensor:
+    """Combined objective ``lambda_c * l_c + l_d``. At ``lambda_c == 1`` the
+    scaled term equals ``l_c`` exactly, so the result is the plain sum."""
     return T.add(T.scale(l_c, lambda_c), l_d)

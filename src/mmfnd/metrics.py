@@ -90,7 +90,7 @@ def confusion_from_predictions(y_true: list[int], y_pred: list[int]) -> tuple[in
 def evaluate(model, dataset) -> MetricsReport:
     """Classify every item and score the hard predictions. Items go through
     ``model.predict`` one at a time, not in ``predict_batch`` chunks: the
-    traced benchmark run times these calls per item (ROADMAP item 2)."""
+    traced benchmark run times these calls per item (ROADMAP direction 2)."""
     feats = [model.featurize(item) for item in dataset.items]
     preds = [model.predict(f).label for f in feats]
     tp, fp, fn, tn = confusion_from_predictions(dataset.labels(), preds)

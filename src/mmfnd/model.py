@@ -3,7 +3,9 @@
 The model assembles the encoder, enrichment, alignment, interaction and
 fusion stages. A forward pass covers a whole batch on one tape: items are
 featurized one by one, then stacked into (B, ...) arrays, with each item's
-descriptions padded to the widest item in the batch. Ablation variants
+descriptions padded to the widest item in the batch. ``featurize`` decides
+once per text whether it enters as token ids or as a precomputed
+embedding; only ``encoders.embed_rows`` reads that choice. Ablation variants
 rewire the graph: ``no_E`` drops the description channel, ``no_M`` drops
 the contrastive loss and the interaction feature (the classifier then
 fuses two channels), ``no_A`` fixes every fusion gate at one.
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,15 +71,19 @@ class ModelConfig:
 
 @dataclass
 class ItemFeatures:
-    """Numeric inputs for one item, ready for the forward pass."""
+    """Numeric inputs for one item, ready for the forward pass.
+
+    ``text`` and each entry of ``descs`` is an encoder slot (see
+    ``encoders.embed_rows``): the token ids of the text, or its precomputed
+    (d,) embedding. ``descs`` is empty when the item mentions no entity or
+    the model has no enhancement channel.
+    """
 
     item_id: str
     label: int
     image: np.ndarray
-    text_seq: enc.TokenSequence | None = None
-    text_vec: np.ndarray | None = None
-    desc_seqs: list[enc.TokenSequence] = field(default_factory=list)
-    desc_vecs: list[np.ndarray] = field(default_factory=list)
+    text: enc.TokenSequence | np.ndarray
+    descs: list[enc.TokenSequence | np.ndarray]
 
 
 @dataclass
@@ -183,35 +189,34 @@ class Model:
                 raise enc.EmptyTextError(f"item {item.id!r}: {name} has no word tokens")
             return seq
 
-        feats = ItemFeatures(item_id=item.id, label=item.label, image=checked("image_vec", item.image, cfg.d_raw))
+        image = checked("image_vec", item.image, cfg.d_raw)
         if item.text_vec is not None:
-            feats.text_vec = checked("text_vec", item.text_vec, cfg.d)
+            text = checked("text_vec", item.text_vec, cfg.d)
         else:
-            feats.text_seq = tokens("text", item.text)
+            text = tokens("text", item.text)
+        descs = []
         if cfg.uses_enhancement:
             if item.desc_vecs is not None:
-                feats.desc_vecs = [checked("desc_vecs", v, cfg.d) for v in item.desc_vecs]
+                descs = [checked("desc_vecs", v, cfg.d) for v in item.desc_vecs]
             else:
-                feats.desc_seqs = [tokens(f"desc_sentences[{i}]", s) for i, s in enumerate(item.descriptions)]
-        return feats
+                descs = [tokens(f"desc_sentences[{i}]", s) for i, s in enumerate(item.descriptions)]
+        return ItemFeatures(item_id=item.id, label=item.label, image=image, text=text, descs=descs)
 
     # -- forward ------------------------------------------------------------
 
     def forward(self, batch: list[ItemFeatures]) -> Trace:
         """One tape over the whole batch: every tensor is (B, ...)."""
         cfg, n = self.config, len(batch)
-        text = [f.text_vec if f.text_vec is not None else f.text_seq for f in batch]
-        r_t = T.matvec(self.w_tf, enc.embed_rows(self.emb, text, (n,)))
+        r_t = T.matvec(self.w_tf, enc.embed_rows(self.emb, [f.text for f in batch], (n,)))
         r_v = enc.encode_image(self.w_vf, T.Tensor(np.stack([f.image for f in batch])))
 
         m_d = None
         if cfg.uses_enhancement:
-            # each item's precomputed vectors, then its token sequences, padded to the widest item
-            descs = [list(f.desc_vecs) + list(f.desc_seqs) for f in batch]
-            counts = np.array([len(x) for x in descs])
+            # each item's descriptions, padded to the widest item
+            counts = np.array([len(f.descs) for f in batch])
             width = int(counts.max())
             if width:
-                slots = [s for x in descs for s in x + [None] * (width - len(x))]
+                slots = [s for f in batch for s in f.descs + [None] * (width - len(f.descs))]
                 m_d = enc.encode_description(self.emb, self.w_df, slots, (n, width))
             r_t_enh = enrich.enhance(r_t, m_d, counts, self.w_t, self.w_d)
         else:

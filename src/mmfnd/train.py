@@ -35,7 +35,7 @@ class TrainConfig(ModelConfig):
         for name in ("epochs", "batch", "lr", "eps"):
             self._require(name, lambda v: v > 0, "positive")
         if self.uses_interaction and self.batch < 2:
-            raise ConfigError("contrastive training needs batches of at least 2 items")
+            raise ConfigError(f"batch must be at least 2 when the contrastive loss is on, got {self.batch}")
         for name in ("beta1", "beta2"):
             self._require(name, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
@@ -71,7 +71,7 @@ class Adam:
     parameter only while that parameter's arrays are still views into them.
     """
 
-    def __init__(self, params: ParamRegistry, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: ParamRegistry, lr: float, beta1: float, beta2: float, eps: float):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         size = params.data.size
@@ -146,7 +146,7 @@ def train(cfg: TrainConfig, train_ds: Dataset, progress=None) -> TrainResult:
     """Run the full optimization and return the model plus the loss curve."""
     cfg.validate()
     if not train_ds.items:
-        raise ConfigError("training dataset is empty")
+        raise ConfigError(f"training dataset {train_ds.provenance!r} is empty")
     rng = Rng(cfg.seed)
     vocab = build_vocabulary(train_ds, include_descriptions=cfg.uses_enhancement)
     model = Model.initialize(cfg.model_config(), vocab, rng)

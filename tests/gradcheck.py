@@ -82,8 +82,8 @@ def build_gradcheck_problem(
                 item_id=f"probe-{i}",
                 label=int(gen.integers(0, 2)),
                 image=gen.normal(size=d),
-                text_seq=text_seq,
-                desc_seqs=desc_seqs if model.config.uses_enhancement else [],
+                text=text_seq,
+                descs=desc_seqs if model.config.uses_enhancement else [],
             )
         )
     return model, feats

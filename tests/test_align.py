@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,13 @@ def _oracle_infonce(e_v, e_t, tau):
         return total / n
 
     return 0.5 * (direction(e_v, e_t) + direction(e_t, e_v))
+
+
+@pytest.mark.parametrize("shape_vt,shape_tv", [((3, 2), (3, 2)), ((3, 3), (2, 2)), ((2, 2), (2, 3))])
+def test_contrastive_loss_rejects_non_square_or_unequal_inputs_naming_both_shapes(shape_vt, shape_tv):
+    p_vt, p_tv = T.Tensor(np.full(shape_vt, 0.5)), T.Tensor(np.full(shape_tv, 0.5))
+    with pytest.raises(T.ShapeError, match=re.escape(f"got {shape_vt} and {shape_tv}")):
+        align.contrastive_loss(p_vt, p_tv)
 
 
 def test_contrastive_loss_singleton_is_zero():

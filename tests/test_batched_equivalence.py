@@ -29,12 +29,10 @@ def reference_problem(case):
     model, feats = build_gradcheck_problem(n_desc=3)
     gen = Rng(5).stream("ragged")
     d = model.config.d
-    feats[0].desc_seqs = []
-    feats[2].desc_seqs = feats[2].desc_seqs[:1]
-    feats[2].text_seq = None
-    feats[2].text_vec = gen.normal(size=d)
-    feats[3].desc_seqs = []
-    feats[3].desc_vecs = [gen.normal(size=d), gen.normal(size=d)]
+    feats[0].descs = []
+    feats[2].descs = feats[2].descs[:1]
+    feats[2].text = gen.normal(size=d)
+    feats[3].descs = [gen.normal(size=d), gen.normal(size=d)]
     return model, feats
 
 

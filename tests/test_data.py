@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +62,15 @@ def test_duplicate_id_rejected(tmp_path):
 def test_inconsistent_image_width_rejected(tmp_path):
     path = _write(tmp_path, [_line("a"), _line("b", image=(1.0,))])
     with pytest.raises(DataFormatError, match="line 2"):
+        data.load_jsonl(path)
+
+
+@pytest.mark.parametrize("field,value", [("id", 5), ("id", ["a"]), ("text", 7), ("text", {"t": "x"})])
+def test_non_string_id_or_text_rejected_naming_line_and_field(tmp_path, field, value):
+    bad = json.loads(_line("b"))
+    bad[field] = value
+    path = _write(tmp_path, [_line("a"), json.dumps(bad)])
+    with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}: line 2: {field} must be a string"):
         data.load_jsonl(path)
 
 
@@ -154,6 +165,26 @@ def test_generator_is_deterministic():
     assert a.gazetteer == b.gazetteer and a.summaries == b.summaries
     c = data.synth_generate(50, 20, seed=10)
     assert _dataset_bytes(c.train) != _dataset_bytes(a.train)
+
+
+# SHA-256 of save_jsonl's train and test files plus the summaries of
+# synth_generate(50, 20, seed=9, d_raw=16). The generator's constants and draw
+# order are part of every corpus, so this must hold across commits.
+GOLDEN_CORPUS_SHA256 = "62273d77fa85223f0faecffd5113cb4747cd8ded74c5d5f3e4aa994e4367e340"
+
+
+def test_generator_bytes_match_the_golden_digest(tmp_path):
+    art = data.synth_generate(50, 20, seed=9, d_raw=16)
+    h = hashlib.sha256()
+    for ds in (art.train, art.test):
+        path = tmp_path / f"{ds.split}.jsonl"
+        data.save_jsonl(path, ds)
+        h.update(path.read_bytes())
+    h.update(json.dumps(art.summaries, sort_keys=True, ensure_ascii=False).encode("utf-8"))
+    assert h.hexdigest() == GOLDEN_CORPUS_SHA256, (
+        "the synthetic corpus bytes changed; only a numpy upgrade that changes its random streams "
+        "may re-record GOLDEN_CORPUS_SHA256"
+    )
 
 
 def test_generator_balances_labels():

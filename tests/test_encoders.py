@@ -80,6 +80,13 @@ def test_bag_of_ids_counts_repeats_and_leaves_empty_slots_zero():
     np.testing.assert_allclose(bag, [[0.0, 1 / 3, 0.0, 2 / 3, 0.0], [0.0] * 5], atol=1e-15)
 
 
+@pytest.mark.parametrize("ids,slot,bad", [([1, 5], 1, 5), ([-1], 1, -1), ([4, 9, 7], 1, 9)])
+def test_bag_of_ids_rejects_an_out_of_range_id_naming_its_slot(ids, slot, bad):
+    seqs = [enc.TokenSequence(ids=[0, 4]), enc.TokenSequence(ids=ids), None]
+    with pytest.raises(ValueError, match=f"^slot {slot}: token id {bad} is outside \\[0, 5\\)$"):
+        enc.bag_of_ids(seqs, 5)
+
+
 def test_embed_rows_mixes_token_precomputed_and_padding_slots():
     emb, _ = _identity_params(2, 4)
     emb.data[1] = [2.0, 0.0]

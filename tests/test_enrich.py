@@ -388,6 +388,23 @@ def test_live_404_returns_missing_marker(tmp_path):
     assert client.fetch_description("zzqx-not-a-page", mode="live") is None
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        _summary_body(5), _summary_body(["a"]), _summary_body(None), _summary_body(""), _summary_body(" \n\t"),
+        b'["extract"]', b'{"title": "x"}', b"not json", b"\xff",
+    ],
+    ids=["int", "list", "null", "empty", "blank", "array-body", "no-extract", "not-json", "not-utf8"],
+)
+def test_live_unparseable_summary_raises_fetch_error_naming_the_title(tmp_path, body):
+    transport = FakeTransport([(200, body)])
+    client, ft = _client(tmp_path, transport)
+    with pytest.raises(enrich.FetchError, match="unparseable summary response for 'Eiffel Tower'"):
+        client.fetch_description("Eiffel Tower", mode="live")
+    assert len(transport.calls) == 1 and ft.sleeps == []
+    assert client.cache.get("Eiffel Tower") is None
+
+
 def test_live_failures_retry_with_backoff_then_raise(tmp_path):
     transport = FakeTransport([(500, b""), OSError("boom"), (502, b"")])
     client, ft = _client(tmp_path, transport)
@@ -446,6 +463,15 @@ def test_fixture_bad_line_names_file_line_and_field(tmp_path, second, where):
     path = tmp_path / "fixture.jsonl"
     path.write_text('{"title": "A", "summary": "A is a city."}\n' + second + "\n")
     with pytest.raises(DataFormatError, match=re.escape(f"{path}: {where}")):
+        enrich.load_fixture(path)
+
+
+@pytest.mark.parametrize("summary", ["", "   ", "\n\t"], ids=["empty", "spaces", "newline-tab"])
+def test_fixture_blank_summary_names_file_line_and_field(tmp_path, summary):
+    path = tmp_path / "fixture.jsonl"
+    lines = [{"title": "A", "summary": "A is a city."}, {"title": "B", "summary": summary}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: line 2: summary is blank")):
         enrich.load_fixture(path)
 
 

@@ -145,10 +145,10 @@ def test_detection_loss_nonnegative_and_finite():
             assert loss > 0.0 and math.isfinite(loss)
 
 
-def test_total_loss_is_plain_sum_by_default():
+def test_total_loss_is_plain_sum_at_unit_weight():
     zero = T.Tensor(np.array(0.0))
-    assert fuse.total_loss(zero, zero).item() == 0.0
+    assert fuse.total_loss(zero, zero, 1.0).item() == 0.0
     a = T.Tensor(np.array(0.3))
     b = T.Tensor(np.array(0.7))
-    assert fuse.total_loss(a, b).item() == pytest.approx(1.0, abs=1e-15)
+    assert fuse.total_loss(a, b, 1.0).item() == pytest.approx(1.0, abs=1e-15)
     assert fuse.total_loss(a, b, lambda_c=0.5).item() == pytest.approx(0.85, abs=1e-15)

@@ -52,7 +52,8 @@ def test_evaluate_matches_item_by_item_and_batched_predictions(trained, tmp_path
         item.desc_vecs = gen.normal(size=(1, 8)) if k % 3 == 0 else None
     report = metrics.evaluate(model, test)
     feats = [model.featurize(item) for item in test.items]
-    assert feats[2].text_vec is not None and len(feats[0].desc_vecs) == 1
+    assert isinstance(feats[2].text, np.ndarray)
+    assert len(feats[0].descs) == 1 and isinstance(feats[0].descs[0], np.ndarray)
     by_item = [model.predict(f).label for f in feats]
     batched = [p.label for chunk in (feats[:64], feats[64:]) for p in model.predict_batch(chunk)]
     assert by_item == batched

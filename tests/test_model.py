@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -86,7 +87,7 @@ def test_no_M_drops_contrastive_term_and_interaction():
 
 def test_no_E_never_reads_descriptions():
     model, feats = build_gradcheck_problem(d=6, n_items=2, ablation="no_E")
-    assert all(not f.desc_seqs and not f.desc_vecs for f in feats)
+    assert all(not f.descs for f in feats)
     trace = model.forward(feats)
     assert trace.m_d is None
     np.testing.assert_allclose(
@@ -170,9 +171,9 @@ def test_featurize_uses_precomputed_vectors():
     item = _item("x", 6, text_vec=np.full(6, 2.0), desc_vecs=np.full((1, 6), 3.0))
     feats = model.featurize(item)
     np.testing.assert_array_equal(feats.image, item.image)
-    np.testing.assert_array_equal(feats.text_vec, np.full(6, 2.0))
-    assert feats.text_seq is None
-    assert len(feats.desc_vecs) == 1 and not feats.desc_seqs
+    np.testing.assert_array_equal(feats.text, np.full(6, 2.0))
+    assert len(feats.descs) == 1
+    np.testing.assert_array_equal(feats.descs[0], np.full(6, 3.0))
     trace = model.forward([feats])
     assert trace.probs.data.shape == (1, 2)
 
@@ -227,7 +228,7 @@ def test_featurize_skips_the_token_check_for_a_field_with_vectors():
     model, _ = build_gradcheck_problem(d=6)
     item = _item("x", 6, text="!!!", descriptions=["?"], text_vec=np.ones(6), desc_vecs=np.ones((1, 6)))
     feats = model.featurize(item)
-    assert feats.text_seq is None and not feats.desc_seqs
+    assert isinstance(feats.text, np.ndarray) and all(isinstance(s, np.ndarray) for s in feats.descs)
 
 
 def test_predict_batch_matches_item_by_item_predict():
@@ -237,7 +238,8 @@ def test_predict_batch_matches_item_by_item_predict():
     items[1].text_vec = gen.normal(size=6)
     items[3].desc_vecs = gen.normal(size=(1, 6))
     feats = [model.featurize(item) for item in items]
-    assert feats[1].text_seq is None and feats[3].desc_vecs and not feats[3].desc_seqs
+    assert isinstance(feats[1].text, np.ndarray)
+    assert len(feats[3].descs) == 1 and isinstance(feats[3].descs[0], np.ndarray)
     batched = model.predict_batch(feats)
     for f, got in zip(feats, batched):
         single = model.predict(f)
@@ -292,6 +294,13 @@ def test_load_names_a_missing_parameter(tmp_path):
 def test_load_names_an_unexpected_parameter(tmp_path):
     path = _saved(tmp_path, lambda a: a.update({"param/w_extra": np.zeros(3)}))
     with pytest.raises(ConfigError, match="unexpected \\['w_extra'\\]"):
+        Model.load(path)
+
+
+def test_load_names_file_and_parameter_of_a_wrong_shape(tmp_path):
+    path = _saved(tmp_path, lambda a: a.update({"param/w_t": a["param/w_t"][:, :5]}))
+    message = f"{path}: parameter w_t has shape (6, 5), expected (6, 6)"
+    with pytest.raises(ConfigError, match=re.escape(message)):
         Model.load(path)
 
 

@@ -141,6 +141,23 @@ def _tiny_dataset(bad_id=None):
     return data.Dataset(items, "train", "test")
 
 
+def test_training_on_an_empty_dataset_names_the_dataset():
+    empty = data.Dataset([], "train", "empty.jsonl")
+    with pytest.raises(ConfigError, match="training dataset 'empty.jsonl' is empty"):
+        train(TrainConfig(d=4, d_raw=4, batch=2, epochs=1, max_len=8), empty)
+
+
+@pytest.mark.parametrize("ablation", ["none", "no_A", "no_E"])
+def test_contrastive_training_rejects_single_item_batches_naming_the_field(ablation):
+    with pytest.raises(ConfigError, match="^batch must be at least 2 when the contrastive loss is on, got 1$"):
+        train(TrainConfig(d=4, d_raw=4, batch=1, epochs=1, max_len=8, ablation=ablation), _tiny_dataset())
+
+
+def test_single_item_batches_train_without_the_contrastive_loss():
+    result = train(TrainConfig(d=4, d_raw=4, batch=1, epochs=1, max_len=8, ablation="no_M"), _tiny_dataset())
+    assert result.curve[0].contrastive == 0.0
+
+
 def test_non_finite_loss_raises_training_diverged_naming_the_batch():
     cfg = TrainConfig(d=4, d_raw=4, batch=4, epochs=2, max_len=8)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -241,6 +258,6 @@ def test_items_with_vectors_train_and_evaluate_from_jsonl(tmp_path):
     result = train(TrainConfig(d=4, d_raw=4, batch=2, epochs=2, max_len=8), loaded)
     assert all(math.isfinite(s.total) for s in result.curve)
     feats = [result.model.featurize(item) for item in loaded.items]
-    np.testing.assert_array_equal(feats[1].text_vec, items[1].text_vec)
-    np.testing.assert_array_equal(feats[2].desc_vecs[1], items[2].desc_vecs[1])
+    np.testing.assert_array_equal(feats[1].text, items[1].text_vec)
+    np.testing.assert_array_equal(feats[2].descs[1], items[2].desc_vecs[1])
     assert metrics.evaluate(result.model, loaded).n_items == 4
