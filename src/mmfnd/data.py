@@ -432,7 +432,6 @@ class SynthArtifacts:
     # topic_words[axis][polarity] with polarity 0 = positive, 1 = negative
     topic_words: list[tuple[list[str], list[str]]]
     mixing: np.ndarray
-    config: SynthConfig
 
 
 def _topic_vocab() -> list[tuple[list[str], list[str]]]:
@@ -587,5 +586,4 @@ def synth_generate(n_train: int, n_test: int, seed: int, d_raw: int = 128) -> Sy
         summaries=summaries,
         topic_words=topic_words,
         mixing=mixing,
-        config=cfg,
     )

@@ -99,8 +99,9 @@ def bag_of_ids(seqs: list, vocab_size: int) -> np.ndarray:
 
 
 def pooled_embedding(emb: Param, bag: np.ndarray) -> Tensor:
-    """Mean of the embedding rows each row of ``bag`` selects (see bag_of_ids)."""
-    return T.matmul(T.Tensor(bag), emb)
+    """Mean of the embedding rows each row of ``bag`` selects (see bag_of_ids).
+    The bag is a constant operand: it gets no gradient."""
+    return T.matmul(bag, emb)
 
 
 def embed_rows(emb: Param, slots: list, lead: tuple[int, ...]) -> Tensor | None:
@@ -129,6 +130,7 @@ def encode_description(emb: Param, w_df: Param, slots: list, lead: tuple[int, in
     return T.matvec(w_df, embed_rows(emb, slots, lead))
 
 
-def encode_image(w_vf: Param, img: Tensor) -> Tensor:
-    """Projected image features from pre-extracted feature vectors (B, d_raw)."""
+def encode_image(w_vf: Param, img: Tensor | np.ndarray) -> Tensor:
+    """Projected image features from pre-extracted feature vectors (B, d_raw);
+    a plain array is a constant input that gets no gradient."""
     return T.matvec(w_vf, img)

@@ -4,7 +4,8 @@ Concept entities are extracted from news text by longest-match lookup
 against a gazetteer, their one-sentence encyclopedia descriptions are
 retrieved (live HTTP, on-disk cache, or an offline fixture file), and the
 description features are fused into the text feature through an attention
-step plus additive projection.
+step plus additive projection. The attention and its pooling over each
+item's descriptions are one tape node (``tensor.attention_pool``).
 """
 
 from __future__ import annotations
@@ -376,12 +377,20 @@ class WikiClient:
 # ---------------------------------------------------------------------------
 
 
+def _description_mask(counts, width: int) -> np.ndarray:
+    """(B, D) mask of each item's own description rows: its first counts[b]."""
+    return np.arange(width) < np.asarray(counts)[:, None]
+
+
 def description_attention(r_t: Tensor, m_d: Tensor, counts: np.ndarray) -> Tensor:
     """(B, D) distribution over each item's descriptions from their dot
     products with its text feature; item b attends to its first counts[b]
-    rows of m_d and gives the padding rows zero weight."""
-    mask = np.arange(m_d.data.shape[1]) < np.asarray(counts)[:, None]
-    return T.softmax_rows(T.bmv(m_d, r_t), mask)
+    rows of m_d and gives the padding rows zero weight.
+
+    ``enhance`` attends through ``tensor.attention_pool`` without building
+    this map; it is the explicit reference for tests and telemetry.
+    """
+    return T.softmax_rows(T.bmv(m_d, r_t), _description_mask(counts, m_d.data.shape[1]))
 
 
 def enhance(r_t: Tensor, m_d: Tensor | None, counts: np.ndarray, w_t: Param, w_d: Param) -> Tensor:
@@ -389,14 +398,14 @@ def enhance(r_t: Tensor, m_d: Tensor | None, counts: np.ndarray, w_t: Param, w_d
 
     ``m_d`` holds each item's description rows padded to (B, D, d); item b
     has counts[b] of them. They are weighted by attention against the text
-    feature, mean-pooled over the item's own count, projected, and added to
-    the projected text feature. An item with no descriptions (or
-    ``m_d=None``) gets the text projection alone.
+    feature (``description_attention``), mean-pooled over the item's own
+    count in the same node, projected, and added to the projected text
+    feature. An item with no descriptions (or ``m_d=None``) gets the text
+    projection alone.
     """
     base = T.matvec(w_t, r_t)
     if m_d is None:
         return base
-    att = description_attention(r_t, m_d, counts)
-    inv_count = 1.0 / np.maximum(counts, 1)
-    pooled = T.scale_rows(T.bmv(T.transpose(m_d), att), T.Tensor(inv_count))
+    mask = _description_mask(counts, m_d.data.shape[1])
+    pooled = T.attention_pool(r_t, m_d, mask, 1.0 / np.maximum(counts, 1))
     return T.add(base, T.matvec(w_d, pooled))

@@ -4,6 +4,8 @@ A per-item sigmoid gate is learned for every feature channel from the
 mean of the channels; gated channels are concatenated in a fixed order and
 classified by a two-layer MLP with a 2-way softmax. Every function takes a
 batch: each channel is (B, d), gates are (B, k), the fused input (B, k*d).
+The gated concatenation and the detection loss are one tape node each
+(``tensor.gated_concat``, ``tensor.binary_nll``).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def fuse(features: list[Tensor], gates: Tensor | None) -> Tensor:
     """
     if gates is None:
         return T.concat(features)
-    return T.concat([T.scale_rows(f, T.take_at(gates, i)) for i, f in enumerate(features)])
+    return T.gated_concat(features, gates)
 
 
 def classify(x: Tensor, w1: Param, b1: Param, w2: Param, b2: Param) -> tuple[Tensor, np.ndarray]:
@@ -56,13 +58,10 @@ def detection_loss(probs: Tensor, labels) -> Tensor:
     """Mean binary cross-entropy on the fake-class probability.
 
     The probability is clamped to [1e-12, 1 - 1e-12], so the loss is
-    finite for any prediction and strictly positive.
+    finite for any prediction and strictly positive; a clamped item passes
+    no gradient.
     """
-    y = np.asarray(labels) == FAKE
-    p = T.clip(T.take_at(probs, FAKE), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    # the probability of the true class: p for fake items, 1 - p for real ones
-    p_true = T.affine(p, np.where(y, 1.0, -1.0), np.where(y, 0.0, 1.0))
-    return T.scale(T.mean_pool(T.log(p_true), axis=0), -1.0)
+    return T.binary_nll(probs, FAKE, np.asarray(labels) == FAKE, PROB_CLAMP)
 
 
 def total_loss(l_c: Tensor, l_d: Tensor, lambda_c: float) -> Tensor:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import ConfigError
+
 
 @dataclass
 class ClassMetrics:
@@ -90,7 +92,10 @@ def confusion_from_predictions(y_true: list[int], y_pred: list[int]) -> tuple[in
 def evaluate(model, dataset) -> MetricsReport:
     """Classify every item and score the hard predictions. Items go through
     ``model.predict`` one at a time, not in ``predict_batch`` chunks: the
-    traced benchmark run times these calls per item (ROADMAP direction 2)."""
+    traced benchmark run times these calls per item (ROADMAP direction 2).
+    An empty dataset raises ``ConfigError`` naming its provenance."""
+    if not dataset.items:
+        raise ConfigError(f"evaluation dataset {dataset.provenance!r} is empty")
     feats = [model.featurize(item) for item in dataset.items]
     preds = [model.predict(f).label for f in feats]
     tp, fp, fn, tn = confusion_from_predictions(dataset.labels(), preds)

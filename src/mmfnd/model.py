@@ -45,7 +45,17 @@ class ModelConfig:
         if not (math.isfinite(value) and holds(value)):
             raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
+    def _require_integers(self, *names: str) -> None:
+        """Raise ``ConfigError`` naming the first of ``names`` whose value is
+        not an integer: a float such as 8.0, or a bool, fails; a numpy
+        integer passes."""
+        for name in names:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+
     def validate(self) -> None:
+        self._require_integers("d", "d_raw", "max_len")
         for name in ("d", "d_raw", "max_len", "tau"):
             self._require(name, lambda v: v > 0, "positive")
         self._require("lambda_c", lambda v: v >= 0, "non-negative")
@@ -197,7 +207,7 @@ class Model:
         descs = []
         if cfg.uses_enhancement:
             if item.desc_vecs is not None:
-                descs = [checked("desc_vecs", v, cfg.d) for v in item.desc_vecs]
+                descs = [checked(f"desc_vecs[{i}]", v, cfg.d) for i, v in enumerate(item.desc_vecs)]
             else:
                 descs = [tokens(f"desc_sentences[{i}]", s) for i, s in enumerate(item.descriptions)]
         return ItemFeatures(item_id=item.id, label=item.label, image=image, text=text, descs=descs)
@@ -208,7 +218,7 @@ class Model:
         """One tape over the whole batch: every tensor is (B, ...)."""
         cfg, n = self.config, len(batch)
         r_t = T.matvec(self.w_tf, enc.embed_rows(self.emb, [f.text for f in batch], (n,)))
-        r_v = enc.encode_image(self.w_vf, T.Tensor(np.stack([f.image for f in batch])))
+        r_v = enc.encode_image(self.w_vf, np.stack([f.image for f in batch]))
 
         m_d = None
         if cfg.uses_enhancement:
@@ -251,9 +261,7 @@ class Model:
         l_d = fuse.detection_loss(trace.probs, [f.label for f in batch])
         parts = {"detection": float(l_d.data)}
         if self.config.uses_interaction:
-            p_vt = align.similarity_matrix(trace.e_v, trace.e_t, self.config.tau)
-            p_tv = align.similarity_matrix(trace.e_t, trace.e_v, self.config.tau)
-            l_c = align.contrastive_loss(p_vt, p_tv, diagnostics)
+            l_c = align.contrastive_loss(trace.e_v, trace.e_t, self.config.tau, diagnostics)
             parts["contrastive"] = float(l_c.data)
             loss = fuse.total_loss(l_c, l_d, self.config.lambda_c)
         else:

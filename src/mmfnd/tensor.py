@@ -3,9 +3,10 @@
 Tensors wrap numpy arrays and record their producing operation on a tape;
 calling ``backward()`` on a scalar result propagates gradients to every
 leaf. One tape covers a whole batch: ops act on (B, ...) arrays and treat
-the leading axes as batch axes, so a training step builds a few dozen
-nodes, not a few per item. Broadcasting is explicit: each op states the
-shapes it accepts.
+the leading axes as batch axes. A model stage that would take a chain of
+small ops (a loss head, an attention pool, gated fusion) is one fused op
+with a closed-form backward, so a default training step builds about 32
+nodes. Broadcasting is explicit: each op states the shapes it accepts.
 """
 
 from __future__ import annotations
@@ -161,35 +162,55 @@ def release(root: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """C = A @ B for a 2-D B; leading axes of A beyond the last are batch axes."""
-    if b.data.ndim != 2 or a.data.ndim < 2 or a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dims disagree: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data @ b.data, (a, b))
+def matmul(a: Tensor | np.ndarray, b: Tensor) -> Tensor:
+    """C = A @ B for a 2-D B; leading axes of A beyond the last are batch axes.
+
+    The leading axes are folded into one 2-D product, forward and backward:
+    numpy would otherwise run one small GEMM per batch row. A plain array
+    ``a`` is a constant: it is no parent and gets no gradient.
+    """
+    const_a = isinstance(a, np.ndarray)
+    a_data = a if const_a else a.data
+    if b.data.ndim != 2 or a_data.ndim < 2 or a_data.shape[-1] != b.data.shape[0]:
+        raise ShapeError(f"matmul inner dims disagree: {a_data.shape} vs {b.data.shape}")
+    flat_a = a_data.reshape(-1, a_data.shape[-1])
+    y = (flat_a @ b.data).reshape(a_data.shape[:-1] + b.data.shape[1:])
+    out = Tensor(y, (b,) if const_a else (a, b))
 
     def _backward():
-        a.grad += out.grad @ b.data.T
-        b.grad += a.data.reshape(-1, a.data.shape[-1]).T @ out.grad.reshape(-1, b.data.shape[1])
+        g = out.grad.reshape(-1, b.data.shape[1])
+        if not const_a:
+            a.grad += (g @ b.data.T).reshape(a_data.shape)
+        b.grad += flat_a.T @ g
 
     out._backward = _backward
     return out
 
 
-def matvec(a: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
-    """y = A x (+ b) for every vector along the last axis of x (a dense layer)."""
-    if a.data.ndim != 2 or x.data.shape[-1:] != a.data.shape[1:]:
-        raise ShapeError(f"matvec inner dims disagree: {a.data.shape} vs {x.data.shape}")
+def matvec(a: Tensor, x: Tensor | np.ndarray, b: Tensor | None = None) -> Tensor:
+    """y = A x (+ b) for every vector along the last axis of x (a dense layer).
+
+    As in ``matmul``, the leading axes of x form one 2-D product, and a
+    plain array ``x`` is a constant input that gets no gradient.
+    """
+    const_x = isinstance(x, np.ndarray)
+    x_data = x if const_x else x.data
+    if a.data.ndim != 2 or x_data.shape[-1:] != a.data.shape[1:]:
+        raise ShapeError(f"matvec inner dims disagree: {a.data.shape} vs {x_data.shape}")
     if b is not None and b.data.shape != a.data.shape[:1]:
         raise ShapeError(f"matvec bias has shape {b.data.shape}, expected {a.data.shape[:1]}")
-    y = x.data @ a.data.T
+    flat_x = x_data.reshape(-1, a.data.shape[1])
+    y = flat_x @ a.data.T
     if b is not None:
         y += b.data
-    out = Tensor(y, (a, x) if b is None else (a, x, b))
+    parents = (a,) if const_x else (a, x)
+    out = Tensor(y.reshape(x_data.shape[:-1] + a.data.shape[:1]), parents if b is None else parents + (b,))
 
     def _backward():
         g = out.grad.reshape(-1, a.data.shape[0])
-        a.grad += g.T @ x.data.reshape(-1, a.data.shape[1])
-        x.grad += out.grad @ a.data
+        a.grad += g.T @ flat_x
+        if not const_x:
+            x.grad += (g @ a.data).reshape(x_data.shape)
         if b is not None:
             b.grad += g.sum(axis=0)
 
@@ -307,35 +328,25 @@ def sigmoid(x: Tensor) -> Tensor:
     return out
 
 
-def log(x: Tensor) -> Tensor:
-    out = Tensor(np.log(x.data), (x,))
-
-    def _backward():
-        x.grad += out.grad / x.data
-
-    out._backward = _backward
-    return out
-
-
-def clip(x: Tensor, lo: float | None, hi: float | None) -> Tensor:
-    """Clamp to [lo, hi]; gradient passes through only where unclamped."""
-    out = Tensor(np.clip(x.data, lo, hi), (x,))
-    mask = np.ones_like(x.data, dtype=bool)
-    if lo is not None:
-        mask &= x.data >= lo
-    if hi is not None:
-        mask &= x.data <= hi
-
-    def _backward():
-        x.grad += out.grad * mask
-
-    out._backward = _backward
-    return out
-
-
 # ---------------------------------------------------------------------------
 # softmax and normalization
 # ---------------------------------------------------------------------------
+
+
+def _softmax(z: np.ndarray, mask: np.ndarray | None = None, axis: int = -1) -> np.ndarray:
+    """Softmax along ``axis`` with max-subtraction for stability. With a
+    boolean ``mask`` (z's shape), masked-out entries get probability zero,
+    and a slice with no entry left is all zeros."""
+    if mask is not None:
+        z = np.where(mask, z, -np.inf)
+    top = z.max(axis=axis, keepdims=True)
+    if mask is not None:
+        top[~np.isfinite(top)] = 0.0
+    e = np.exp(z - top)
+    total = e.sum(axis=axis, keepdims=True)
+    if mask is not None:
+        total[total == 0.0] = 1.0
+    return e / total
 
 
 def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -346,15 +357,7 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """
     if x.data.ndim < 1:
         raise ShapeError("softmax_rows needs at least one axis")
-    z = x.data if mask is None else np.where(mask, x.data, -np.inf)
-    top = z.max(axis=-1, keepdims=True)
-    if mask is not None:
-        top[~np.isfinite(top)] = 0.0
-    e = np.exp(z - top)
-    total = e.sum(axis=-1, keepdims=True)
-    if mask is not None:
-        total[total == 0.0] = 1.0
-    p = e / total
+    p = _softmax(x.data, mask)
     out = Tensor(p, (x,))
 
     def _backward():
@@ -363,6 +366,73 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
     out._backward = _backward
     return out
+
+
+def attention_pool(q: Tensor, m: Tensor, mask: np.ndarray, w: np.ndarray) -> Tensor:
+    """out[..., :] = w[...] * sum_j p[..., j] m[..., j, :], where p is the
+    masked softmax over j of the scores m[..., j, :] . q[..., :].
+
+    Each query attends over its own rows of m, which are keys and values
+    alike, and pools them scaled by its constant weight w. One node: the
+    weights p are kept for the backward, and neither they nor the scores
+    are nodes. With g the output gradient, h_j = w g . m_j and the score
+    gradient ds = p (h - sum_j p_j h_j), q gets sum_j ds_j m_j and row m_j
+    gets p_j w g + ds_j q. A masked-out row has p_j = 0 and gets no gradient.
+    """
+    rows = m.data.shape[:-1]
+    if rows[:-1] + m.data.shape[-1:] != q.data.shape or mask.shape != rows or w.shape != rows[:-1]:
+        raise ShapeError(
+            f"attention_pool shapes disagree: q {q.data.shape}, m {m.data.shape}, "
+            f"mask {mask.shape}, w {w.shape}"
+        )
+    p = _softmax(np.matmul(m.data, q.data[..., None])[..., 0], mask)
+    out = Tensor(np.matmul(p[..., None, :], m.data)[..., 0, :] * w[..., None], (q, m))
+
+    def _backward():
+        gw = out.grad * w[..., None]
+        h = np.matmul(m.data, gw[..., None])[..., 0]
+        ds = p * (h - np.sum(h * p, axis=-1, keepdims=True))
+        q.grad += np.matmul(ds[..., None, :], m.data)[..., 0, :]
+        m.grad += p[..., :, None] * gw[..., None, :] + ds[..., :, None] * q.data[..., None, :]
+
+    out._backward = _backward
+    return out
+
+
+def infonce(a: Tensor, b: Tensor, c: float, floor: float) -> tuple[Tensor, int]:
+    """Bidirectional InfoNCE over matched rows of two (n, d) batches, as one
+    node, plus the count of diagonal probabilities below ``floor``.
+
+    The logits S = c a b^T are formed once. P, the row softmax of S, scores
+    a_i against every row of b; Q, its column softmax, scores b_j against
+    every row of a. Each direction averages -log of its diagonal, clamped
+    at ``floor``, and the loss is the mean of the two directions. So S gets
+    0.5/n ((P - I) by row plus (Q - I) by column), except that a row of P
+    (column of Q) whose diagonal lies below the floor gets none: the
+    clamped log is constant there.
+    """
+    if a.data.ndim != 2 or a.data.shape != b.data.shape:
+        raise ShapeError(
+            f"infonce needs two (n, d) batches of one shape, got {a.data.shape} and {b.data.shape}"
+        )
+    n = a.data.shape[0]
+    s = c * (a.data @ b.data.T)
+    p, q = _softmax(s), _softmax(s, axis=0)
+    diag_p, diag_q = np.diagonal(p).copy(), np.diagonal(q).copy()
+    loss_p = -np.log(np.maximum(diag_p, floor)).sum() / n
+    loss_q = -np.log(np.maximum(diag_q, floor)).sum() / n
+    out = Tensor(0.5 * (loss_p + loss_q), (a, b))
+
+    def _backward():
+        ar = np.arange(n)
+        p[ar, ar] -= 1.0
+        q[ar, ar] -= 1.0
+        gs = (0.5 * out.grad / n) * (p * (diag_p >= floor)[:, None] + q * (diag_q >= floor)[None, :])
+        a.grad += c * (gs @ b.data)
+        b.grad += c * (gs.T @ a.data)
+
+    out._backward = _backward
+    return out, int((diag_p < floor).sum() + (diag_q < floor).sum())
 
 
 # ``rank1_attention`` sums a power series in place of exponentiating its
@@ -597,6 +667,32 @@ def tsum(x: Tensor) -> Tensor:
     return out
 
 
+def binary_nll(probs: Tensor, col: int, positive: np.ndarray, eps: float) -> Tensor:
+    """Mean binary cross-entropy of column ``col`` of (B, k) probabilities,
+    as one node: -log p in rows where ``positive`` holds, -log(1 - p) in
+    the others, with p clamped to [eps, 1 - eps]. The gradient reaches
+    column ``col`` only, and is zero in rows where p was clamped.
+    """
+    if probs.data.ndim != 2 or np.shape(positive) != probs.data.shape[:1]:
+        raise ShapeError(
+            f"binary_nll needs (B, k) probabilities and B targets, "
+            f"got {probs.data.shape} and {np.shape(positive)}"
+        )
+    n = probs.data.shape[0]
+    raw = probs.data[:, col]
+    p = np.clip(raw, eps, 1.0 - eps)
+    p_true = np.where(positive, p, 1.0 - p)
+    out = Tensor(-np.log(p_true).mean(), (probs,))
+
+    def _backward():
+        sign = np.where(positive, 1.0, -1.0)
+        inside = (raw >= eps) & (raw <= 1.0 - eps)
+        probs.grad[:, col] += sign * ((-out.grad / n) / p_true) * inside
+
+    out._backward = _backward
+    return out
+
+
 # ---------------------------------------------------------------------------
 # structural ops
 # ---------------------------------------------------------------------------
@@ -620,6 +716,30 @@ def concat(parts: list[Tensor]) -> Tensor:
     return out
 
 
+def gated_concat(parts: list[Tensor], gates: Tensor) -> Tensor:
+    """``concat`` of equal-shape parts, part i scaled by gates[..., i], as
+    one node; ``gates`` has one entry per part for each leading index."""
+    shapes = {p.data.shape for p in parts}
+    lead = parts[0].data.shape[:-1]
+    if len(shapes) != 1 or parts[0].data.ndim < 1 or gates.data.shape != lead + (len(parts),):
+        raise ShapeError(
+            f"gated_concat needs equal parts and one gate each, "
+            f"got {[p.data.shape for p in parts]} and {gates.data.shape}"
+        )
+    x = np.stack([p.data for p in parts], axis=-2)  # (..., k, d)
+    out = Tensor((x * gates.data[..., None]).reshape(lead + (-1,)), (*parts, gates))
+
+    def _backward():
+        g = out.grad.reshape(x.shape)
+        gates.grad += np.sum(g * x, axis=-1)
+        g = g * gates.data[..., None]
+        for i, p in enumerate(parts):
+            p.grad += g[..., i, :]
+
+    out._backward = _backward
+    return out
+
+
 def stack_rows(parts: list[Tensor]) -> Tensor:
     """Stack equal-shape tensors along a new leading axis."""
     shapes = {p.data.shape for p in parts}
@@ -630,33 +750,6 @@ def stack_rows(parts: list[Tensor]) -> Tensor:
     def _backward():
         for i, p in enumerate(parts):
             p.grad += out.grad[i]
-
-    out._backward = _backward
-    return out
-
-
-def take_at(v: Tensor, i: int) -> Tensor:
-    """Entry i along the last axis (a 0-d tensor for a vector)."""
-    if v.data.ndim < 1:
-        raise ShapeError("take_at needs at least one axis")
-    out = Tensor(v.data[..., i], (v,))
-
-    def _backward():
-        v.grad[..., i] += out.grad
-
-    out._backward = _backward
-    return out
-
-
-def take_diag(m: Tensor) -> Tensor:
-    """Diagonal of a square matrix."""
-    if m.data.ndim != 2 or m.data.shape[0] != m.data.shape[1]:
-        raise ShapeError(f"take_diag needs a square matrix, got {m.data.shape}")
-    out = Tensor(np.diagonal(m.data).copy(), (m,))
-    ar = np.arange(m.data.shape[0])
-
-    def _backward():
-        m.grad[ar, ar] += out.grad
 
     out._backward = _backward
     return out

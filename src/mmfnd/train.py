@@ -32,6 +32,7 @@ class TrainConfig(ModelConfig):
 
     def validate(self) -> None:
         super().validate()
+        self._require_integers("epochs", "batch", "seed")
         for name in ("epochs", "batch", "lr", "eps"):
             self._require(name, lambda v: v > 0, "positive")
         if self.uses_interaction and self.batch < 2:

@@ -85,7 +85,7 @@ def test_similarity_rows_are_distributions():
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
 
-def _oracle_infonce(e_v, e_t, tau):
+def _oracle_infonce(e_v, e_t, tau, floor=0.0):
     # plain-python bidirectional InfoNCE over matched pairs
     n, d = len(e_v), len(e_v[0])
 
@@ -96,30 +96,28 @@ def _oracle_infonce(e_v, e_t, tau):
             mx = max(logits)
             denom = sum(math.exp(v - mx) for v in logits)
             p_ii = math.exp(logits[i] - mx) / denom
-            total += -math.log(p_ii)
+            total += -math.log(max(p_ii, floor))
         return total / n
 
     return 0.5 * (direction(e_v, e_t) + direction(e_t, e_v))
 
 
-@pytest.mark.parametrize("shape_vt,shape_tv", [((3, 2), (3, 2)), ((3, 3), (2, 2)), ((2, 2), (2, 3))])
+@pytest.mark.parametrize("shape_vt,shape_tv", [((3, 2), (2, 2)), ((3,), (3,)), ((2, 2), (2, 3))])
 def test_contrastive_loss_rejects_non_square_or_unequal_inputs_naming_both_shapes(shape_vt, shape_tv):
-    p_vt, p_tv = T.Tensor(np.full(shape_vt, 0.5)), T.Tensor(np.full(shape_tv, 0.5))
+    e_v, e_t = T.Tensor(np.full(shape_vt, 0.5)), T.Tensor(np.full(shape_tv, 0.5))
     with pytest.raises(T.ShapeError, match=re.escape(f"got {shape_vt} and {shape_tv}")):
-        align.contrastive_loss(p_vt, p_tv)
+        align.contrastive_loss(e_v, e_t, 1.0)
 
 
 def test_contrastive_loss_singleton_is_zero():
-    p = T.Tensor(np.array([[1.0]]))
-    loss = align.contrastive_loss(p, p)
+    e = T.Tensor(np.array([[1.0, 0.0]]))
+    loss = align.contrastive_loss(e, e, 1.0)
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_contrastive_loss_pinned_orthogonal_case():
     e = T.Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    p_vt = align.similarity_matrix(e, e, tau=1.0)
-    p_tv = align.similarity_matrix(e, e, tau=1.0)
-    loss = align.contrastive_loss(p_vt, p_tv)
+    loss = align.contrastive_loss(e, e, 1.0)
     expected = -math.log(math.e / (math.e + 1.0))  # about 0.31326
     assert loss.item() == pytest.approx(expected, abs=1e-12)
     assert loss.item() == pytest.approx(0.31326, abs=5e-6)
@@ -132,20 +130,25 @@ def test_contrastive_loss_matches_brute_force_oracle():
         e_v = _unit_rows(gen, n, 6)
         e_t = _unit_rows(gen, n, 6)
         tau = float(gen.uniform(0.05, 2.0))
-        p_vt = align.similarity_matrix(T.Tensor(e_v), T.Tensor(e_t), tau)
-        p_tv = align.similarity_matrix(T.Tensor(e_t), T.Tensor(e_v), tau)
-        loss = align.contrastive_loss(p_vt, p_tv).item()
+        loss = align.contrastive_loss(T.Tensor(e_v), T.Tensor(e_t), tau).item()
         expected = _oracle_infonce(e_v.tolist(), e_t.tolist(), tau)
         assert loss == pytest.approx(expected, abs=1e-10)
+
+
+def test_contrastive_loss_reads_the_diagonals_of_both_similarity_matrices():
+    gen = Rng(42).stream("infonce-explicit")
+    e_v, e_t = T.Tensor(_unit_rows(gen, 5, 6)), T.Tensor(_unit_rows(gen, 5, 6))
+    p_vt = align.similarity_matrix(e_v, e_t, 0.1).data
+    p_tv = align.similarity_matrix(e_t, e_v, 0.1).data
+    expected = -0.5 * (np.log(np.diag(p_vt)).mean() + np.log(np.diag(p_tv)).mean())
+    assert align.contrastive_loss(e_v, e_t, 0.1).item() == pytest.approx(expected, abs=1e-13)
 
 
 def test_contrastive_loss_swap_symmetry():
     gen = Rng(35).stream("infonce-swap")
     e_v = T.Tensor(_unit_rows(gen, 4, 6))
     e_t = T.Tensor(_unit_rows(gen, 4, 6))
-    p_vt = align.similarity_matrix(e_v, e_t, 0.5)
-    p_tv = align.similarity_matrix(e_t, e_v, 0.5)
-    assert align.contrastive_loss(p_vt, p_tv).item() == align.contrastive_loss(p_tv, p_vt).item()
+    assert align.contrastive_loss(e_v, e_t, 0.5).item() == align.contrastive_loss(e_t, e_v, 0.5).item()
 
 
 def test_identical_embedding_sets_make_directions_equal():
@@ -161,9 +164,7 @@ def test_temperature_limit_reaches_log_n():
     for n in (2, 4, 8):
         e_v = T.Tensor(_unit_rows(gen, n, 8))
         e_t = T.Tensor(_unit_rows(gen, n, 8))
-        p_vt = align.similarity_matrix(e_v, e_t, tau=1e6)
-        p_tv = align.similarity_matrix(e_t, e_v, tau=1e6)
-        loss = align.contrastive_loss(p_vt, p_tv).item()
+        loss = align.contrastive_loss(e_v, e_t, tau=1e6).item()
         assert loss == pytest.approx(math.log(n), abs=1e-3)
 
 
@@ -172,24 +173,29 @@ def test_raising_positive_pair_logit_lowers_loss():
     for _ in range(20):
         n = 4
         logits = gen.normal(size=(n, n))
-        base = align.contrastive_loss(
-            T.softmax_rows(T.Tensor(logits)), T.softmax_rows(T.Tensor(logits.T.copy()))
-        ).item()
+        # one-hot rows of e_v against the columns of the logits: e_v e_t^T = logits
+        e_v = T.Tensor(np.eye(n))
+        base = align.contrastive_loss(e_v, T.Tensor(logits.T.copy()), 1.0).item()
         i = int(gen.integers(0, n))
         bumped = logits.copy()
         bumped[i, i] += float(gen.uniform(0.05, 1.0))
-        after = align.contrastive_loss(
-            T.softmax_rows(T.Tensor(bumped)), T.softmax_rows(T.Tensor(bumped.T.copy()))
-        ).item()
+        after = align.contrastive_loss(e_v, T.Tensor(bumped.T.copy()), 1.0).item()
         assert after < base
 
 
+def _half_anti_aligned():
+    """Pair 0 anti-aligned and pair 1 aligned at tau = 0.02: the logits are
+    -50 and +50 on the diagonal and 0 off it, so the diagonal probability
+    of pair 0 is about 2e-22 in both directions, below the clamp."""
+    return np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[-1.0, 0.0], [0.0, 1.0]]), 0.02
+
+
 def test_clamp_events_are_reported():
-    p = np.array([[1e-15, 1.0 - 1e-15], [0.5, 0.5]])
+    e_v, e_t, tau = _half_anti_aligned()
     diagnostics = {}
-    align.contrastive_loss(T.Tensor(p), T.Tensor(p), diagnostics)
+    align.contrastive_loss(T.Tensor(e_v), T.Tensor(e_t), tau, diagnostics)
     assert diagnostics["clamped_log_events"] == 2
-    assert math.isfinite(align.contrastive_loss(T.Tensor(p), T.Tensor(p)).item())
+    assert math.isfinite(align.contrastive_loss(T.Tensor(e_v), T.Tensor(e_t), tau).item())
 
 
 def test_full_contrastive_gradcheck():
@@ -205,8 +211,47 @@ def test_full_contrastive_gradcheck():
     def f():
         e_t = T.stack_rows([align.shared_encode(T.Tensor(r), w_st, b_st) for r in r_ts])
         e_v = T.stack_rows([align.shared_encode(T.Tensor(r), w_sv, b_sv) for r in r_vs])
-        p_vt = align.similarity_matrix(e_v, e_t, tau=0.5)
-        p_tv = align.similarity_matrix(e_t, e_v, tau=0.5)
-        return align.contrastive_loss(p_vt, p_tv)
+        return align.contrastive_loss(e_v, e_t, tau=0.5)
 
     assert finite_diff_check(f, [w_st, b_st, w_sv, b_sv]).max_rel_err < 1e-4
+
+
+def test_contrastive_loss_rejects_bad_temperature():
+    e = T.Tensor(np.eye(2))
+    with pytest.raises(ConfigError):
+        align.contrastive_loss(e, e, 0.0)
+
+
+def _one_clamped_pair(gen):
+    """Three pairs at tau = 1: pair 0 is anti-aligned at norm 10 and
+    orthogonal to every other row, so its logit is -100 against 0 in its
+    row and its column and both of its diagonal probabilities are about
+    1e-44, below the clamp. Pairs 1 and 2 are random unit rows with
+    moderate logits."""
+    e_v, e_t = np.zeros((3, 3)), np.zeros((3, 3))
+    e_v[0, 0], e_t[0, 0] = 10.0, -10.0
+    e_v[1:, 1:] = _unit_rows(gen, 2, 2)
+    e_t[1:, 1:] = _unit_rows(gen, 2, 2)
+    return e_v, e_t
+
+
+def test_contrastive_loss_matches_the_clamping_oracle_on_clamped_rows():
+    e_v, e_t = _one_clamped_pair(Rng(40).stream("infonce-clamped"))
+    diagnostics = {}
+    loss = align.contrastive_loss(T.Tensor(e_v), T.Tensor(e_t), 1.0, diagnostics).item()
+    assert diagnostics["clamped_log_events"] == 2
+    expected = _oracle_infonce(e_v.tolist(), e_t.tolist(), 1.0, floor=align.LOG_CLAMP)
+    assert loss == pytest.approx(expected, abs=1e-10)
+    # unclamped, pair 0 would cost about 100 nats per direction instead of -log(1e-12)
+    assert loss < _oracle_infonce(e_v.tolist(), e_t.tolist(), 1.0) - 10.0
+
+
+def test_contrastive_loss_gradient_matches_finite_differences_with_clamped_rows():
+    """The clamped pair's diagonal passes no gradient in either direction,
+    but its rows still get the gradient of the unclamped probabilities
+    they take part in."""
+    e_v, e_t = _one_clamped_pair(Rng(41).stream("infonce-clamped-grad"))
+    pv, pt = T.Param("e_v", e_v), T.Param("e_t", e_t)
+    report = finite_diff_check(lambda: align.contrastive_loss(pv, pt, 1.0), [pv, pt])
+    assert report.max_rel_err < 1e-6
+    assert np.any(pv.grad[1:] != 0.0) and np.any(pt.grad[1:] != 0.0)

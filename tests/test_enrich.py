@@ -607,3 +607,52 @@ def test_enhance_gradcheck():
 
     report = finite_diff_check(f, [r_t, m_d, w_t, w_d])
     assert report.max_rel_err < 1e-4
+
+
+def _explicit_enhance(r_t, m_d, counts, w_t, w_d):
+    """``enhance`` through the explicit attention map, op by op: the
+    reference for its fused attention pool."""
+    att = enrich.description_attention(r_t, m_d, counts)
+    inv_count = T.Tensor(1.0 / np.maximum(counts, 1))
+    pooled = T.scale_rows(T.bmv(T.transpose(m_d), att), inv_count)
+    return T.add(T.matvec(w_t, r_t), T.matvec(w_d, pooled))
+
+
+def test_enhance_matches_explicit_attention_and_oracle_with_an_item_without_descriptions():
+    gen = Rng(27).stream("enhance-explicit")
+    d, counts = 4, np.array([3, 0, 1])
+    arrays = {
+        "r_t": gen.normal(size=(3, d)), "m_d": gen.normal(size=(3, 3, d)),
+        "w_t": gen.normal(size=(d, d)), "w_d": gen.normal(size=(d, d)),
+    }
+    weights = gen.normal(size=(3, d))
+    results = []
+    for build in (enrich.enhance, _explicit_enhance):
+        params = {name: T.Param(name, a) for name, a in arrays.items()}
+        out = build(params["r_t"], params["m_d"], counts, params["w_t"], params["w_d"])
+        T.tsum(T.mul(out, T.Tensor(weights))).backward()
+        results.append([out.data] + [params[name].grad for name in arrays])
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+    out, m_grad = results[0][0], results[0][2]
+    r_t, m, w_t, w_d = (arrays[name].tolist() for name in ("r_t", "m_d", "w_t", "w_d"))
+    for b in (0, 2):
+        np.testing.assert_allclose(out[b], _oracle_enhance(r_t[b], m[b][:counts[b]], w_t, w_d), atol=1e-12)
+    np.testing.assert_allclose(out[1], [sum(w * x for w, x in zip(row, r_t[1])) for row in w_t], atol=1e-12)
+    # padding rows, and every row of the item without descriptions, get no gradient
+    assert np.all(m_grad[1] == 0.0) and np.all(m_grad[2, 1:] == 0.0)
+
+
+def test_enhance_gradcheck_with_an_item_without_descriptions():
+    gen = Rng(28).stream("enhance-grad-empty")
+    d = 3
+    r_t = T.Param("r_t", gen.normal(size=(3, d)))
+    m_d = T.Param("m_d", gen.normal(size=(3, 2, d)))
+    w_t = T.Param("w_t", gen.normal(size=(d, d)))
+    w_d = T.Param("w_d", gen.normal(size=(d, d)))
+    weights = gen.normal(size=(3, d))
+
+    def f():
+        return T.tsum(T.mul(enrich.enhance(r_t, m_d, [2, 0, 1], w_t, w_d), T.Tensor(weights)))
+
+    assert finite_diff_check(f, [r_t, m_d, w_t, w_d]).max_rel_err < 1e-6

@@ -152,3 +152,52 @@ def test_total_loss_is_plain_sum_at_unit_weight():
     b = T.Tensor(np.array(0.7))
     assert fuse.total_loss(a, b, 1.0).item() == pytest.approx(1.0, abs=1e-15)
     assert fuse.total_loss(a, b, lambda_c=0.5).item() == pytest.approx(0.85, abs=1e-15)
+
+
+def test_gated_fuse_gradcheck():
+    gen = Rng(70).stream("fuse-grad")
+    feats = [T.Param(f"f{i}", gen.normal(size=(2, 3))) for i in range(3)]
+    gates = T.Param("gates", gen.uniform(0.1, 0.9, size=(2, 3)))
+    weights = gen.normal(size=(2, 9))
+
+    def f():
+        return T.tsum(T.mul(fuse.fuse(feats, gates), T.Tensor(weights)))
+
+    assert finite_diff_check(f, feats + [gates]).max_rel_err < 1e-6
+
+
+def _oracle_detection(probs, labels):
+    # plain-python mean cross-entropy of the clamped fake-class probability
+    total = 0.0
+    for row, y in zip(probs, labels):
+        p = min(max(row[fuse.FAKE], fuse.PROB_CLAMP), 1.0 - fuse.PROB_CLAMP)
+        total += -math.log(p if y == fuse.FAKE else 1.0 - p)
+    return total / len(probs)
+
+
+def test_detection_loss_matches_brute_force_oracle_with_clamped_rows():
+    """Rows 0-3 hold probabilities outside the clamp; they count at the
+    clamp and pass no gradient. The others get d/dp of -log p (fake) or
+    -log(1 - p) (real), over n, in the fake column only."""
+    gen = Rng(71).stream("loss-oracle")
+    fake = gen.uniform(0.01, 0.99, size=10)
+    fake[:4] = [0.0, 1.0, 1e-13, 1.0 - 1e-13]
+    labels = [1, 0, 1, 0] + [int(v) for v in gen.integers(0, 2, size=6)]
+    probs = T.Param("probs", np.stack([1.0 - fake, fake], axis=1))
+    loss = fuse.detection_loss(probs, labels)
+    assert loss.item() == pytest.approx(_oracle_detection(probs.data.tolist(), labels), abs=1e-12)
+    loss.backward()
+    expected = [
+        0.0 if k < 4 else (-1.0 / p if y == fuse.FAKE else 1.0 / (1.0 - p)) / len(labels)
+        for k, (p, y) in enumerate(zip(fake, labels))
+    ]
+    np.testing.assert_allclose(probs.grad[:, fuse.FAKE], expected, rtol=1e-13, atol=0)
+    assert np.all(probs.grad[:, fuse.REAL] == 0.0)
+
+
+def test_detection_loss_gradcheck_through_the_clamp():
+    # rows 0 and 3 lie outside [0, 1] by more than the step, so they stay clamped
+    probs = T.Param("probs", np.array([[1.5, -0.5], [0.3, 0.7], [0.6, 0.4], [-0.5, 1.5]]))
+    report = finite_diff_check(lambda: fuse.detection_loss(probs, [1, 0, 1, 0]), [probs])
+    assert report.max_rel_err < 1e-6
+    assert np.all(probs.grad[[0, 3]] == 0.0)

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from mmfnd import data, metrics
+from mmfnd.errors import ConfigError
 from mmfnd.model import Model
 from mmfnd.train import TrainConfig, train
+
+from gradcheck import build_gradcheck_problem
 
 
 def test_no_predicted_fakes_warns_and_reports_zero_precision():
@@ -11,6 +14,12 @@ def test_no_predicted_fakes_warns_and_reports_zero_precision():
     assert report.fake.precision == 0.0 and report.fake.f1 == 0.0
     assert any("no items predicted fake" in w for w in report.warnings)
     assert report.accuracy == pytest.approx(5 / 8)
+
+
+def test_evaluating_an_empty_dataset_names_its_provenance():
+    model, _ = build_gradcheck_problem(d=6)
+    with pytest.raises(ConfigError, match="evaluation dataset 'x' is empty"):
+        metrics.evaluate(model, data.Dataset([], "test", "x"))
 
 
 def test_empty_confusion_matrix_raises():

@@ -9,7 +9,7 @@ import pytest
 from mmfnd import fuse
 from mmfnd import tensor as T
 from mmfnd.data import NewsItem
-from mmfnd.encoders import EmptyTextError
+from mmfnd.encoders import EmptyTextError, TokenSequence, Vocabulary
 from mmfnd.errors import ConfigError
 from mmfnd.model import ABLATIONS, ItemFeatures, Model, ModelConfig
 from mmfnd.rng import Rng
@@ -209,8 +209,17 @@ def test_featurize_rejects_a_non_finite_vector_naming_item_and_field(field, bad)
         "text_vec": dict(text_vec=vec),
         "desc_vecs": dict(desc_vecs=np.stack([np.ones(6), vec])),
     }[field]
-    with pytest.raises(ConfigError, match=f"item 'bad-7': {field} has a non-finite value"):
+    name = {"desc_vecs": "desc_vecs\\[1\\]"}.get(field, field)  # the row that holds the value
+    with pytest.raises(ConfigError, match=f"item 'bad-7': {name} has a non-finite value"):
         model.featurize(_item("bad-7", 6, **vectors))
+
+
+def test_featurize_names_the_description_vector_row_of_a_wrong_width():
+    model, _ = build_gradcheck_problem(d=6)
+    item = _item("bad-7", 6, desc_vecs=[np.ones(6), np.ones(6), np.ones(4)])
+    message = "item 'bad-7': desc_vecs[2] has shape (4,), expected (6,)"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        model.featurize(item)
 
 
 @pytest.mark.parametrize(
@@ -364,3 +373,79 @@ def test_training_tape_holds_no_attention_map():
     shapes = {node.data.shape for node in T._topo_order(loss)}
     assert (4, 8) in shapes
     assert not [s for s in shapes if s[-2:] == (8, 8) and len(s) > 2]
+
+
+# Tape nodes of one default-config training batch: 4 encoder nodes (two
+# bag products, the image and description projections), the text
+# projection, 4 in enrichment, 5 in alignment, 6 in interaction and 12 in
+# fusion and the losses.
+DEFAULT_BATCH_NODES = 32
+
+
+def _default_config_batch(n_items=6):
+    """A model at the default ModelConfig and a batch of token items, some
+    with descriptions and one without."""
+    vocab = Vocabulary([f"tok{i}" for i in range(13)])  # 14 rows: no other axis has that size
+    model = Model.initialize(ModelConfig(), vocab, Rng(3))
+    gen = Rng(3).stream("default-batch")
+
+    def tokens():
+        return TokenSequence(ids=[int(i) for i in gen.integers(1, len(vocab), size=5)])
+
+    feats = [
+        ItemFeatures(
+            item_id=f"i{k}", label=k % 2, image=gen.normal(size=model.config.d_raw),
+            text=tokens(), descs=[tokens() for _ in range(k % 3)],
+        )
+        for k in range(n_items)
+    ]
+    return model, feats
+
+
+def _record_tensors(monkeypatch):
+    """Rebind ``mmfnd.tensor.Tensor`` to a subclass that records every node
+    it makes, as the benchmark's stage tracer does; Params stay instances
+    of the original class."""
+    created = []
+    base = T.Tensor
+
+    class Recorded(base):
+        __slots__ = ()
+
+        def __init__(self, data, parents=()):
+            base.__init__(self, data, parents)
+            created.append(self)
+
+    monkeypatch.setattr(T, "Tensor", Recorded)
+    return created
+
+
+def test_default_training_batch_builds_at_most_the_pinned_node_count(monkeypatch):
+    model, feats = _default_config_batch()
+    created = _record_tensors(monkeypatch)
+    model.batch_loss(feats)
+    assert len(created) <= DEFAULT_BATCH_NODES
+
+
+def test_no_bag_of_ids_or_stacked_image_array_is_a_node(monkeypatch):
+    """Constant inputs enter as plain arrays: every node made for a batch of
+    token items has parents, and none has the vocabulary's or d_raw's width."""
+    model, feats = _default_config_batch()
+    created = _record_tensors(monkeypatch)
+    model.batch_loss(feats)
+    assert all(node._parents for node in created)
+    widths = {node.data.shape[-1:] for node in created}
+    assert (len(model.vocab),) not in widths and (model.config.d_raw,) not in widths
+
+
+def test_rebinding_the_tensor_class_leaves_every_gradient_unchanged(monkeypatch):
+    model, feats = _default_config_batch()
+    grads = []
+    for rebind in (False, True):
+        if rebind:
+            _record_tensors(monkeypatch)
+        model.params.reset_gradients()
+        model.batch_loss(feats)[0].backward()
+        grads.append(model.params.grad.copy())
+    assert np.any(model.emb.grad != 0.0)
+    np.testing.assert_array_equal(grads[1], grads[0])

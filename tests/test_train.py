@@ -33,6 +33,20 @@ def test_non_finite_hyperparameters_are_rejected_naming_the_field(field, value):
         TrainConfig(**{field: value}).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("d", 8.0), ("d_raw", True), ("max_len", True), ("batch", 2.5), ("epochs", 1.5), ("seed", 1.5),
+    ("seed", False), ("d", "8"),
+])
+def test_non_integer_sizes_counts_and_seeds_are_rejected_naming_the_field(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+        TrainConfig(**{field: value}).validate()
+
+
+def test_numpy_integer_sizes_counts_and_seeds_pass_validation():
+    fields = ("d", "d_raw", "max_len", "batch", "epochs", "seed")
+    TrainConfig(**{name: np.int64(4) for name in fields}).validate()
+
+
 def test_adam_steps_match_hand_computation():
     reg = T.ParamRegistry([("p", np.array([1.0, -2.0]))])
     p = reg["p"]
