@@ -6,11 +6,14 @@ all other in-batch combinations.
 
 Training takes the bidirectional InfoNCE loss in one ``tensor.infonce``
 node, straight from the two embedding batches. ``similarity_matrix`` is
-the explicit row-stochastic matrix of one direction: the loss's reference
-in the tests, and the distribution that telemetry reads.
+the explicit row-stochastic matrix of one direction, as a tensor off the
+tape. Training does not call it; it stays while the benchmark's stage
+tracer patches it by name, until the package has a stage hook of its own.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import tensor as T
 from .errors import ConfigError
@@ -20,8 +23,8 @@ LOG_CLAMP = 1e-12
 
 
 def _check_temperature(tau: float) -> None:
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ConfigError(f"tau must be a finite positive temperature, got {tau}")
 
 
 def shared_encode(r: Tensor, w: Param, b: Param) -> Tensor:
@@ -30,14 +33,14 @@ def shared_encode(r: Tensor, w: Param, b: Param) -> Tensor:
 
 
 def similarity_matrix(e_a: Tensor, e_b: Tensor, tau: float) -> Tensor:
-    """Row-stochastic similarity: softmax over temperature-scaled dot products.
+    """Row-stochastic similarity: softmax over temperature-scaled dot
+    products, as a tensor off the tape (no parents, no gradient).
 
     Entry (i, j) is the probability mass that row i of ``e_a`` assigns to
     row j of ``e_b`` among all in-batch candidates.
     """
     _check_temperature(tau)
-    logits = T.scale(T.matmul(e_a, T.transpose(e_b)), 1.0 / tau)
-    return T.softmax_rows(logits)
+    return T.Tensor(T.softmax((1.0 / tau) * (e_a.data @ e_b.data.T)))
 
 
 def contrastive_loss(e_v: Tensor, e_t: Tensor, tau: float, diagnostics: dict | None = None) -> Tensor:

@@ -104,13 +104,15 @@ def pooled_embedding(emb: Param, bag: np.ndarray) -> Tensor:
     return T.matmul(bag, emb)
 
 
-def embed_rows(emb: Param, slots: list, lead: tuple[int, ...]) -> Tensor | None:
+def embed_rows(emb: Param, slots: list, lead: tuple[int, ...]) -> Tensor | np.ndarray | None:
     """Feature rows shaped ``lead + (d,)`` from ``slots`` in row-major order.
 
     The one place that tells a slot's kind: a TokenSequence slot gives the
     mean of its token embeddings, an array slot is a precomputed vector
     taken as it is, and a None slot (padding) gives a zero row. A batch may
-    mix all three. Returns None when every slot is None.
+    mix all three. Precomputed vectors are constants: with no token slot
+    the rows are a plain array, and otherwise they enter as the offset of
+    one ``affine`` node. Returns None when every slot is None.
     """
     n_vocab, d = emb.data.shape
     seqs = [s if isinstance(s, TokenSequence) else None for s in slots]
@@ -118,9 +120,8 @@ def embed_rows(emb: Param, slots: list, lead: tuple[int, ...]) -> Tensor | None:
     if any(s is not None for s in seqs):
         rows = pooled_embedding(emb, bag_of_ids(seqs, n_vocab).reshape(*lead, n_vocab))
     if any(isinstance(s, np.ndarray) for s in slots):
-        pre = np.array([s if isinstance(s, np.ndarray) else np.zeros(d) for s in slots])
-        pre = T.Tensor(pre.reshape(*lead, d))
-        rows = pre if rows is None else T.add(rows, pre)
+        pre = np.array([s if isinstance(s, np.ndarray) else np.zeros(d) for s in slots]).reshape(*lead, d)
+        rows = pre if rows is None else T.affine(rows, 1.0, pre)
     return rows
 
 

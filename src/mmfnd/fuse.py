@@ -67,4 +67,4 @@ def detection_loss(probs: Tensor, labels) -> Tensor:
 def total_loss(l_c: Tensor, l_d: Tensor, lambda_c: float) -> Tensor:
     """Combined objective ``lambda_c * l_c + l_d``. At ``lambda_c == 1`` the
     scaled term equals ``l_c`` exactly, so the result is the plain sum."""
-    return T.add(T.scale(l_c, lambda_c), l_d)
+    return T.add(T.affine(l_c, lambda_c, 0.0), l_d)

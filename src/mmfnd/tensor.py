@@ -5,8 +5,13 @@ calling ``backward()`` on a scalar result propagates gradients to every
 leaf. One tape covers a whole batch: ops act on (B, ...) arrays and treat
 the leading axes as batch axes. A model stage that would take a chain of
 small ops (a loss head, an attention pool, gated fusion) is one fused op
-with a closed-form backward, so a default training step builds about 32
-nodes. Broadcasting is explicit: each op states the shapes it accepts.
+with a closed-form backward, so a default training step builds 32 nodes.
+Broadcasting is explicit: each op states the shapes it accepts.
+
+The module holds only the ops that training, scoring and enrichment run,
+plus ``softmax`` and ``rank1_softmax``, which compute plain arrays for the
+explicit views in ``align`` and ``interact``. The op-by-op references that
+the fused ops are checked against live in the tests.
 """
 
 from __future__ import annotations
@@ -218,33 +223,6 @@ def matvec(a: Tensor, x: Tensor | np.ndarray, b: Tensor | None = None) -> Tensor
     return out
 
 
-def bmv(m: Tensor, v: Tensor) -> Tensor:
-    """Batched matrix-vector product: out[..., i] = sum_j m[..., i, j] v[..., j]."""
-    if m.data.ndim != v.data.ndim + 1 or m.data.shape[:-2] + m.data.shape[-1:] != v.data.shape:
-        raise ShapeError(f"bmv shapes disagree: {m.data.shape} vs {v.data.shape}")
-    out = Tensor(np.matmul(m.data, v.data[..., None])[..., 0], (m, v))
-
-    def _backward():
-        m.grad += out.grad[..., :, None] * v.data[..., None, :]
-        v.grad += np.matmul(out.grad[..., None, :], m.data)[..., 0, :]
-
-    out._backward = _backward
-    return out
-
-
-def transpose(x: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if x.data.ndim < 2:
-        raise ShapeError(f"transpose needs at least 2 axes, got shape {x.data.shape}")
-    out = Tensor(np.swapaxes(x.data, -1, -2).copy(), (x,))
-
-    def _backward():
-        x.grad += np.swapaxes(out.grad, -1, -2)
-
-    out._backward = _backward
-    return out
-
-
 # ---------------------------------------------------------------------------
 # elementwise and affine
 # ---------------------------------------------------------------------------
@@ -263,43 +241,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul shapes disagree: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data * b.data, (a, b))
-
-    def _backward():
-        a.grad += out.grad * b.data
-        b.grad += out.grad * a.data
-
-    out._backward = _backward
-    return out
-
-
 def affine(x: Tensor, a, b) -> Tensor:
     """a*x + b with constant coefficients: python floats or arrays shaped like x."""
     out = Tensor(a * x.data + b, (x,))
 
     def _backward():
         x.grad += a * out.grad
-
-    out._backward = _backward
-    return out
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    return affine(x, c, 0.0)
-
-
-def scale_rows(m: Tensor, w: Tensor) -> Tensor:
-    """Each vector along the last axis of m multiplied by its entry of w."""
-    if m.data.shape[:-1] != w.data.shape or m.data.ndim < 1:
-        raise ShapeError(f"scale_rows shapes disagree: {m.data.shape} vs {w.data.shape}")
-    out = Tensor(m.data * w.data[..., None], (m, w))
-
-    def _backward():
-        m.grad += out.grad * w.data[..., None]
-        w.grad += np.sum(out.grad * m.data, axis=-1)
 
     out._backward = _backward
     return out
@@ -333,10 +280,11 @@ def sigmoid(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _softmax(z: np.ndarray, mask: np.ndarray | None = None, axis: int = -1) -> np.ndarray:
-    """Softmax along ``axis`` with max-subtraction for stability. With a
-    boolean ``mask`` (z's shape), masked-out entries get probability zero,
-    and a slice with no entry left is all zeros."""
+def softmax(z: np.ndarray, mask: np.ndarray | None = None, axis: int = -1) -> np.ndarray:
+    """Softmax along ``axis`` with max-subtraction for stability, as a plain
+    array; it builds no tape node. With a boolean ``mask`` (z's shape),
+    masked-out entries get probability zero, and a slice with no entry left
+    is all zeros."""
     if mask is not None:
         z = np.where(mask, z, -np.inf)
     top = z.max(axis=axis, keepdims=True)
@@ -349,15 +297,11 @@ def _softmax(z: np.ndarray, mask: np.ndarray | None = None, axis: int = -1) -> n
     return e / total
 
 
-def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax along the last axis with max-subtraction for stability.
-
-    With a boolean ``mask`` (x's shape), masked-out entries get probability
-    zero; a row with no entry left is all zeros.
-    """
+def softmax_rows(x: Tensor) -> Tensor:
+    """Softmax along the last axis with max-subtraction for stability."""
     if x.data.ndim < 1:
         raise ShapeError("softmax_rows needs at least one axis")
-    p = _softmax(x.data, mask)
+    p = softmax(x.data)
     out = Tensor(p, (x,))
 
     def _backward():
@@ -385,7 +329,7 @@ def attention_pool(q: Tensor, m: Tensor, mask: np.ndarray, w: np.ndarray) -> Ten
             f"attention_pool shapes disagree: q {q.data.shape}, m {m.data.shape}, "
             f"mask {mask.shape}, w {w.shape}"
         )
-    p = _softmax(np.matmul(m.data, q.data[..., None])[..., 0], mask)
+    p = softmax(np.matmul(m.data, q.data[..., None])[..., 0], mask)
     out = Tensor(np.matmul(p[..., None, :], m.data)[..., 0, :] * w[..., None], (q, m))
 
     def _backward():
@@ -417,7 +361,7 @@ def infonce(a: Tensor, b: Tensor, c: float, floor: float) -> tuple[Tensor, int]:
         )
     n = a.data.shape[0]
     s = c * (a.data @ b.data.T)
-    p, q = _softmax(s), _softmax(s, axis=0)
+    p, q = softmax(s), softmax(s, axis=0)
     diag_p, diag_q = np.diagonal(p).copy(), np.diagonal(q).copy()
     loss_p = -np.log(np.maximum(diag_p, floor)).sum() / n
     loss_q = -np.log(np.maximum(diag_q, floor)).sum() / n
@@ -651,17 +595,6 @@ def rank1_max_pool(u: Tensor, v: Tensor) -> Tensor:
         idx = np.arange(u.data.shape[-1])
         u.grad += (idx == np.argmax(u.data, axis=-1)[..., None]) * np.sum(gv * pos, axis=-1, keepdims=True)
         u.grad += (idx == np.argmin(u.data, axis=-1)[..., None]) * np.sum(gv * ~pos, axis=-1, keepdims=True)
-
-    out._backward = _backward
-    return out
-
-
-def tsum(x: Tensor) -> Tensor:
-    """Sum of all elements, as a 0-d tensor."""
-    out = Tensor(x.data.sum(), (x,))
-
-    def _backward():
-        x.grad += out.grad
 
     out._backward = _backward
     return out

@@ -1,15 +1,33 @@
-"""Central finite-difference verification of analytic gradients, and the
-tiny deterministic model that the gradient and batching tests share."""
+"""Central finite-difference verification of analytic gradients, the
+weighted-sum loss the gradient tests differentiate, and the tiny
+deterministic model that the gradient and batching tests share."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from mmfnd import encoders as enc
 from mmfnd.model import ItemFeatures, Model, ModelConfig
 from mmfnd.rng import Rng
-from mmfnd.tensor import Param
+from mmfnd.tensor import Param, ShapeError, Tensor
+
+
+def weighted_sum(x: Tensor, w) -> Tensor:
+    """sum(x * w) for constant weights ``w`` shaped like x, as one 0-d node;
+    x gets the gradient w times the output's."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != x.data.shape:
+        raise ShapeError(f"weighted_sum shapes disagree: {x.data.shape} vs {w.shape}")
+    out = Tensor((x.data * w).sum(), (x,))
+
+    def _backward():
+        x.grad += out.grad * w
+
+    out._backward = _backward
+    return out
 
 
 @dataclass

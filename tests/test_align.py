@@ -9,7 +9,7 @@ from mmfnd import tensor as T
 from mmfnd.errors import ConfigError
 from mmfnd.rng import Rng
 
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, weighted_sum
 
 
 def _unit_rows(gen, n, d):
@@ -41,7 +41,7 @@ def test_shared_encode_gradcheck():
     weights = gen.normal(size=5)
 
     def f():
-        return T.tsum(T.mul(align.shared_encode(T.Tensor(r), w, b), T.Tensor(weights)))
+        return weighted_sum(align.shared_encode(T.Tensor(r), w, b), weights)
 
     assert finite_diff_check(f, [w, b]).max_rel_err < 1e-4
 
@@ -72,6 +72,24 @@ def test_similarity_rejects_bad_temperature():
         align.similarity_matrix(e, e, tau=0.0)
     with pytest.raises(ConfigError):
         align.similarity_matrix(e, e, tau=-1.0)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_similarity_and_loss_reject_a_non_finite_temperature_naming_tau(tau):
+    e = T.Tensor(np.eye(2))
+    for call in (align.similarity_matrix, align.contrastive_loss):
+        with pytest.raises(ConfigError, match=f"^tau must be a finite positive temperature, got {tau}$"):
+            call(e, e, tau)
+
+
+def test_similarity_matrix_is_off_the_tape_and_matches_the_loss_logits():
+    gen = Rng(43).stream("sim-off-tape")
+    e_a, e_b = T.Param("e_a", _unit_rows(gen, 4, 5)), T.Param("e_b", _unit_rows(gen, 4, 5))
+    p = align.similarity_matrix(e_a, e_b, 0.25)
+    assert p._parents == ()
+    logits = e_a.data @ e_b.data.T / 0.25
+    expected = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(p.data, expected, rtol=1e-13)
 
 
 def test_similarity_rows_are_distributions():

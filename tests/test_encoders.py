@@ -10,7 +10,7 @@ from mmfnd import tensor as T
 from mmfnd.errors import DataFormatError
 from mmfnd.rng import Rng
 
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, weighted_sum
 
 
 def test_tokenize_lowercases_and_splits_punctuation():
@@ -95,6 +95,20 @@ def test_embed_rows_mixes_token_precomputed_and_padding_slots():
     np.testing.assert_array_equal(out.data, [[[2.0, 0.0], [7.0, 8.0]], [[0.0, 0.0], [0.0, 0.0]]])
 
 
+def test_embed_rows_takes_precomputed_vectors_as_constants():
+    """All slots precomputed: a plain array, no node. Mixed with token
+    slots: one node over the pooled embedding, with the vectors as offset."""
+    emb, _ = _identity_params(2, 4)
+    emb.data[1] = [2.0, 0.0]
+    pre = [np.array([7.0, 8.0]), np.array([1.0, -1.0])]
+    out = enc.embed_rows(emb, pre, (2,))
+    assert isinstance(out, np.ndarray)
+    np.testing.assert_array_equal(out, pre)
+    mixed = enc.embed_rows(emb, [enc.TokenSequence(ids=[1]), pre[0]], (2,))
+    assert len(mixed._parents) == 1 and mixed._parents[0]._parents == (emb,)
+    np.testing.assert_array_equal(mixed.data, [[2.0, 0.0], pre[0]])
+
+
 def test_encode_image_basis_extraction():
     w = T.Param("w_vf", np.array([[1.0, 9.0], [2.0, 8.0], [3.0, 7.0]]))
     out = enc.encode_image(w, T.Tensor(np.array([[1.0, 0.0], [0.0, 0.0]])))
@@ -137,8 +151,8 @@ def test_gradcheck_through_text_and_image_encoders():
         r_v = enc.encode_image(w_vf, img)
         m_d = enc.encode_description(emb, w_df, desc_slots, (2, 2))
         return T.add(
-            T.tsum(T.mul(T.add(r_t, r_v), T.Tensor(weights))),
-            T.tsum(T.mul(m_d, T.Tensor(desc_weights))),
+            weighted_sum(T.add(r_t, r_v), weights),
+            weighted_sum(m_d, desc_weights),
         )
 
     report = finite_diff_check(f, [emb, w_tf, w_vf, w_df])

@@ -15,7 +15,8 @@ from mmfnd.data import synth_generate
 from mmfnd.errors import DataFormatError
 from mmfnd.rng import Rng
 
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, weighted_sum
+from reference_ops import bmv, masked_softmax_rows, scale_rows, transpose
 
 DATA = Path(__file__).parent / "data"
 
@@ -495,7 +496,7 @@ def test_enhance_single_description():
     r_t = T.Tensor(np.array([[0.5, -0.2, 0.1]]))
     row = np.array([1.0, 2.0, 3.0])
     m_d = T.Tensor(row[None, None, :])
-    att = enrich.description_attention(r_t, m_d, [1])
+    att = description_attention(r_t, m_d, [1])
     np.testing.assert_allclose(att.data, [[1.0]])
     w_t = T.Param("w_t", np.zeros((d, d)))
     w_d = T.Param("w_d", np.eye(d))
@@ -506,7 +507,7 @@ def test_enhance_single_description():
 def test_enhance_identical_rows_split_attention():
     r_t = T.Tensor(np.array([[1.0, 0.0]]))
     m_d = T.Tensor(np.array([[[2.0, 1.0], [2.0, 1.0]]]))
-    att = enrich.description_attention(r_t, m_d, [2])
+    att = description_attention(r_t, m_d, [2])
     np.testing.assert_allclose(att.data, [[0.5, 0.5]])
 
 
@@ -574,7 +575,7 @@ def test_enhance_attention_is_a_distribution():
     gen = Rng(23).stream("enhance-dist")
     for _ in range(50):
         n_e = int(gen.integers(1, 5))
-        att = enrich.description_attention(
+        att = description_attention(
             _tensor(gen, (1, 6)), _tensor(gen, (1, n_e, 6)), [n_e]
         ).data
         assert np.all(att >= 0)
@@ -603,18 +604,26 @@ def test_enhance_gradcheck():
 
     def f():
         out = enrich.enhance(r_t, m_d, [n_e, 2], w_t, w_d)
-        return T.tsum(T.mul(out, T.Tensor(weights)))
+        return weighted_sum(out, weights)
 
     report = finite_diff_check(f, [r_t, m_d, w_t, w_d])
     assert report.max_rel_err < 1e-4
 
 
+def description_attention(r_t, m_d, counts):
+    """(B, D) distribution over each item's descriptions from their dot
+    products with its text feature, on the tape; item b attends to its first
+    counts[b] rows of m_d and gives the padding rows zero weight."""
+    mask = np.arange(m_d.data.shape[1]) < np.asarray(counts)[:, None]
+    return masked_softmax_rows(bmv(m_d, r_t), mask)
+
+
 def _explicit_enhance(r_t, m_d, counts, w_t, w_d):
     """``enhance`` through the explicit attention map, op by op: the
     reference for its fused attention pool."""
-    att = enrich.description_attention(r_t, m_d, counts)
+    att = description_attention(r_t, m_d, counts)
     inv_count = T.Tensor(1.0 / np.maximum(counts, 1))
-    pooled = T.scale_rows(T.bmv(T.transpose(m_d), att), inv_count)
+    pooled = scale_rows(bmv(transpose(m_d), att), inv_count)
     return T.add(T.matvec(w_t, r_t), T.matvec(w_d, pooled))
 
 
@@ -630,7 +639,7 @@ def test_enhance_matches_explicit_attention_and_oracle_with_an_item_without_desc
     for build in (enrich.enhance, _explicit_enhance):
         params = {name: T.Param(name, a) for name, a in arrays.items()}
         out = build(params["r_t"], params["m_d"], counts, params["w_t"], params["w_d"])
-        T.tsum(T.mul(out, T.Tensor(weights))).backward()
+        weighted_sum(out, weights).backward()
         results.append([out.data] + [params[name].grad for name in arrays])
     for got, want in zip(*results):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
@@ -653,6 +662,6 @@ def test_enhance_gradcheck_with_an_item_without_descriptions():
     weights = gen.normal(size=(3, d))
 
     def f():
-        return T.tsum(T.mul(enrich.enhance(r_t, m_d, [2, 0, 1], w_t, w_d), T.Tensor(weights)))
+        return weighted_sum(enrich.enhance(r_t, m_d, [2, 0, 1], w_t, w_d), weights)
 
     assert finite_diff_check(f, [r_t, m_d, w_t, w_d]).max_rel_err < 1e-6

@@ -7,7 +7,7 @@ from mmfnd import fuse
 from mmfnd import tensor as T
 from mmfnd.rng import Rng
 
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, weighted_sum
 
 
 def _features(gen, d, k=3, batch=2):
@@ -161,7 +161,7 @@ def test_gated_fuse_gradcheck():
     weights = gen.normal(size=(2, 9))
 
     def f():
-        return T.tsum(T.mul(fuse.fuse(feats, gates), T.Tensor(weights)))
+        return weighted_sum(fuse.fuse(feats, gates), weights)
 
     assert finite_diff_check(f, feats + [gates]).max_rel_err < 1e-6
 

@@ -8,7 +8,7 @@ from mmfnd import tensor as T
 from mmfnd.rng import Rng
 from mmfnd.tensor import ShapeError
 
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, weighted_sum
 
 
 def test_cross_attention_basis_example():
@@ -198,6 +198,6 @@ def test_interaction_gradcheck_end_to_end():
     def f():
         m_f_v, m_f_t = interact.modality_update(m_t, m_v)
         r_f = interact.interaction_feature(m_f_v, m_f_t, w1, b1, w2, b2)
-        return T.tsum(T.mul(r_f, T.Tensor(weights)))
+        return weighted_sum(r_f, weights)
 
     assert finite_diff_check(f, [w1, b1, w2, b2, m_t, m_v]).max_rel_err < 1e-4

@@ -15,6 +15,7 @@ from mmfnd.model import ABLATIONS, ItemFeatures, Model, ModelConfig
 from mmfnd.rng import Rng
 
 from gradcheck import build_gradcheck_problem, finite_diff_check
+from test_batched_equivalence import reference_problem
 
 
 def test_config_validation():
@@ -380,6 +381,18 @@ def test_training_tape_holds_no_attention_map():
 # projection, 4 in enrichment, 5 in alignment, 6 in interaction and 12 in
 # fusion and the losses.
 DEFAULT_BATCH_NODES = 32
+
+
+@pytest.mark.parametrize("case,nodes", [("none", 32), ("ragged", 34)])
+def test_reference_problems_build_the_pinned_nodes_and_no_constant_leaf(case, nodes):
+    """On the batched-equivalence problems, every node of the tape but the
+    Params has parents: precomputed text and description vectors enter as
+    constants, so no leaf is built for them and none gets a gradient."""
+    model, feats = reference_problem(case)
+    loss, _ = model.batch_loss(feats)
+    tape = [node for node in T._topo_order(loss) if not isinstance(node, T.Param)]
+    assert len(tape) == nodes
+    assert all(node._parents for node in tape)
 
 
 def _default_config_batch(n_items=6):
