@@ -88,12 +88,12 @@ def bag_of_ids(seqs: list, vocab_size: int) -> np.ndarray:
     if any(ids == [] for ids in active):
         raise EmptyTextError("cannot encode an empty token sequence")
     lens = np.array([len(ids) if ids else 0 for ids in active])
-    rows = np.repeat(np.arange(len(seqs)), lens)
+    rows = np.arange(len(seqs)).repeat(lens)
     ids = np.fromiter(chain.from_iterable(ids for ids in active if ids), dtype=np.intp, count=rows.size)
     if ids.size and not 0 <= ids.min() <= ids.max() < vocab_size:
         bad = np.flatnonzero((ids < 0) | (ids >= vocab_size))[0]
         raise ValueError(f"slot {rows[bad]}: token id {ids[bad]} is outside [0, {vocab_size})")
-    weights = np.repeat(1.0 / np.maximum(lens, 1), lens)
+    weights = (1.0 / np.maximum(lens, 1)).repeat(lens)
     bag = np.bincount(rows * vocab_size + ids, weights=weights, minlength=len(seqs) * vocab_size)
     return bag.reshape(len(seqs), vocab_size)
 
@@ -104,23 +104,38 @@ def pooled_embedding(emb: Param, bag: np.ndarray) -> Tensor:
     return T.matmul(bag, emb)
 
 
-def embed_rows(emb: Param, slots: list, lead: tuple[int, ...]) -> Tensor | np.ndarray | None:
-    """Feature rows shaped ``lead + (d,)`` from ``slots`` in row-major order.
+def slot_operands(
+    slots: list, lead: tuple[int, ...], n_vocab: int, d: int
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The constant operands of the feature rows of ``slots`` (row-major,
+    shaped ``lead``): bag-of-ids weights ``lead + (n_vocab,)`` for the token
+    slots and precomputed rows ``lead + (d,)``, each None when no slot is of
+    its kind.
 
     The one place that tells a slot's kind: a TokenSequence slot gives the
     mean of its token embeddings, an array slot is a precomputed vector
-    taken as it is, and a None slot (padding) gives a zero row. A batch may
-    mix all three. Precomputed vectors are constants: with no token slot
-    the rows are a plain array, and otherwise they enter as the offset of
-    one ``affine`` node. Returns None when every slot is None.
+    taken as it is, and a None slot (padding) is zero in both operands. A
+    batch may mix all three.
     """
-    n_vocab, d = emb.data.shape
     seqs = [s if isinstance(s, TokenSequence) else None for s in slots]
-    rows = None
+    bag = pre = None
     if any(s is not None for s in seqs):
-        rows = pooled_embedding(emb, bag_of_ids(seqs, n_vocab).reshape(*lead, n_vocab))
+        bag = bag_of_ids(seqs, n_vocab).reshape(*lead, n_vocab)
     if any(isinstance(s, np.ndarray) for s in slots):
         pre = np.array([s if isinstance(s, np.ndarray) else np.zeros(d) for s in slots]).reshape(*lead, d)
+    return bag, pre
+
+
+def embed_rows(emb: Param, slots: list, lead: tuple[int, ...]) -> Tensor | np.ndarray | None:
+    """Feature rows shaped ``lead + (d,)`` from ``slots`` (see
+    ``slot_operands``): the pooled token embeddings plus the precomputed
+    rows. Precomputed vectors are constants: with no token slot the rows
+    are a plain array, and otherwise they enter as the offset of one
+    ``affine`` node. Returns None when every slot is None.
+    """
+    bag, pre = slot_operands(slots, lead, *emb.data.shape)
+    rows = None if bag is None else pooled_embedding(emb, bag)
+    if pre is not None:
         rows = pre if rows is None else T.affine(rows, 1.0, pre)
     return rows
 

@@ -392,6 +392,12 @@ def enhance(r_t: Tensor, m_d: Tensor | None, counts: np.ndarray, w_t: Param, w_d
     base = T.matvec(w_t, r_t)
     if m_d is None:
         return base
-    mask = np.arange(m_d.data.shape[1]) < np.asarray(counts)[:, None]  # each item's own rows
-    pooled = T.attention_pool(r_t, m_d, mask, 1.0 / np.maximum(counts, 1))
+    pooled = T.attention_pool(r_t, m_d, *pool_operands(counts, m_d.data.shape[1]))
     return T.add(base, T.matvec(w_d, pooled))
+
+
+def pool_operands(counts: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, width) mask of each item's own description rows and each
+    item's pooling weight 1 / counts[b] (1 for an item with none)."""
+    counts = np.asarray(counts)
+    return np.arange(width) < counts[:, None], 1.0 / np.maximum(counts, 1)

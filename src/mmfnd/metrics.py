@@ -90,10 +90,14 @@ def confusion_from_predictions(y_true: list[int], y_pred: list[int]) -> tuple[in
 
 
 def evaluate(model, dataset) -> MetricsReport:
-    """Classify every item and score the hard predictions. Items go through
-    ``model.predict`` one at a time, not in ``predict_batch`` chunks: the
-    traced benchmark run times these calls per item (ROADMAP direction 2).
-    An empty dataset raises ``ConfigError`` naming its provenance."""
+    """Classify every item and score the hard predictions.
+
+    Each item goes through ``model.featurize`` and ``model.predict`` exactly
+    once, one item at a time: the traced benchmark run divides the time of
+    these calls by their counts. Scoring in ``predict_batch`` chunks changes
+    what that run measures, so it waits for the benchmark revision of
+    ROADMAP direction 2. ``predict`` scores on plain arrays and builds no
+    tape. An empty dataset raises ``ConfigError`` naming its provenance."""
     if not dataset.items:
         raise ConfigError(f"evaluation dataset {dataset.provenance!r} is empty")
     feats = [model.featurize(item) for item in dataset.items]

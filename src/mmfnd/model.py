@@ -1,14 +1,21 @@
 """End-to-end detection model: parameter registry, forward pass, batch loss.
 
 The model assembles the encoder, enrichment, alignment, interaction and
-fusion stages. A forward pass covers a whole batch on one tape: items are
-featurized one by one, then stacked into (B, ...) arrays, with each item's
-descriptions padded to the widest item in the batch. ``featurize`` decides
-once per text whether it enters as token ids or as a precomputed
-embedding; only ``encoders.embed_rows`` reads that choice. Ablation variants
-rewire the graph: ``no_E`` drops the description channel, ``no_M`` drops
-the contrastive loss and the interaction feature (the classifier then
-fuses two channels), ``no_A`` fixes every fusion gate at one.
+fusion stages. Items are featurized one by one, then stacked into (B, ...)
+arrays, with each item's descriptions padded to the widest item in the
+batch. ``featurize`` decides once per text whether it enters as token ids
+or as a precomputed embedding; only ``encoders.slot_operands`` reads that
+choice. Ablation variants rewire the graph: ``no_E`` drops the description
+channel, ``no_M`` drops the contrastive loss and the interaction feature
+(the classifier then fuses two channels), ``no_A`` fixes every fusion gate
+at one.
+
+There are two forward passes with one wiring. ``forward`` records a whole
+training batch on one tape, which ``batch_loss`` and the backward sweep
+need. ``predict_batch`` scores through ``_score``, the same steps on plain
+arrays: it builds no tape node, because a score needs no gradient. Both
+call the same array kernels of ``tensor`` (and of ``encoders``, ``enrich``
+and ``interact``), so the two give bit-identical probabilities.
 """
 
 from __future__ import annotations
@@ -133,6 +140,14 @@ def param_specs(config: ModelConfig, n_vocab: int) -> dict[str, tuple[tuple[int,
     return specs
 
 
+def _padded_descs(batch: list[ItemFeatures]) -> tuple[np.ndarray, int, list]:
+    """Each item's description count, the widest count, and the description
+    slots of every item padded with None to that width, in row-major order."""
+    lens = [len(f.descs) for f in batch]
+    width = max(lens)
+    return np.array(lens), width, [s for f in batch for s in f.descs + [None] * (width - len(f.descs))]
+
+
 class Model:
     """All trainable state plus the wiring between pipeline stages."""
 
@@ -163,14 +178,20 @@ class Model:
 
     @classmethod
     def initialize(cls, config: ModelConfig, vocab: enc.Vocabulary, rng: Rng) -> "Model":
-        """Fresh weights: scaled normals per ``param_specs``, zero biases."""
-        arrays = {}
-        for name, (shape, fan_in) in param_specs(config, len(vocab)).items():
-            if fan_in is None:
-                arrays[name] = np.zeros(shape)
-            else:
-                arrays[name] = rng.stream("init", name).normal(size=shape) / math.sqrt(fan_in)
-        return cls(config, vocab, arrays)
+        """Fresh weights: scaled normals per ``param_specs``, zero biases.
+
+        Each weight is drawn straight into its view of the registry, so no
+        second full-size copy of the weights exists at any point.
+        """
+        specs = param_specs(config, len(vocab))
+        # read-only zero views: they hold no memory of their own
+        model = cls(config, vocab, {name: np.broadcast_to(0.0, shape) for name, (shape, _) in specs.items()})
+        for name, (_, fan_in) in specs.items():
+            if fan_in is not None:
+                view = model.params[name].data
+                rng.stream("init", name).standard_normal(out=view)
+                view /= math.sqrt(fan_in)
+        return model
 
     # -- input preparation --------------------------------------------------
 
@@ -222,11 +243,8 @@ class Model:
 
         m_d = None
         if cfg.uses_enhancement:
-            # each item's descriptions, padded to the widest item
-            counts = np.array([len(f.descs) for f in batch])
-            width = int(counts.max())
+            counts, width, slots = _padded_descs(batch)
             if width:
-                slots = [s for f in batch for s in f.descs + [None] * (width - len(f.descs))]
                 m_d = enc.encode_description(self.emb, self.w_df, slots, (n, width))
             r_t_enh = enrich.enhance(r_t, m_d, counts, self.w_t, self.w_d)
         else:
@@ -272,17 +290,66 @@ class Model:
 
     # -- inference ----------------------------------------------------------
 
+    def _rows(self, slots: list, lead: tuple[int, ...]) -> np.ndarray:
+        """``encoders.embed_rows`` on plain arrays; ``T.affine(rows, 1.0,
+        pre)`` is ``rows + pre`` exactly."""
+        bag, pre = enc.slot_operands(slots, lead, *self.emb.data.shape)
+        rows = None if bag is None else T._matmul(bag, self.emb.data)
+        if pre is not None:
+            rows = pre if rows is None else rows + pre
+        return rows
+
+    def _score(self, batch: list[ItemFeatures]) -> tuple[np.ndarray, np.ndarray | None]:
+        """``forward``'s probabilities (B, 2) and gates (B, k), or None under
+        ``no_A``, computed step for step on plain arrays, without a tape."""
+        cfg, n = self.config, len(batch)
+        r_t = T._matvec(self.w_tf.data, self._rows([f.text for f in batch], (n,)), None)
+        r_v = T._matvec(self.w_vf.data, np.array([f.image for f in batch]), None)
+
+        r_t_enh = T._matvec(self.w_t.data, r_t, None)
+        if cfg.uses_enhancement:
+            counts, width, slots = _padded_descs(batch)
+            if width:
+                m_d = T._matvec(self.w_df.data, self._rows(slots, (n, width)), None)
+                pooled, _ = T._attention_pool(r_t, m_d, *enrich.pool_operands(counts, width))
+                r_t_enh = r_t_enh + T._matvec(self.w_d.data, pooled, None)
+
+        features = [r_t_enh, r_v]
+        if cfg.uses_interaction:
+            e_t, _ = T._l2_normalize(T._matvec(self.w_st.data, r_t, self.b_st.data))
+            e_v, _ = T._l2_normalize(T._matvec(self.w_sv.data, r_v, self.b_sv.data))
+            c = interact.logit_scale(e_t, e_v)
+            m_f_v, _, _ = T._rank1_attention(e_t, e_v, c)
+            m_f_t, _, _ = T._rank1_attention(e_v, e_t, c)
+            pooled, _, _ = T._rank1_max_pool(m_f_v, m_f_t)
+            hidden = np.maximum(T._matvec(self.w_i1.data, pooled, self.b_i1.data), 0.0)
+            features.append(T._matvec(self.w_i2.data, hidden, self.b_i2.data))
+
+        gates = None
+        if cfg.uses_gates:
+            pooled = np.array(features).mean(axis=0)
+            gates = T._sigmoid(T._matvec(self.w_g.data, pooled, self.b_g.data))
+            fused, _ = T._gated_concat(features, gates)
+        else:
+            fused = np.concatenate(features, axis=-1)
+        hidden = np.maximum(T._matvec(self.w_c1.data, fused, self.b_c1.data), 0.0)
+        return T.softmax(T._matvec(self.w_c2.data, hidden, self.b_c2.data)), gates
+
     def predict_batch(self, batch: list[ItemFeatures]) -> list[fuse.Prediction]:
-        """Class distribution, label and gates of every item, in batch order."""
+        """Class distribution, label and gates of every item, in batch order.
+
+        Scoring runs ``_score``, which builds no tape, and gives the same
+        bits as ``forward`` on the same items.
+        """
         if not batch:
             return []
-        trace = self.forward(batch)
-        T.release(trace.probs)
-        gates = trace.gates.data.tolist() if trace.gates is not None else None
+        probs, gates = self._score(batch)
+        labels = probs.argmax(axis=-1)
+        gates = gates.tolist() if gates is not None else None
         return [
             fuse.Prediction(
-                probs=trace.probs.data[i].copy(),
-                label=int(trace.labels[i]),
+                probs=probs[i].copy(),
+                label=int(labels[i]),
                 gates=tuple(gates[i]) if gates is not None else None,
             )
             for i in range(len(batch))

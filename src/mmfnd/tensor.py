@@ -2,11 +2,24 @@
 
 Tensors wrap numpy arrays and record their producing operation on a tape;
 calling ``backward()`` on a scalar result propagates gradients to every
-leaf. One tape covers a whole batch: ops act on (B, ...) arrays and treat
-the leading axes as batch axes. A model stage that would take a chain of
-small ops (a loss head, an attention pool, gated fusion) is one fused op
-with a closed-form backward, so a default training step builds 32 nodes.
-Broadcasting is explicit: each op states the shapes it accepts.
+leaf. One tape covers a whole training batch: ops act on (B, ...) arrays
+and treat the leading axes as batch axes. A model stage that would take a
+chain of small ops (a loss head, an attention pool, gated fusion) is one
+fused op with a closed-form backward, so a default training step builds
+32 nodes. Broadcasting is explicit: each op states the shapes it accepts.
+
+Scoring builds no tape: ``Model.predict_batch`` runs the same forward on
+plain arrays, because a score needs no gradient. An op whose forward takes
+more than a couple of numpy calls computes it in a private array kernel
+(``_matmul``, ``_matvec``, ``_sigmoid``, ``_attention_pool``,
+``_rank1_attention``, ``_l2_normalize``, ``_rank1_max_pool``,
+``_gated_concat``) that the plain forward calls too, so a score is
+bit-identical to the tape's probabilities by construction. One item is
+scored by about a hundred calls on arrays of a few dozen entries, so call
+overhead is most of its cost: these kernels and ``softmax`` reduce through
+``np.maximum.reduce`` and the like, which skip the Python frame that the
+``.max()`` and ``.sum()`` methods add, and ``_matvec`` skips the reshapes
+of a 2-D operand.
 
 The module holds only the ops that training, scoring and enrichment run,
 plus ``softmax`` and ``rank1_softmax``, which compute plain arrays for the
@@ -46,9 +59,9 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output.
 
-        Afterwards the graph is unlinked (see ``release``): the gradients
-        have reached the leaves, and each node's closure holds its own
-        output, so a linked graph would live until the cyclic collector ran.
+        Afterwards the graph is unlinked: the gradients have reached the
+        leaves, and each node's closure holds its own output, so a linked
+        graph would live until the cyclic collector ran.
         """
         if self.data.shape != ():
             raise ShapeError(f"backward() needs a scalar output, got shape {self.data.shape}")
@@ -151,20 +164,14 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def release(root: Tensor) -> None:
-    """Unlink the graph under ``root`` without a backward sweep (inference),
-    so reference counting frees it as soon as its tensors go out of use."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        stack.extend(node._parents)  # a node reached twice has no parents left
-        node._parents = ()
-        node._backward = None
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A @ B for a 2-D B, with A's leading axes folded into one 2-D product."""
+    return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[1:])
 
 
 def matmul(a: Tensor | np.ndarray, b: Tensor) -> Tensor:
@@ -178,18 +185,25 @@ def matmul(a: Tensor | np.ndarray, b: Tensor) -> Tensor:
     a_data = a if const_a else a.data
     if b.data.ndim != 2 or a_data.ndim < 2 or a_data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dims disagree: {a_data.shape} vs {b.data.shape}")
-    flat_a = a_data.reshape(-1, a_data.shape[-1])
-    y = (flat_a @ b.data).reshape(a_data.shape[:-1] + b.data.shape[1:])
-    out = Tensor(y, (b,) if const_a else (a, b))
+    out = Tensor(_matmul(a_data, b.data), (b,) if const_a else (a, b))
 
     def _backward():
         g = out.grad.reshape(-1, b.data.shape[1])
         if not const_a:
             a.grad += (g @ b.data.T).reshape(a_data.shape)
-        b.grad += flat_a.T @ g
+        b.grad += a_data.reshape(-1, a_data.shape[-1]).T @ g
 
     out._backward = _backward
     return out
+
+
+def _matvec(a: np.ndarray, x: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """A x (+ b) for every vector along the last axis of x, as one 2-D product."""
+    flat = x.ndim == 2
+    y = (x if flat else x.reshape(-1, a.shape[1])) @ a.T
+    if b is not None:
+        y += b
+    return y if flat else y.reshape(x.shape[:-1] + a.shape[:1])
 
 
 def matvec(a: Tensor, x: Tensor | np.ndarray, b: Tensor | None = None) -> Tensor:
@@ -204,16 +218,14 @@ def matvec(a: Tensor, x: Tensor | np.ndarray, b: Tensor | None = None) -> Tensor
         raise ShapeError(f"matvec inner dims disagree: {a.data.shape} vs {x_data.shape}")
     if b is not None and b.data.shape != a.data.shape[:1]:
         raise ShapeError(f"matvec bias has shape {b.data.shape}, expected {a.data.shape[:1]}")
-    flat_x = x_data.reshape(-1, a.data.shape[1])
-    y = flat_x @ a.data.T
-    if b is not None:
-        y += b.data
     parents = (a,) if const_x else (a, x)
-    out = Tensor(y.reshape(x_data.shape[:-1] + a.data.shape[:1]), parents if b is None else parents + (b,))
+    if b is not None:
+        parents += (b,)
+    out = Tensor(_matvec(a.data, x_data, None if b is None else b.data), parents)
 
     def _backward():
         g = out.grad.reshape(-1, a.data.shape[0])
-        a.grad += g.T @ flat_x
+        a.grad += g.T @ x_data.reshape(-1, a.data.shape[1])
         if not const_x:
             x.grad += (g @ a.data).reshape(x_data.shape)
         if b is not None:
@@ -262,10 +274,15 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # split form avoids overflow in exp for large |x|
-    z = np.exp(-np.abs(x.data))
-    y = np.where(x.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    z = np.exp(-np.abs(x))
+    total = 1.0 + z
+    return np.where(x >= 0, 1.0 / total, z / total)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    y = _sigmoid(x.data)
     out = Tensor(y, (x,))
 
     def _backward():
@@ -287,11 +304,11 @@ def softmax(z: np.ndarray, mask: np.ndarray | None = None, axis: int = -1) -> np
     is all zeros."""
     if mask is not None:
         z = np.where(mask, z, -np.inf)
-    top = z.max(axis=axis, keepdims=True)
+    top = np.maximum.reduce(z, axis=axis, keepdims=True)
     if mask is not None:
         top[~np.isfinite(top)] = 0.0
     e = np.exp(z - top)
-    total = e.sum(axis=axis, keepdims=True)
+    total = np.add.reduce(e, axis=axis, keepdims=True)
     if mask is not None:
         total[total == 0.0] = 1.0
     return e / total
@@ -312,6 +329,17 @@ def softmax_rows(x: Tensor) -> Tensor:
     return out
 
 
+def _attention_pool(q: np.ndarray, m: np.ndarray, mask: np.ndarray, w: np.ndarray):
+    """``attention_pool``'s output and its attention weights p."""
+    rows = m.shape[:-1]
+    if rows[:-1] + m.shape[-1:] != q.shape or mask.shape != rows or w.shape != rows[:-1]:
+        raise ShapeError(
+            f"attention_pool shapes disagree: q {q.shape}, m {m.shape}, mask {mask.shape}, w {w.shape}"
+        )
+    p = softmax(np.matmul(m, q[..., None])[..., 0], mask)
+    return np.matmul(p[..., None, :], m)[..., 0, :] * w[..., None], p
+
+
 def attention_pool(q: Tensor, m: Tensor, mask: np.ndarray, w: np.ndarray) -> Tensor:
     """out[..., :] = w[...] * sum_j p[..., j] m[..., j, :], where p is the
     masked softmax over j of the scores m[..., j, :] . q[..., :].
@@ -323,14 +351,8 @@ def attention_pool(q: Tensor, m: Tensor, mask: np.ndarray, w: np.ndarray) -> Ten
     gradient ds = p (h - sum_j p_j h_j), q gets sum_j ds_j m_j and row m_j
     gets p_j w g + ds_j q. A masked-out row has p_j = 0 and gets no gradient.
     """
-    rows = m.data.shape[:-1]
-    if rows[:-1] + m.data.shape[-1:] != q.data.shape or mask.shape != rows or w.shape != rows[:-1]:
-        raise ShapeError(
-            f"attention_pool shapes disagree: q {q.data.shape}, m {m.data.shape}, "
-            f"mask {mask.shape}, w {w.shape}"
-        )
-    p = softmax(np.matmul(m.data, q.data[..., None])[..., 0], mask)
-    out = Tensor(np.matmul(p[..., None, :], m.data)[..., 0, :] * w[..., None], (q, m))
+    y, p = _attention_pool(q.data, m.data, mask, w)
+    out = Tensor(y, (q, m))
 
     def _backward():
         gw = out.grad * w[..., None]
@@ -400,13 +422,16 @@ def _rank1_exp(u: np.ndarray, cv: np.ndarray) -> np.ndarray:
     u_i * min(cv), so the shift costs no pass over the logits, and the shifted
     logits are one (n, 2) @ (2, m) product: [u, -top] @ [cv; 1].
     """
-    top = np.where(u >= 0.0, u * cv.max(axis=-1, keepdims=True), u * cv.min(axis=-1, keepdims=True))
+    hi = np.maximum.reduce(cv, axis=-1, keepdims=True)
+    lo = np.minimum.reduce(cv, axis=-1, keepdims=True)
+    top = np.where(u >= 0.0, u * hi, u * lo)
     # filled in place: np.stack would cost more than the matmul for one item at d=64
     lhs = np.empty(u.shape + (2,))
     lhs[..., 0] = u
     np.negative(top, out=lhs[..., 1])
-    rhs = np.ones(cv.shape[:-1] + (2, cv.shape[-1]))
+    rhs = np.empty(cv.shape[:-1] + (2, cv.shape[-1]))
     rhs[..., 0, :] = cv
+    rhs[..., 1, :] = 1.0
     e = np.matmul(lhs, rhs)
     np.exp(e, out=e)
     return e
@@ -429,7 +454,8 @@ def _exp_moments(u: np.ndarray, v: np.ndarray, c: float):
     are of its shifted exp, and ``times_exp`` multiplies by the kept exp."""
     e = _rank1_exp(u, c * v)
     # row sums of e, e * v and e * v^2 in one product
-    powers = np.ones(v.shape + (3,))
+    powers = np.empty(v.shape + (3,))
+    powers[..., 0] = 1.0
     powers[..., 1] = v
     np.multiply(v, v, out=powers[..., 2])
 
@@ -492,6 +518,19 @@ def _series_moments(s: np.ndarray, v: np.ndarray, k: int):
     return np.matmul(s_pow, coef), times_exp
 
 
+def _rank1_attention(u: np.ndarray, v: np.ndarray, c: float):
+    """``rank1_attention``'s output, plus the (..., n, 3) moment sums and the
+    ``times_exp`` product that its backward reads."""
+    if u.shape[:-1] != v.shape[:-1]:
+        raise ShapeError(f"rank1_attention batch dims disagree: {u.shape} vs {v.shape}")
+    k = _series_order(u, v, c)
+    if k is None:
+        sums, times_exp = _exp_moments(u, v, c)
+    else:
+        sums, times_exp = _series_moments(c * u, v, k)
+    return sums[..., 1] / sums[..., 0], sums, times_exp
+
+
 def rank1_attention(u: Tensor, v: Tensor, c: float) -> Tensor:
     """out[..., i] = sum_j softmax_j(c * u[..., i] * v[..., j]) * v[..., j]:
     each entry of u attends over v through the rank-1 logits c u v^T.
@@ -517,15 +556,8 @@ def rank1_attention(u: Tensor, v: Tensor, c: float) -> Tensor:
       peak logit so any r stays finite; it is kept for the backward, and no
       other (..., n, m) temporary is built.
     """
-    if u.data.shape[:-1] != v.data.shape[:-1]:
-        raise ShapeError(f"rank1_attention batch dims disagree: {u.data.shape} vs {v.data.shape}")
-    k = _series_order(u.data, v.data, c)
-    if k is None:
-        sums, times_exp = _exp_moments(u.data, v.data, c)
-    else:
-        sums, times_exp = _series_moments(c * u.data, v.data, k)
+    y, sums, times_exp = _rank1_attention(u.data, v.data, c)
     total = sums[..., 0]
-    y = sums[..., 1] / total
     second = sums[..., 2] / total
     out = Tensor(y, (u, v))
 
@@ -541,14 +573,19 @@ def rank1_attention(u: Tensor, v: Tensor, c: float) -> Tensor:
     return out
 
 
+def _l2_normalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each vector along the last axis over its norm, and the norms."""
+    if v.ndim < 1:
+        raise ShapeError("l2_normalize needs at least one axis")
+    n = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+    if (n == 0.0).any():
+        raise DegenerateInputError("l2_normalize of a zero vector")
+    return v / n, n
+
+
 def l2_normalize(v: Tensor) -> Tensor:
     """Each vector along the last axis scaled to unit Euclidean norm."""
-    if v.data.ndim < 1:
-        raise ShapeError("l2_normalize needs at least one axis")
-    n = np.sqrt(np.sum(v.data * v.data, axis=-1, keepdims=True))
-    if np.any(n == 0.0):
-        raise DegenerateInputError("l2_normalize of a zero vector")
-    y = v.data / n
+    y, n = _l2_normalize(v.data)
     out = Tensor(y, (v,))
 
     def _backward():
@@ -577,17 +614,25 @@ def mean_pool(x: Tensor, axis: int) -> Tensor:
     return out
 
 
+def _rank1_max_pool(u: np.ndarray, v: np.ndarray):
+    """``rank1_max_pool``'s output, the sign mask of v and the picked
+    extremes of u that its backward reads."""
+    if u.shape[:-1] != v.shape[:-1]:
+        raise ShapeError(f"rank1_max_pool batch dims disagree: {u.shape} vs {v.shape}")
+    pos = v >= 0.0
+    hi = np.maximum.reduce(u, axis=-1, keepdims=True)
+    picked = np.where(pos, hi, np.minimum.reduce(u, axis=-1, keepdims=True))
+    return picked * v, pos, picked
+
+
 def rank1_max_pool(u: Tensor, v: Tensor) -> Tensor:
     """out[..., j] = max_i u[..., i] * v[..., j], the column max of the rank-1
     matrix u v^T, in O(n + m): v_j * max(u) where v_j >= 0, else v_j * min(u).
 
     Ties route the gradient to the first maximum (or minimum) of u.
     """
-    if u.data.shape[:-1] != v.data.shape[:-1]:
-        raise ShapeError(f"rank1_max_pool batch dims disagree: {u.data.shape} vs {v.data.shape}")
-    pos = v.data >= 0.0
-    picked = np.where(pos, u.data.max(axis=-1, keepdims=True), u.data.min(axis=-1, keepdims=True))
-    out = Tensor(picked * v.data, (u, v))
+    y, pos, picked = _rank1_max_pool(u.data, v.data)
+    out = Tensor(y, (u, v))
 
     def _backward():
         gv = out.grad * v.data
@@ -649,18 +694,24 @@ def concat(parts: list[Tensor]) -> Tensor:
     return out
 
 
+def _gated_concat(parts: list[np.ndarray], gates: np.ndarray):
+    """``gated_concat``'s output and the (..., k, d) stack of its parts."""
+    shapes = {p.shape for p in parts}
+    lead = parts[0].shape[:-1]
+    if len(shapes) != 1 or parts[0].ndim < 1 or gates.shape != lead + (len(parts),):
+        raise ShapeError(
+            f"gated_concat needs equal parts and one gate each, "
+            f"got {[p.shape for p in parts]} and {gates.shape}"
+        )
+    x = np.concatenate(parts, axis=-1).reshape(lead + (len(parts), -1))  # (..., k, d)
+    return (x * gates[..., None]).reshape(lead + (-1,)), x
+
+
 def gated_concat(parts: list[Tensor], gates: Tensor) -> Tensor:
     """``concat`` of equal-shape parts, part i scaled by gates[..., i], as
     one node; ``gates`` has one entry per part for each leading index."""
-    shapes = {p.data.shape for p in parts}
-    lead = parts[0].data.shape[:-1]
-    if len(shapes) != 1 or parts[0].data.ndim < 1 or gates.data.shape != lead + (len(parts),):
-        raise ShapeError(
-            f"gated_concat needs equal parts and one gate each, "
-            f"got {[p.data.shape for p in parts]} and {gates.data.shape}"
-        )
-    x = np.stack([p.data for p in parts], axis=-2)  # (..., k, d)
-    out = Tensor((x * gates.data[..., None]).reshape(lead + (-1,)), (*parts, gates))
+    y, x = _gated_concat([p.data for p in parts], gates.data)
+    out = Tensor(y, (*parts, gates))
 
     def _backward():
         g = out.grad.reshape(x.shape)

@@ -52,6 +52,23 @@ def trained():
     return train(cfg, art.train).model, art.test
 
 
+def test_evaluate_featurizes_and_predicts_each_item_exactly_once(trained, monkeypatch):
+    """The traced benchmark times ``Model.featurize`` and ``Model.predict``
+    and divides by their call counts, so ``evaluate`` calls each once per
+    item. Scoring in ``predict_batch`` chunks changes what the benchmark
+    measures; it belongs with the benchmark revision of ROADMAP direction 2."""
+    model, test = trained
+    calls = {"featurize": 0, "predict": 0}
+    for name in calls:
+        def counted(self, arg, _name=name, _original=getattr(Model, name)):
+            calls[_name] += 1
+            return _original(self, arg)
+
+        monkeypatch.setattr(Model, name, counted)
+    metrics.evaluate(model, test)
+    assert calls == {"featurize": len(test), "predict": len(test)}
+
+
 def test_evaluate_matches_item_by_item_and_batched_predictions(trained, tmp_path):
     model, test = trained
     # a mix of tokenized items and items that carry text/description vectors

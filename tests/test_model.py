@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from mmfnd import fuse
+from mmfnd import fuse, interact
 from mmfnd import tensor as T
 from mmfnd.data import NewsItem
 from mmfnd.encoders import EmptyTextError, TokenSequence, Vocabulary
@@ -15,6 +15,7 @@ from mmfnd.model import ABLATIONS, ItemFeatures, Model, ModelConfig
 from mmfnd.rng import Rng
 
 from gradcheck import build_gradcheck_problem, finite_diff_check
+from test_batched_equivalence import CASES as BATCHED_CASES
 from test_batched_equivalence import reference_problem
 
 
@@ -258,30 +259,69 @@ def test_predict_batch_matches_item_by_item_predict():
         np.testing.assert_allclose(got.gates, single.gates, rtol=0, atol=1e-12)
 
 
-def test_predict_leaves_no_cyclic_garbage():
+def test_predict_batch_builds_no_tape_node_and_leaves_no_cyclic_garbage(monkeypatch):
+    """Scoring runs on plain arrays: with ``mmfnd.tensor.Tensor`` rebound to
+    a counting subclass, as the benchmark's stage tracer does, it makes no
+    node, and with the collector off it leaves nothing for it to collect.
+    The tape forward, by contrast, counts its nodes and leaves a cycle."""
     import gc
-    import weakref
 
     model, feats = build_gradcheck_problem(d=6, n_items=3)
-    seen = []
-    forward = model.forward
+    base, made = T.Tensor, [0]
 
-    def spy(batch):
-        trace = forward(batch)
-        seen.append(weakref.ref(trace.fused.data))
-        return trace
+    class Counted(base):
+        __slots__ = ()
 
-    model.forward = spy
+        def __init__(self, data, parents=()):
+            base.__init__(self, data, parents)
+            made[0] += 1
+
+    monkeypatch.setattr(T, "Tensor", Counted)
+    gc.collect()
     gc.disable()
     try:
-        trace = model.forward(feats)
-        del trace
-        assert seen[0]() is not None  # a linked graph is a reference cycle
+        model.forward(feats)
+        assert made[0] > 0
+        assert gc.collect() > 0  # a linked tape is a reference cycle
+        made[0] = 0
         preds = model.predict_batch(feats)
-        assert seen[1]() is None
+        assert made[0] == 0
+        assert gc.collect() == 0
     finally:
         gc.enable()
     assert len(preds) == 3
+
+
+def _assert_scores_equal_the_tape_forward(model, feats):
+    trace = model.forward(feats)
+    preds = model.predict_batch(feats)
+    assert np.array_equal(np.stack([p.probs for p in preds]), trace.probs.data)
+    assert np.array_equal([p.label for p in preds], trace.labels)
+    if trace.gates is None:
+        assert all(p.gates is None for p in preds)
+    else:
+        assert np.array_equal([p.gates for p in preds], trace.gates.data)
+
+
+@pytest.mark.parametrize("case", BATCHED_CASES)
+def test_predict_batch_is_bit_identical_to_the_tape_forward(case):
+    """The four ablations and the ragged batch of token, precomputed and
+    padded slots score to the same bits as ``Model.forward``."""
+    _assert_scores_equal_the_tape_forward(*reference_problem(case))
+
+
+@pytest.mark.parametrize("n_items,series", [(8, True), (1, False)])
+def test_predict_batch_is_bit_identical_on_both_rank1_attention_kernels(n_items, series):
+    """At d=64, 8 items make 8 * 64 * 64 logits per attention, at least
+    ``_SERIES_MIN_LOGITS``, so both directions sum the power series; one
+    item has fewer and takes the exp path."""
+    model, feats = build_gradcheck_problem(d=64, n_items=n_items)
+    trace = model.forward(feats)
+    e_t, e_v = trace.e_t.data, trace.e_v.data
+    c = interact.logit_scale(e_t, e_v)
+    assert (T._series_order(e_t, e_v, c) is not None) == series
+    assert (T._series_order(e_v, e_t, c) is not None) == series
+    _assert_scores_equal_the_tape_forward(model, feats)
 
 
 def _saved(tmp_path, edit):

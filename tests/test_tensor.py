@@ -444,15 +444,3 @@ def test_backward_unlinks_the_graph_so_refcounting_frees_it():
         gc.enable()
     assert np.any(p.grad != 0.0)
 
-
-def test_release_frees_a_graph_without_backward():
-    p = T.Param("p", np.ones((2, 2)))
-    gc.disable()
-    try:
-        out = T.sigmoid(T.matmul(p, p))
-        alive = weakref.ref(out._parents[0].data)
-        T.release(out)
-        del out
-        assert alive() is None
-    finally:
-        gc.enable()
