@@ -51,7 +51,7 @@ def classify(x: Tensor, w1: Param, b1: Param, w2: Param, b2: Param) -> tuple[Ten
     """Class distributions (B, 2) and hard labels (B,) for fused inputs."""
     hidden = T.relu(T.matvec(w1, x, b1))
     probs = T.softmax_rows(T.matvec(w2, hidden, b2))
-    return probs, np.argmax(probs.data, axis=-1)
+    return probs, T.data_of(probs).argmax(axis=-1)
 
 
 def detection_loss(probs: Tensor, labels) -> Tensor:

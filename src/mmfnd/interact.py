@@ -8,8 +8,9 @@ a batch of (B, d) vectors.
 
 Training and inference attend without the (B, d, d) maps:
 ``modality_update`` fuses each map's softmax with its value product in one
-``rank1_attention`` node, so no map is a tape node and none gets a
-gradient, and scoring calls the op's array kernel. The aligned vectors are
+``rank1_attention`` op. On the tape that is one node, so no map is a node
+and none gets a gradient; scoring runs the same op on plain arrays and
+makes no node at all. The aligned vectors are
 unit-norm and the logit scale is 1/sqrt(d), so every logit lies within
 1/sqrt(d) of zero. On such logits, in any call with enough of them (a
 training batch, or one item at d=256), ``rank1_attention`` sums a short
@@ -54,7 +55,7 @@ def cross_attention(m_t: Tensor, m_v: Tensor) -> tuple[Tensor, Tensor]:
 def modality_update(m_t: Tensor, m_v: Tensor) -> tuple[Tensor, Tensor]:
     """Each modality vector smoothed through the other modality's attention:
     (``cross_attention`` maps) @ (m_v, m_t), without building the maps."""
-    c = logit_scale(m_t.data, m_v.data)
+    c = logit_scale(T.data_of(m_t), T.data_of(m_v))
     return T.rank1_attention(m_t, m_v, c), T.rank1_attention(m_v, m_t, c)
 
 

@@ -96,8 +96,9 @@ def evaluate(model, dataset) -> MetricsReport:
     once, one item at a time: the traced benchmark run divides the time of
     these calls by their counts. Scoring in ``predict_batch`` chunks changes
     what that run measures, so it waits for the benchmark revision of
-    ROADMAP direction 2. ``predict`` scores on plain arrays and builds no
-    tape. An empty dataset raises ``ConfigError`` naming its provenance."""
+    ROADMAP direction 2. ``predict`` runs the training forward on the
+    parameters' arrays, which builds no tape. An empty dataset raises
+    ``ConfigError`` naming its provenance."""
     if not dataset.items:
         raise ConfigError(f"evaluation dataset {dataset.provenance!r} is empty")
     feats = [model.featurize(item) for item in dataset.items]

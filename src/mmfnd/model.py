@@ -4,24 +4,27 @@ The model assembles the encoder, enrichment, alignment, interaction and
 fusion stages. Items are featurized one by one, then stacked into (B, ...)
 arrays, with each item's descriptions padded to the widest item in the
 batch. ``featurize`` decides once per text whether it enters as token ids
-or as a precomputed embedding; only ``encoders.slot_operands`` reads that
+or as a precomputed embedding; only ``encoders.embed_rows`` reads that
 choice. Ablation variants rewire the graph: ``no_E`` drops the description
 channel, ``no_M`` drops the contrastive loss and the interaction feature
 (the classifier then fuses two channels), ``no_A`` fixes every fusion gate
 at one.
 
-There are two forward passes with one wiring. ``forward`` records a whole
-training batch on one tape, which ``batch_loss`` and the backward sweep
-need. ``predict_batch`` scores through ``_score``, the same steps on plain
-arrays: it builds no tape node, because a score needs no gradient. Both
-call the same array kernels of ``tensor`` (and of ``encoders``, ``enrich``
-and ``interact``), so the two give bit-identical probabilities.
+``forward`` is the one wiring of the stages, for training and scoring
+alike. Like the ``tensor`` ops it calls, every stage function takes plain
+arrays in place of tensors and then returns plain arrays. On the
+registry's ``Param``s, ``forward`` records a whole batch on one tape, which
+``batch_loss`` and the backward sweep need; on their arrays it builds no
+node, because a score needs no gradient, and ``predict_batch`` scores that
+way. The arithmetic is the same either way, so scores are bit-identical
+to the tape's probabilities.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -45,10 +48,12 @@ class ModelConfig:
     ablation: str = "none"
 
     def _require(self, name: str, holds, rule: str) -> None:
-        """Raise ``ConfigError`` naming field ``name`` unless its value is
-        finite and ``holds`` for it, so NaN and ±inf fail whatever the
-        rule."""
+        """Raise ``ConfigError`` naming field ``name`` unless its value is a
+        real number, finite, and ``holds`` for it: a bool, a string or None
+        fails, and so do NaN and ±inf whatever the rule."""
         value = getattr(self, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(value) and holds(value)):
             raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
@@ -105,18 +110,19 @@ class ItemFeatures:
 
 @dataclass
 class Trace:
-    """Intermediate tensors of one batched forward pass, one row per item."""
+    """Intermediate tensors of one batched forward pass, one row per item:
+    tape nodes, or plain arrays when the pass read plain weights."""
 
-    r_t: T.Tensor
-    m_d: T.Tensor | None
-    r_t_enh: T.Tensor
-    e_t: T.Tensor | None
-    e_v: T.Tensor | None
-    r_f: T.Tensor | None
-    features: list[T.Tensor]
-    gates: T.Tensor | None
-    fused: T.Tensor
-    probs: T.Tensor
+    r_t: T.Tensor | np.ndarray
+    m_d: T.Tensor | np.ndarray | None
+    r_t_enh: T.Tensor | np.ndarray
+    e_t: T.Tensor | np.ndarray | None
+    e_v: T.Tensor | np.ndarray | None
+    r_f: T.Tensor | np.ndarray | None
+    features: list
+    gates: T.Tensor | np.ndarray | None
+    fused: T.Tensor | np.ndarray
+    probs: T.Tensor | np.ndarray
     labels: np.ndarray
 
 
@@ -153,8 +159,7 @@ class Model:
 
     def __init__(self, config: ModelConfig, vocab: enc.Vocabulary, arrays: dict[str, np.ndarray]):
         """A model holding the given parameter arrays, which must match
-        ``param_specs`` name for name and shape for shape. Each parameter is
-        also an attribute of the same name (``self.w_tf``, ...)."""
+        ``param_specs`` name for name and shape for shape."""
         config.validate()
         self.config = config
         self.vocab = vocab
@@ -173,8 +178,6 @@ class Model:
                 raise ConfigError(f"parameter {name} has shape {data.shape}, expected {shape}")
             checked.append((name, data))
         self.params = T.ParamRegistry(checked)
-        for p in self.params:
-            setattr(self, p.name, p)
 
     @classmethod
     def initialize(cls, config: ModelConfig, vocab: enc.Vocabulary, rng: Rng) -> "Model":
@@ -235,34 +238,38 @@ class Model:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, batch: list[ItemFeatures]) -> Trace:
-        """One tape over the whole batch: every tensor is (B, ...)."""
+    def forward(self, batch: list[ItemFeatures], weights: dict[str, np.ndarray] | None = None) -> Trace:
+        """One pass over the whole batch: every tensor is (B, ...).
+
+        ``weights`` maps each parameter name to what the stages read. The
+        default, the registry's ``Param``s, records the pass on one tape;
+        ``self.params.arrays`` gives plain arrays and no node.
+        """
         cfg, n = self.config, len(batch)
-        r_t = T.matvec(self.w_tf, enc.embed_rows(self.emb, [f.text for f in batch], (n,)))
-        r_v = enc.encode_image(self.w_vf, np.stack([f.image for f in batch]))
+        w = self.params if weights is None else weights
+        r_t = T.matvec(w["w_tf"], enc.embed_rows(w["emb"], [f.text for f in batch], (n,)))
+        r_v = enc.encode_image(w["w_vf"], np.array([f.image for f in batch]))
 
         m_d = None
         if cfg.uses_enhancement:
             counts, width, slots = _padded_descs(batch)
             if width:
-                m_d = enc.encode_description(self.emb, self.w_df, slots, (n, width))
-            r_t_enh = enrich.enhance(r_t, m_d, counts, self.w_t, self.w_d)
+                m_d = enc.encode_description(w["emb"], w["w_df"], slots, (n, width))
+            r_t_enh = enrich.enhance(r_t, m_d, counts, w["w_t"], w["w_d"])
         else:
-            r_t_enh = T.matvec(self.w_t, r_t)
+            r_t_enh = T.matvec(w["w_t"], r_t)
 
         e_t = e_v = r_f = None
         if cfg.uses_interaction:
-            e_t = align.shared_encode(r_t, self.w_st, self.b_st)
-            e_v = align.shared_encode(r_v, self.w_sv, self.b_sv)
+            e_t = align.shared_encode(r_t, w["w_st"], w["b_st"])
+            e_v = align.shared_encode(r_v, w["w_sv"], w["b_sv"])
             m_f_v, m_f_t = interact.modality_update(e_t, e_v)
-            r_f = interact.interaction_feature(
-                m_f_v, m_f_t, self.w_i1, self.b_i1, self.w_i2, self.b_i2
-            )
+            r_f = interact.interaction_feature(m_f_v, m_f_t, w["w_i1"], w["b_i1"], w["w_i2"], w["b_i2"])
 
         features = [r_t_enh, r_v] + ([r_f] if r_f is not None else [])
-        gates = fuse.adaptive_weights(features, self.w_g, self.b_g) if cfg.uses_gates else None
+        gates = fuse.adaptive_weights(features, w["w_g"], w["b_g"]) if cfg.uses_gates else None
         fused = fuse.fuse(features, gates)
-        probs, labels = fuse.classify(fused, self.w_c1, self.b_c1, self.w_c2, self.b_c2)
+        probs, labels = fuse.classify(fused, w["w_c1"], w["b_c1"], w["w_c2"], w["b_c2"])
         return Trace(
             r_t=r_t, m_d=m_d, r_t_enh=r_t_enh, e_t=e_t, e_v=e_v, r_f=r_f,
             features=features, gates=gates, fused=fused, probs=probs, labels=labels,
@@ -290,62 +297,17 @@ class Model:
 
     # -- inference ----------------------------------------------------------
 
-    def _rows(self, slots: list, lead: tuple[int, ...]) -> np.ndarray:
-        """``encoders.embed_rows`` on plain arrays; ``T.affine(rows, 1.0,
-        pre)`` is ``rows + pre`` exactly."""
-        bag, pre = enc.slot_operands(slots, lead, *self.emb.data.shape)
-        rows = None if bag is None else T._matmul(bag, self.emb.data)
-        if pre is not None:
-            rows = pre if rows is None else rows + pre
-        return rows
-
-    def _score(self, batch: list[ItemFeatures]) -> tuple[np.ndarray, np.ndarray | None]:
-        """``forward``'s probabilities (B, 2) and gates (B, k), or None under
-        ``no_A``, computed step for step on plain arrays, without a tape."""
-        cfg, n = self.config, len(batch)
-        r_t = T._matvec(self.w_tf.data, self._rows([f.text for f in batch], (n,)), None)
-        r_v = T._matvec(self.w_vf.data, np.array([f.image for f in batch]), None)
-
-        r_t_enh = T._matvec(self.w_t.data, r_t, None)
-        if cfg.uses_enhancement:
-            counts, width, slots = _padded_descs(batch)
-            if width:
-                m_d = T._matvec(self.w_df.data, self._rows(slots, (n, width)), None)
-                pooled, _ = T._attention_pool(r_t, m_d, *enrich.pool_operands(counts, width))
-                r_t_enh = r_t_enh + T._matvec(self.w_d.data, pooled, None)
-
-        features = [r_t_enh, r_v]
-        if cfg.uses_interaction:
-            e_t, _ = T._l2_normalize(T._matvec(self.w_st.data, r_t, self.b_st.data))
-            e_v, _ = T._l2_normalize(T._matvec(self.w_sv.data, r_v, self.b_sv.data))
-            c = interact.logit_scale(e_t, e_v)
-            m_f_v, _, _ = T._rank1_attention(e_t, e_v, c)
-            m_f_t, _, _ = T._rank1_attention(e_v, e_t, c)
-            pooled, _, _ = T._rank1_max_pool(m_f_v, m_f_t)
-            hidden = np.maximum(T._matvec(self.w_i1.data, pooled, self.b_i1.data), 0.0)
-            features.append(T._matvec(self.w_i2.data, hidden, self.b_i2.data))
-
-        gates = None
-        if cfg.uses_gates:
-            pooled = np.array(features).mean(axis=0)
-            gates = T._sigmoid(T._matvec(self.w_g.data, pooled, self.b_g.data))
-            fused, _ = T._gated_concat(features, gates)
-        else:
-            fused = np.concatenate(features, axis=-1)
-        hidden = np.maximum(T._matvec(self.w_c1.data, fused, self.b_c1.data), 0.0)
-        return T.softmax(T._matvec(self.w_c2.data, hidden, self.b_c2.data)), gates
-
     def predict_batch(self, batch: list[ItemFeatures]) -> list[fuse.Prediction]:
         """Class distribution, label and gates of every item, in batch order.
 
-        Scoring runs ``_score``, which builds no tape, and gives the same
-        bits as ``forward`` on the same items.
+        Scoring runs ``forward`` on the parameters' arrays, which builds no
+        tape, and gives the same bits as the tape forward on the same items.
         """
         if not batch:
             return []
-        probs, gates = self._score(batch)
-        labels = probs.argmax(axis=-1)
-        gates = gates.tolist() if gates is not None else None
+        trace = self.forward(batch, self.params.arrays)
+        probs, labels = trace.probs, trace.labels
+        gates = trace.gates.tolist() if trace.gates is not None else None
         return [
             fuse.Prediction(
                 probs=probs[i].copy(),

@@ -8,18 +8,21 @@ chain of small ops (a loss head, an attention pool, gated fusion) is one
 fused op with a closed-form backward, so a default training step builds
 32 nodes. Broadcasting is explicit: each op states the shapes it accepts.
 
-Scoring builds no tape: ``Model.predict_batch`` runs the same forward on
-plain arrays, because a score needs no gradient. An op whose forward takes
-more than a couple of numpy calls computes it in a private array kernel
-(``_matmul``, ``_matvec``, ``_sigmoid``, ``_attention_pool``,
-``_rank1_attention``, ``_l2_normalize``, ``_rank1_max_pool``,
-``_gated_concat``) that the plain forward calls too, so a score is
-bit-identical to the tape's probabilities by construction. One item is
-scored by about a hundred calls on arrays of a few dozen entries, so call
-overhead is most of its cost: these kernels and ``softmax`` reduce through
+An op records a node only when an operand needs a gradient. Given plain
+arrays where it takes tensors, every op but the loss heads (``infonce``,
+``binary_nll``) runs the same shape checks and arithmetic and returns its
+result as a plain array, with no node. So ``Model.forward`` is one wiring
+for both uses: on the registry's ``Param``s it records a training tape,
+and on their arrays it scores, to the same bits, without one. One item is
+scored by about a hundred numpy calls on arrays of a few dozen entries, so
+call overhead is most of its cost: the ops and ``softmax`` reduce through
 ``np.maximum.reduce`` and the like, which skip the Python frame that the
-``.max()`` and ``.sum()`` methods add, and ``_matvec`` skips the reshapes
-of a 2-D operand.
+``.max()`` and ``.sum()`` methods add, and ``matvec`` skips the reshapes
+of a 2-D operand. An operand counts as plain when it is an
+``np.ndarray``: a stage tracer may rebind ``Tensor`` to a subclass, which a
+``Param`` is then no instance of. Each backward closure takes what it
+reads as default arguments, not as closure cells: Python makes a
+function's cells on every call, so they would cost the plain path too.
 
 The module holds only the ops that training, scoring and enrichment run,
 plus ``softmax`` and ``rank1_softmax``, which compute plain arrays for the
@@ -111,6 +114,8 @@ class ParamRegistry:
     and ``grad`` are reshaped views into them, so whole-model passes (the
     optimizer step, the gradient reset, the finite check) are a few calls
     over the flat arrays instead of one loop iteration per parameter.
+    ``arrays`` maps each name to its Param's ``data`` view: what
+    ``Model.forward`` reads to score without a tape.
     """
 
     def __init__(self, arrays):
@@ -121,6 +126,7 @@ class ParamRegistry:
         self.data = np.empty(size)
         self.grad = np.zeros(size)  # calloc'd: pages cost no memory until written
         self._params: dict[str, Param] = {}
+        self.arrays: dict[str, np.ndarray] = {}
         start = 0
         for name, a in arrays:
             if name in self._params:
@@ -129,6 +135,7 @@ class ParamRegistry:
             data = self.data[start:end].reshape(a.shape)
             data[...] = a
             self._params[name] = Param(name, data, self.grad[start:end].reshape(a.shape))
+            self.arrays[name] = data
             start = end
 
     def __getitem__(self, name: str) -> Param:
@@ -142,6 +149,11 @@ class ParamRegistry:
 
     def reset_gradients(self) -> None:
         self.grad.fill(0.0)
+
+
+def data_of(x: Tensor | np.ndarray) -> np.ndarray:
+    """The array of a tensor, or a plain array as it is."""
+    return x if isinstance(x, np.ndarray) else x.data
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -169,65 +181,74 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 # ---------------------------------------------------------------------------
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A @ B for a 2-D B, with A's leading axes folded into one 2-D product."""
-    return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[1:])
-
-
-def matmul(a: Tensor | np.ndarray, b: Tensor) -> Tensor:
+def matmul(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor | np.ndarray:
     """C = A @ B for a 2-D B; leading axes of A beyond the last are batch axes.
 
     The leading axes are folded into one 2-D product, forward and backward:
     numpy would otherwise run one small GEMM per batch row. A plain array
-    ``a`` is a constant: it is no parent and gets no gradient.
+    ``a`` is a constant: it is no parent and gets no gradient. With ``b`` a
+    plain array too, C is a plain array.
     """
     const_a = isinstance(a, np.ndarray)
+    plain = isinstance(b, np.ndarray)
     a_data = a if const_a else a.data
-    if b.data.ndim != 2 or a_data.ndim < 2 or a_data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dims disagree: {a_data.shape} vs {b.data.shape}")
-    out = Tensor(_matmul(a_data, b.data), (b,) if const_a else (a, b))
+    b_data = b if plain else b.data
+    if b_data.ndim != 2 or a_data.ndim < 2 or a_data.shape[-1] != b_data.shape[0]:
+        raise ShapeError(f"matmul inner dims disagree: {a_data.shape} vs {b_data.shape}")
+    y = (a_data.reshape(-1, a_data.shape[-1]) @ b_data).reshape(a_data.shape[:-1] + b_data.shape[1:])
+    if plain:
+        return y
+    out = Tensor(y, (b,) if const_a else (a, b))
 
-    def _backward():
-        g = out.grad.reshape(-1, b.data.shape[1])
+    def _backward(out=out, a=a, b=b, a_data=a_data, b_data=b_data, const_a=const_a):
+        g = out.grad.reshape(-1, b_data.shape[1])
         if not const_a:
-            a.grad += (g @ b.data.T).reshape(a_data.shape)
+            a.grad += (g @ b_data.T).reshape(a_data.shape)
         b.grad += a_data.reshape(-1, a_data.shape[-1]).T @ g
 
     out._backward = _backward
     return out
 
 
-def _matvec(a: np.ndarray, x: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    """A x (+ b) for every vector along the last axis of x, as one 2-D product."""
-    flat = x.ndim == 2
-    y = (x if flat else x.reshape(-1, a.shape[1])) @ a.T
-    if b is not None:
-        y += b
-    return y if flat else y.reshape(x.shape[:-1] + a.shape[:1])
-
-
-def matvec(a: Tensor, x: Tensor | np.ndarray, b: Tensor | None = None) -> Tensor:
+def matvec(
+    a: Tensor | np.ndarray, x: Tensor | np.ndarray, b: Tensor | np.ndarray | None = None
+) -> Tensor | np.ndarray:
     """y = A x (+ b) for every vector along the last axis of x (a dense layer).
 
-    As in ``matmul``, the leading axes of x form one 2-D product, and a
-    plain array ``x`` is a constant input that gets no gradient.
+    As in ``matmul``, the leading axes of x form one 2-D product (a 2-D x
+    needs no reshape), and a plain array ``x`` is a constant input that
+    gets no gradient. With ``a`` and ``b`` plain arrays too, y is a plain
+    array.
     """
-    const_x = isinstance(x, np.ndarray)
+    plain = isinstance(a, np.ndarray)
+    const_x = plain or isinstance(x, np.ndarray)
+    a_data = a if plain else a.data
     x_data = x if const_x else x.data
-    if a.data.ndim != 2 or x_data.shape[-1:] != a.data.shape[1:]:
-        raise ShapeError(f"matvec inner dims disagree: {a.data.shape} vs {x_data.shape}")
-    if b is not None and b.data.shape != a.data.shape[:1]:
-        raise ShapeError(f"matvec bias has shape {b.data.shape}, expected {a.data.shape[:1]}")
+    if a_data.ndim != 2 or x_data.shape[-1:] != a_data.shape[1:]:
+        raise ShapeError(f"matvec inner dims disagree: {a_data.shape} vs {x_data.shape}")
+    m, k = a_data.shape
+    if b is not None:
+        b_data = b if plain else b.data
+        if b_data.shape != (m,):
+            raise ShapeError(f"matvec bias has shape {b_data.shape}, expected {(m,)}")
+    flat = x_data.ndim == 2
+    y = (x_data if flat else x_data.reshape(-1, k)) @ a_data.T
+    if b is not None:
+        y += b_data
+    if not flat:
+        y = y.reshape(x_data.shape[:-1] + (m,))
+    if plain:
+        return y
     parents = (a,) if const_x else (a, x)
     if b is not None:
         parents += (b,)
-    out = Tensor(_matvec(a.data, x_data, None if b is None else b.data), parents)
+    out = Tensor(y, parents)
 
-    def _backward():
-        g = out.grad.reshape(-1, a.data.shape[0])
-        a.grad += g.T @ x_data.reshape(-1, a.data.shape[1])
+    def _backward(out=out, a=a, x=x, b=b, a_data=a_data, x_data=x_data, const_x=const_x, m=m, k=k):
+        g = out.grad.reshape(-1, m)
+        a.grad += g.T @ x_data.reshape(-1, k)
         if not const_x:
-            x.grad += (g @ a.data).reshape(x_data.shape)
+            x.grad += (g @ a_data).reshape(x_data.shape)
         if b is not None:
             b.grad += g.sum(axis=0)
 
@@ -240,12 +261,17 @@ def matvec(a: Tensor, x: Tensor | np.ndarray, b: Tensor | None = None) -> Tensor
 # ---------------------------------------------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add shapes disagree: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data + b.data, (a, b))
+def add(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor | np.ndarray:
+    plain = isinstance(a, np.ndarray)
+    a_data, b_data = (a, b) if plain else (a.data, b.data)
+    if a_data.shape != b_data.shape:
+        raise ShapeError(f"add shapes disagree: {a_data.shape} vs {b_data.shape}")
+    y = a_data + b_data
+    if plain:
+        return y
+    out = Tensor(y, (a, b))
 
-    def _backward():
+    def _backward(out=out, a=a, b=b):
         a.grad += out.grad
         b.grad += out.grad
 
@@ -253,39 +279,46 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def affine(x: Tensor, a, b) -> Tensor:
+def affine(x: Tensor | np.ndarray, a, b) -> Tensor | np.ndarray:
     """a*x + b with constant coefficients: python floats or arrays shaped like x."""
-    out = Tensor(a * x.data + b, (x,))
+    plain = isinstance(x, np.ndarray)
+    y = a * (x if plain else x.data) + b
+    if plain:
+        return y
+    out = Tensor(y, (x,))
 
-    def _backward():
+    def _backward(out=out, x=x, a=a):
         x.grad += a * out.grad
 
     out._backward = _backward
     return out
 
 
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0), (x,))
+def relu(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+    plain = isinstance(x, np.ndarray)
+    y = np.maximum(x if plain else x.data, 0.0)
+    if plain:
+        return y
+    out = Tensor(y, (x,))
 
-    def _backward():
+    def _backward(out=out, x=x):
         x.grad += out.grad * (x.data > 0.0)
 
     out._backward = _backward
     return out
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+    plain = isinstance(x, np.ndarray)
+    x_data = x if plain else x.data
     # split form avoids overflow in exp for large |x|
-    z = np.exp(-np.abs(x))
-    total = 1.0 + z
-    return np.where(x >= 0, 1.0 / total, z / total)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid(x.data)
+    z = np.exp(-np.abs(x_data))
+    y = np.where(x_data >= 0, 1.0, z) / (1.0 + z)
+    if plain:
+        return y
     out = Tensor(y, (x,))
 
-    def _backward():
+    def _backward(out=out, x=x, y=y):
         x.grad += out.grad * y * (1.0 - y)
 
     out._backward = _backward
@@ -314,14 +347,18 @@ def softmax(z: np.ndarray, mask: np.ndarray | None = None, axis: int = -1) -> np
     return e / total
 
 
-def softmax_rows(x: Tensor) -> Tensor:
+def softmax_rows(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
     """Softmax along the last axis with max-subtraction for stability."""
-    if x.data.ndim < 1:
+    plain = isinstance(x, np.ndarray)
+    x_data = x if plain else x.data
+    if x_data.ndim < 1:
         raise ShapeError("softmax_rows needs at least one axis")
-    p = softmax(x.data)
+    p = softmax(x_data)
+    if plain:
+        return p
     out = Tensor(p, (x,))
 
-    def _backward():
+    def _backward(out=out, x=x, p=p):
         # dx = p * (g - sum(g * p, last axis))
         x.grad += p * (out.grad - np.sum(out.grad * p, axis=-1, keepdims=True))
 
@@ -329,18 +366,9 @@ def softmax_rows(x: Tensor) -> Tensor:
     return out
 
 
-def _attention_pool(q: np.ndarray, m: np.ndarray, mask: np.ndarray, w: np.ndarray):
-    """``attention_pool``'s output and its attention weights p."""
-    rows = m.shape[:-1]
-    if rows[:-1] + m.shape[-1:] != q.shape or mask.shape != rows or w.shape != rows[:-1]:
-        raise ShapeError(
-            f"attention_pool shapes disagree: q {q.shape}, m {m.shape}, mask {mask.shape}, w {w.shape}"
-        )
-    p = softmax(np.matmul(m, q[..., None])[..., 0], mask)
-    return np.matmul(p[..., None, :], m)[..., 0, :] * w[..., None], p
-
-
-def attention_pool(q: Tensor, m: Tensor, mask: np.ndarray, w: np.ndarray) -> Tensor:
+def attention_pool(
+    q: Tensor | np.ndarray, m: Tensor | np.ndarray, mask: np.ndarray, w: np.ndarray
+) -> Tensor | np.ndarray:
     """out[..., :] = w[...] * sum_j p[..., j] m[..., j, :], where p is the
     masked softmax over j of the scores m[..., j, :] . q[..., :].
 
@@ -351,15 +379,26 @@ def attention_pool(q: Tensor, m: Tensor, mask: np.ndarray, w: np.ndarray) -> Ten
     gradient ds = p (h - sum_j p_j h_j), q gets sum_j ds_j m_j and row m_j
     gets p_j w g + ds_j q. A masked-out row has p_j = 0 and gets no gradient.
     """
-    y, p = _attention_pool(q.data, m.data, mask, w)
+    plain = isinstance(q, np.ndarray)
+    q_data, m_data = (q, m) if plain else (q.data, m.data)
+    rows = m_data.shape[:-1]
+    if rows[:-1] + m_data.shape[-1:] != q_data.shape or mask.shape != rows or w.shape != rows[:-1]:
+        raise ShapeError(
+            f"attention_pool shapes disagree: q {q_data.shape}, m {m_data.shape}, "
+            f"mask {mask.shape}, w {w.shape}"
+        )
+    p = softmax(np.matmul(m_data, q_data[..., None])[..., 0], mask)
+    y = np.matmul(p[..., None, :], m_data)[..., 0, :] * w[..., None]
+    if plain:
+        return y
     out = Tensor(y, (q, m))
 
-    def _backward():
+    def _backward(out=out, q=q, m=m, q_data=q_data, m_data=m_data, w=w, p=p):
         gw = out.grad * w[..., None]
-        h = np.matmul(m.data, gw[..., None])[..., 0]
+        h = np.matmul(m_data, gw[..., None])[..., 0]
         ds = p * (h - np.sum(h * p, axis=-1, keepdims=True))
-        q.grad += np.matmul(ds[..., None, :], m.data)[..., 0, :]
-        m.grad += p[..., :, None] * gw[..., None, :] + ds[..., :, None] * q.data[..., None, :]
+        q.grad += np.matmul(ds[..., None, :], m_data)[..., 0, :]
+        m.grad += p[..., :, None] * gw[..., None, :] + ds[..., :, None] * q_data[..., None, :]
 
     out._backward = _backward
     return out
@@ -389,7 +428,7 @@ def infonce(a: Tensor, b: Tensor, c: float, floor: float) -> tuple[Tensor, int]:
     loss_q = -np.log(np.maximum(diag_q, floor)).sum() / n
     out = Tensor(0.5 * (loss_p + loss_q), (a, b))
 
-    def _backward():
+    def _backward(out=out, a=a, b=b, c=c, n=n, p=p, q=q, diag_p=diag_p, diag_q=diag_q, floor=floor):
         ar = np.arange(n)
         p[ar, ar] -= 1.0
         q[ar, ar] -= 1.0
@@ -424,7 +463,7 @@ def _rank1_exp(u: np.ndarray, cv: np.ndarray) -> np.ndarray:
     """
     hi = np.maximum.reduce(cv, axis=-1, keepdims=True)
     lo = np.minimum.reduce(cv, axis=-1, keepdims=True)
-    top = np.where(u >= 0.0, u * hi, u * lo)
+    top = np.maximum(u * hi, u * lo)  # u * hi where u >= 0, else u * lo
     # filled in place: np.stack would cost more than the matmul for one item at d=64
     lhs = np.empty(u.shape + (2,))
     lhs[..., 0] = u
@@ -518,20 +557,7 @@ def _series_moments(s: np.ndarray, v: np.ndarray, k: int):
     return np.matmul(s_pow, coef), times_exp
 
 
-def _rank1_attention(u: np.ndarray, v: np.ndarray, c: float):
-    """``rank1_attention``'s output, plus the (..., n, 3) moment sums and the
-    ``times_exp`` product that its backward reads."""
-    if u.shape[:-1] != v.shape[:-1]:
-        raise ShapeError(f"rank1_attention batch dims disagree: {u.shape} vs {v.shape}")
-    k = _series_order(u, v, c)
-    if k is None:
-        sums, times_exp = _exp_moments(u, v, c)
-    else:
-        sums, times_exp = _series_moments(c * u, v, k)
-    return sums[..., 1] / sums[..., 0], sums, times_exp
-
-
-def rank1_attention(u: Tensor, v: Tensor, c: float) -> Tensor:
+def rank1_attention(u: Tensor | np.ndarray, v: Tensor | np.ndarray, c: float) -> Tensor | np.ndarray:
     """out[..., i] = sum_j softmax_j(c * u[..., i] * v[..., j]) * v[..., j]:
     each entry of u attends over v through the rank-1 logits c u v^T.
 
@@ -556,39 +582,52 @@ def rank1_attention(u: Tensor, v: Tensor, c: float) -> Tensor:
       peak logit so any r stays finite; it is kept for the backward, and no
       other (..., n, m) temporary is built.
     """
-    y, sums, times_exp = _rank1_attention(u.data, v.data, c)
+    plain = isinstance(u, np.ndarray)
+    u_data, v_data = (u, v) if plain else (u.data, v.data)
+    if u_data.shape[:-1] != v_data.shape[:-1]:
+        raise ShapeError(f"rank1_attention batch dims disagree: {u_data.shape} vs {v_data.shape}")
+    k = _series_order(u_data, v_data, c)
+    if k is None:
+        sums, times_exp = _exp_moments(u_data, v_data, c)
+    else:
+        sums, times_exp = _series_moments(c * u_data, v_data, k)
     total = sums[..., 0]
+    y = sums[..., 1] / total
+    if plain:
+        return y
     second = sums[..., 2] / total
     out = Tensor(y, (u, v))
 
-    def _backward():
+    def _backward(
+        out=out, u=u, v=v, u_data=u_data, v_data=v_data,
+        c=c, y=y, second=second, total=total, times_exp=times_exp,
+    ):
         g = out.grad
         u.grad += c * g * (second - y * y)
         a = g / total
-        b = c * u.data * a
+        b = c * u_data * a
         rows = times_exp(np.stack([a - b * y, b], axis=-2))
-        v.grad += rows[..., 0, :] + v.data * rows[..., 1, :]
+        v.grad += rows[..., 0, :] + v_data * rows[..., 1, :]
 
     out._backward = _backward
     return out
 
 
-def _l2_normalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each vector along the last axis over its norm, and the norms."""
-    if v.ndim < 1:
-        raise ShapeError("l2_normalize needs at least one axis")
-    n = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
-    if (n == 0.0).any():
-        raise DegenerateInputError("l2_normalize of a zero vector")
-    return v / n, n
-
-
-def l2_normalize(v: Tensor) -> Tensor:
+def l2_normalize(v: Tensor | np.ndarray) -> Tensor | np.ndarray:
     """Each vector along the last axis scaled to unit Euclidean norm."""
-    y, n = _l2_normalize(v.data)
+    plain = isinstance(v, np.ndarray)
+    v_data = v if plain else v.data
+    if v_data.ndim < 1:
+        raise ShapeError("l2_normalize needs at least one axis")
+    n = np.sqrt(np.add.reduce(v_data * v_data, axis=-1, keepdims=True))
+    if np.logical_or.reduce(n == 0.0, axis=None):
+        raise DegenerateInputError("l2_normalize of a zero vector")
+    y = v_data / n
+    if plain:
+        return y
     out = Tensor(y, (v,))
 
-    def _backward():
+    def _backward(out=out, v=v, y=y, n=n):
         # d v = (g - y (y.g)) / ||v||
         v.grad += (out.grad - y * np.sum(y * out.grad, axis=-1, keepdims=True)) / n
 
@@ -601,45 +640,49 @@ def l2_normalize(v: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def mean_pool(x: Tensor, axis: int) -> Tensor:
-    if not 0 <= axis < x.data.ndim:
-        raise ShapeError(f"mean_pool axis {axis} out of range for shape {x.data.shape}")
-    m = x.data.shape[axis]
-    out = Tensor(x.data.mean(axis=axis), (x,))
+def mean_pool(x: Tensor | np.ndarray, axis: int) -> Tensor | np.ndarray:
+    plain = isinstance(x, np.ndarray)
+    x_data = x if plain else x.data
+    if not 0 <= axis < x_data.ndim:
+        raise ShapeError(f"mean_pool axis {axis} out of range for shape {x_data.shape}")
+    m = x_data.shape[axis]
+    # the sum and the division that .mean() runs, without its Python frames
+    y = np.add.reduce(x_data, axis=axis) / m
+    if plain:
+        return np.asarray(y)  # a vector's mean is a numpy scalar, not an array
+    out = Tensor(y, (x,))
 
-    def _backward():
+    def _backward(out=out, x=x, axis=axis, m=m):
         x.grad += np.expand_dims(out.grad, axis) / m
 
     out._backward = _backward
     return out
 
 
-def _rank1_max_pool(u: np.ndarray, v: np.ndarray):
-    """``rank1_max_pool``'s output, the sign mask of v and the picked
-    extremes of u that its backward reads."""
-    if u.shape[:-1] != v.shape[:-1]:
-        raise ShapeError(f"rank1_max_pool batch dims disagree: {u.shape} vs {v.shape}")
-    pos = v >= 0.0
-    hi = np.maximum.reduce(u, axis=-1, keepdims=True)
-    picked = np.where(pos, hi, np.minimum.reduce(u, axis=-1, keepdims=True))
-    return picked * v, pos, picked
-
-
-def rank1_max_pool(u: Tensor, v: Tensor) -> Tensor:
+def rank1_max_pool(u: Tensor | np.ndarray, v: Tensor | np.ndarray) -> Tensor | np.ndarray:
     """out[..., j] = max_i u[..., i] * v[..., j], the column max of the rank-1
     matrix u v^T, in O(n + m): v_j * max(u) where v_j >= 0, else v_j * min(u).
 
     Ties route the gradient to the first maximum (or minimum) of u.
     """
-    y, pos, picked = _rank1_max_pool(u.data, v.data)
+    plain = isinstance(u, np.ndarray)
+    u_data, v_data = (u, v) if plain else (u.data, v.data)
+    if u_data.shape[:-1] != v_data.shape[:-1]:
+        raise ShapeError(f"rank1_max_pool batch dims disagree: {u_data.shape} vs {v_data.shape}")
+    pos = v_data >= 0.0
+    hi = np.maximum.reduce(u_data, axis=-1, keepdims=True)
+    picked = np.where(pos, hi, np.minimum.reduce(u_data, axis=-1, keepdims=True))
+    y = picked * v_data
+    if plain:
+        return y
     out = Tensor(y, (u, v))
 
-    def _backward():
-        gv = out.grad * v.data
+    def _backward(out=out, u=u, v=v, u_data=u_data, v_data=v_data, pos=pos, picked=picked):
+        gv = out.grad * v_data
         v.grad += out.grad * picked
-        idx = np.arange(u.data.shape[-1])
-        u.grad += (idx == np.argmax(u.data, axis=-1)[..., None]) * np.sum(gv * pos, axis=-1, keepdims=True)
-        u.grad += (idx == np.argmin(u.data, axis=-1)[..., None]) * np.sum(gv * ~pos, axis=-1, keepdims=True)
+        idx = np.arange(u_data.shape[-1])
+        u.grad += (idx == np.argmax(u_data, axis=-1)[..., None]) * np.sum(gv * pos, axis=-1, keepdims=True)
+        u.grad += (idx == np.argmin(u_data, axis=-1)[..., None]) * np.sum(gv * ~pos, axis=-1, keepdims=True)
 
     out._backward = _backward
     return out
@@ -662,7 +705,7 @@ def binary_nll(probs: Tensor, col: int, positive: np.ndarray, eps: float) -> Ten
     p_true = np.where(positive, p, 1.0 - p)
     out = Tensor(-np.log(p_true).mean(), (probs,))
 
-    def _backward():
+    def _backward(out=out, probs=probs, col=col, positive=positive, eps=eps, raw=raw, n=n, p_true=p_true):
         sign = np.where(positive, 1.0, -1.0)
         inside = (raw >= eps) & (raw <= 1.0 - eps)
         probs.grad[:, col] += sign * ((-out.grad / n) / p_true) * inside
@@ -676,15 +719,20 @@ def binary_nll(probs: Tensor, col: int, positive: np.ndarray, eps: float) -> Ten
 # ---------------------------------------------------------------------------
 
 
-def concat(parts: list[Tensor]) -> Tensor:
+def concat(parts: list) -> Tensor | np.ndarray:
     """Concatenate along the last axis; leading axes must agree."""
-    leading = {p.data.shape[:-1] for p in parts}
-    if len(leading) != 1 or parts[0].data.ndim < 1:
-        raise ShapeError(f"concat needs equal leading dims, got {[p.data.shape for p in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=-1), tuple(parts))
-    sizes = [p.data.shape[-1] for p in parts]
+    plain = all(isinstance(p, np.ndarray) for p in parts)
+    arrays = parts if plain else [p.data for p in parts]
+    leading = {a.shape[:-1] for a in arrays}
+    if len(leading) != 1 or arrays[0].ndim < 1:
+        raise ShapeError(f"concat needs equal leading dims, got {[a.shape for a in arrays]}")
+    y = np.concatenate(arrays, axis=-1)
+    if plain:
+        return y
+    out = Tensor(y, tuple(parts))
+    sizes = [a.shape[-1] for a in arrays]
 
-    def _backward():
+    def _backward(out=out, parts=parts, sizes=sizes):
         off = 0
         for p, size in zip(parts, sizes):
             p.grad += out.grad[..., off:off + size]
@@ -694,29 +742,28 @@ def concat(parts: list[Tensor]) -> Tensor:
     return out
 
 
-def _gated_concat(parts: list[np.ndarray], gates: np.ndarray):
-    """``gated_concat``'s output and the (..., k, d) stack of its parts."""
-    shapes = {p.shape for p in parts}
-    lead = parts[0].shape[:-1]
-    if len(shapes) != 1 or parts[0].ndim < 1 or gates.shape != lead + (len(parts),):
-        raise ShapeError(
-            f"gated_concat needs equal parts and one gate each, "
-            f"got {[p.shape for p in parts]} and {gates.shape}"
-        )
-    x = np.concatenate(parts, axis=-1).reshape(lead + (len(parts), -1))  # (..., k, d)
-    return (x * gates[..., None]).reshape(lead + (-1,)), x
-
-
-def gated_concat(parts: list[Tensor], gates: Tensor) -> Tensor:
+def gated_concat(parts: list, gates: Tensor | np.ndarray) -> Tensor | np.ndarray:
     """``concat`` of equal-shape parts, part i scaled by gates[..., i], as
     one node; ``gates`` has one entry per part for each leading index."""
-    y, x = _gated_concat([p.data for p in parts], gates.data)
+    plain = isinstance(gates, np.ndarray)
+    arrays, g_data = (parts, gates) if plain else ([p.data for p in parts], gates.data)
+    shapes = {a.shape for a in arrays}
+    lead = arrays[0].shape[:-1]
+    if len(shapes) != 1 or arrays[0].ndim < 1 or g_data.shape != lead + (len(arrays),):
+        raise ShapeError(
+            f"gated_concat needs equal parts and one gate each, "
+            f"got {[a.shape for a in arrays]} and {g_data.shape}"
+        )
+    x = np.concatenate(arrays, axis=-1).reshape(lead + (len(arrays), -1))  # (..., k, d)
+    y = (x * g_data[..., None]).reshape(lead + (-1,))
+    if plain:
+        return y
     out = Tensor(y, (*parts, gates))
 
-    def _backward():
+    def _backward(out=out, parts=parts, gates=gates, x=x, g_data=g_data):
         g = out.grad.reshape(x.shape)
         gates.grad += np.sum(g * x, axis=-1)
-        g = g * gates.data[..., None]
+        g = g * g_data[..., None]
         for i, p in enumerate(parts):
             p.grad += g[..., i, :]
 
@@ -724,14 +771,19 @@ def gated_concat(parts: list[Tensor], gates: Tensor) -> Tensor:
     return out
 
 
-def stack_rows(parts: list[Tensor]) -> Tensor:
+def stack_rows(parts: list) -> Tensor | np.ndarray:
     """Stack equal-shape tensors along a new leading axis."""
-    shapes = {p.data.shape for p in parts}
+    plain = all(isinstance(p, np.ndarray) for p in parts)
+    arrays = parts if plain else [p.data for p in parts]
+    shapes = {a.shape for a in arrays}
     if len(shapes) != 1:
         raise ShapeError(f"stack_rows needs equal shapes, got {sorted(shapes)}")
-    out = Tensor(np.stack([p.data for p in parts]), tuple(parts))
+    y = np.array(arrays)  # equal shapes: np.stack's result, at a third of its call cost
+    if plain:
+        return y
+    out = Tensor(y, tuple(parts))
 
-    def _backward():
+    def _backward(out=out, parts=parts):
         for i, p in enumerate(parts):
             p.grad += out.grad[i]
 

@@ -62,11 +62,10 @@ def test_parameter_sets_follow_ablation():
 
 def test_embedding_table_is_shared_between_text_and_descriptions():
     model, feats = build_gradcheck_problem(d=6, n_items=2, n_desc=2)
-    assert model.emb is model.params["emb"]
     loss, _ = model.batch_loss(feats)
     model.params.reset_gradients()
     loss.backward()
-    assert np.any(model.emb.grad != 0.0)
+    assert np.any(model.params["emb"].grad != 0.0)
 
 
 def test_no_A_fused_vector_equals_all_ones_gates():
@@ -310,6 +309,14 @@ def test_predict_batch_is_bit_identical_to_the_tape_forward(case):
     _assert_scores_equal_the_tape_forward(*reference_problem(case))
 
 
+def test_predict_batch_is_bit_identical_with_every_parameter_nonzero():
+    """A fresh model's biases are zero, so a score that skipped one would
+    still match; here every parameter is drawn at random."""
+    model, feats = build_gradcheck_problem(d=6, n_items=3, n_desc=2)
+    model.params.data[:] = Rng(8).stream("params").normal(size=model.params.data.size)
+    _assert_scores_equal_the_tape_forward(model, feats)
+
+
 @pytest.mark.parametrize("n_items,series", [(8, True), (1, False)])
 def test_predict_batch_is_bit_identical_on_both_rank1_attention_kernels(n_items, series):
     """At d=64, 8 items make 8 * 64 * 64 logits per attention, at least
@@ -500,5 +507,5 @@ def test_rebinding_the_tensor_class_leaves_every_gradient_unchanged(monkeypatch)
         model.params.reset_gradients()
         model.batch_loss(feats)[0].backward()
         grads.append(model.params.grad.copy())
-    assert np.any(model.emb.grad != 0.0)
+    assert np.any(model.params["emb"].grad != 0.0)
     np.testing.assert_array_equal(grads[1], grads[0])

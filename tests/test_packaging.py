@@ -53,3 +53,33 @@ def test_every_public_tensor_function_has_a_caller_in_another_module():
     public = {node.name for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     used = set().union(*(_identifiers(PACKAGE / f"{m}.py") for m in MODULES if m != "tensor"))
     assert public and sorted(public - used) == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_reads(path):
+    """Private names of other ``mmfnd`` modules that a module reads:
+    ``alias._name`` on a module it imported, or ``from .module import _name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "mmfnd"):
+            for alias in node.names:
+                if node.module in (None, "mmfnd"):
+                    modules.add(alias.asname or alias.name)
+                elif _is_private(alias.name):
+                    reads.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and _is_private(node.attr):
+                reads.append(f"{node.value.id}.{node.attr}")
+    return reads
+
+
+def test_no_module_reads_a_private_name_of_another():
+    """A module that needs another's private kernel is a second code path
+    in the making: what one module shares with another is public."""
+    reads = {m: _private_reads(PACKAGE / f"{m}.py") for m in MODULES}
+    assert {m: r for m, r in reads.items() if r} == {}

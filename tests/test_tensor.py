@@ -423,6 +423,37 @@ def test_op_gradients_match_finite_differences(name, build, shapes):
         _check_op(build, arrs)
 
 
+# built through the test-side references or a loss head, which is tape-only
+TAPE_ONLY_CASES = {
+    "bmv", "transpose", "transpose_batched", "mul", "scale_rows", "scale_rows_batched",
+    "softmax_rows_masked", "infonce", "binary_nll", "tsum", "weighted_sum",
+}
+PLAIN_CASES = [c for c in OP_CASES if c[0] not in TAPE_ONLY_CASES]
+
+
+@pytest.mark.parametrize("name,build,shapes", PLAIN_CASES, ids=[c[0] for c in PLAIN_CASES])
+def test_ops_pass_plain_arrays_through(name, build, shapes, monkeypatch):
+    """On plain arrays an op returns a plain array, the same bits as its tape
+    output, and makes no node, with ``Tensor`` rebound to a counting
+    subclass as the stage tracer rebinds it."""
+    gen = Rng(4321).stream("plain", name)
+    arrs = [gen.uniform(0.3, 1.7, size=s) * gen.choice([-1.0, 1.0], size=s) for s in shapes]
+    want = build([T.Tensor(a) for a in arrs]).data
+    base, made = T.Tensor, [0]
+
+    class Counted(base):
+        __slots__ = ()
+
+        def __init__(self, data, parents=()):
+            base.__init__(self, data, parents)
+            made[0] += 1
+
+    monkeypatch.setattr(T, "Tensor", Counted)
+    got = build(arrs)
+    assert isinstance(got, np.ndarray) and made[0] == 0
+    assert np.array_equal(got, want)
+
+
 def test_backward_requires_scalar():
     with pytest.raises(T.ShapeError):
         t([1.0, 2.0]).backward()

@@ -27,6 +27,7 @@ def test_train_config_extends_the_model_config():
     ("tau", math.nan), ("tau", math.inf), ("lambda_c", math.nan), ("lambda_c", math.inf),
     ("lr", math.nan), ("lr", math.inf), ("eps", math.nan), ("eps", math.inf),
     ("beta1", math.nan), ("beta2", math.inf), ("epochs", math.inf), ("batch", math.nan),
+    ("tau", "0.07"), ("lr", None), ("lambda_c", True), ("beta1", "0.9"),
 ])
 def test_non_finite_hyperparameters_are_rejected_naming_the_field(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be .*, got {value!r}$"):
@@ -206,8 +207,8 @@ def test_non_finite_gradient_raises_before_the_adam_step(monkeypatch):
 
         def _backward():
             loss.grad += out.grad
-            self.w_c1.grad[0, 0] = np.nan
-            self.w_c2.grad[1, 1] = np.inf
+            self.params["w_c1"].grad[0, 0] = np.nan
+            self.params["w_c2"].grad[1, 1] = np.inf
 
         out._backward = _backward
         return out, parts
