@@ -57,8 +57,10 @@ class Vocabulary:
 
     @classmethod
     def build(cls, texts) -> "Vocabulary":
+        """Vocabulary of every token in ``texts``; a repeated text (a shared
+        description sentence) is tokenized once."""
         seen = set()
-        for text in texts:
+        for text in dict.fromkeys(texts):
             seen.update(tokenize(text))
         return cls(sorted(seen))
 

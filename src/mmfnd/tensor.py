@@ -18,16 +18,17 @@ scored by about a hundred numpy calls on arrays of a few dozen entries, so
 call overhead is most of its cost: the ops and ``softmax`` reduce through
 ``np.maximum.reduce`` and the like, which skip the Python frame that the
 ``.max()`` and ``.sum()`` methods add, and ``matvec`` skips the reshapes
-of a 2-D operand. An operand counts as plain when it is an
-``np.ndarray``: a stage tracer may rebind ``Tensor`` to a subclass, which a
+of a 2-D operand. An operand counts as plain when it is an ``np.ndarray``
+or a numpy scalar (what a ufunc makes of 0-d operands), not when it is no
+``Tensor``: a stage tracer may rebind ``Tensor`` to a subclass, which a
 ``Param`` is then no instance of. Each backward closure takes what it
 reads as default arguments, not as closure cells: Python makes a
 function's cells on every call, so they would cost the plain path too.
 
 The module holds only the ops that training, scoring and enrichment run,
-plus ``softmax`` and ``rank1_softmax``, which compute plain arrays for the
-explicit views in ``align`` and ``interact``. The op-by-op references that
-the fused ops are checked against live in the tests.
+plus ``softmax``, which computes plain arrays for the explicit views in
+``align`` and ``interact``. The op-by-op references that the fused
+ops are checked against live in the tests.
 """
 
 from __future__ import annotations
@@ -151,9 +152,14 @@ class ParamRegistry:
         self.grad.fill(0.0)
 
 
+# what an op takes as a plain operand: arrays, and the numpy scalars that a
+# ufunc returns for 0-d operands
+_PLAIN = (np.ndarray, np.generic)
+
+
 def data_of(x: Tensor | np.ndarray) -> np.ndarray:
     """The array of a tensor, or a plain array as it is."""
-    return x if isinstance(x, np.ndarray) else x.data
+    return x if isinstance(x, _PLAIN) else x.data
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -189,8 +195,8 @@ def matmul(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor | np.ndarra
     ``a`` is a constant: it is no parent and gets no gradient. With ``b`` a
     plain array too, C is a plain array.
     """
-    const_a = isinstance(a, np.ndarray)
-    plain = isinstance(b, np.ndarray)
+    const_a = isinstance(a, _PLAIN)
+    plain = isinstance(b, _PLAIN)
     a_data = a if const_a else a.data
     b_data = b if plain else b.data
     if b_data.ndim != 2 or a_data.ndim < 2 or a_data.shape[-1] != b_data.shape[0]:
@@ -220,8 +226,8 @@ def matvec(
     gets no gradient. With ``a`` and ``b`` plain arrays too, y is a plain
     array.
     """
-    plain = isinstance(a, np.ndarray)
-    const_x = plain or isinstance(x, np.ndarray)
+    plain = isinstance(a, _PLAIN)
+    const_x = plain or isinstance(x, _PLAIN)
     a_data = a if plain else a.data
     x_data = x if const_x else x.data
     if a_data.ndim != 2 or x_data.shape[-1:] != a_data.shape[1:]:
@@ -262,7 +268,7 @@ def matvec(
 
 
 def add(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor | np.ndarray:
-    plain = isinstance(a, np.ndarray)
+    plain = isinstance(a, _PLAIN)
     a_data, b_data = (a, b) if plain else (a.data, b.data)
     if a_data.shape != b_data.shape:
         raise ShapeError(f"add shapes disagree: {a_data.shape} vs {b_data.shape}")
@@ -281,7 +287,7 @@ def add(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor | np.ndarray:
 
 def affine(x: Tensor | np.ndarray, a, b) -> Tensor | np.ndarray:
     """a*x + b with constant coefficients: python floats or arrays shaped like x."""
-    plain = isinstance(x, np.ndarray)
+    plain = isinstance(x, _PLAIN)
     y = a * (x if plain else x.data) + b
     if plain:
         return y
@@ -295,7 +301,7 @@ def affine(x: Tensor | np.ndarray, a, b) -> Tensor | np.ndarray:
 
 
 def relu(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
-    plain = isinstance(x, np.ndarray)
+    plain = isinstance(x, _PLAIN)
     y = np.maximum(x if plain else x.data, 0.0)
     if plain:
         return y
@@ -309,7 +315,7 @@ def relu(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
 
 
 def sigmoid(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
-    plain = isinstance(x, np.ndarray)
+    plain = isinstance(x, _PLAIN)
     x_data = x if plain else x.data
     # split form avoids overflow in exp for large |x|
     z = np.exp(-np.abs(x_data))
@@ -349,7 +355,7 @@ def softmax(z: np.ndarray, mask: np.ndarray | None = None, axis: int = -1) -> np
 
 def softmax_rows(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
     """Softmax along the last axis with max-subtraction for stability."""
-    plain = isinstance(x, np.ndarray)
+    plain = isinstance(x, _PLAIN)
     x_data = x if plain else x.data
     if x_data.ndim < 1:
         raise ShapeError("softmax_rows needs at least one axis")
@@ -379,7 +385,7 @@ def attention_pool(
     gradient ds = p (h - sum_j p_j h_j), q gets sum_j ds_j m_j and row m_j
     gets p_j w g + ds_j q. A masked-out row has p_j = 0 and gets no gradient.
     """
-    plain = isinstance(q, np.ndarray)
+    plain = isinstance(q, _PLAIN)
     q_data, m_data = (q, m) if plain else (q.data, m.data)
     rows = m_data.shape[:-1]
     if rows[:-1] + m_data.shape[-1:] != q_data.shape or mask.shape != rows or w.shape != rows[:-1]:
@@ -440,157 +446,96 @@ def infonce(a: Tensor, b: Tensor, c: float, floor: float) -> tuple[Tensor, int]:
     return out, int((diag_p < floor).sum() + (diag_q < floor).sum())
 
 
-# ``rank1_attention`` sums a power series in place of exponentiating its
-# (..., n, m) logits when the logit radius is at most _SERIES_MAX_RADIUS
-# (this bounds the series order at 18 and its error at e^2 half-ulps; see
-# the docstring) and the call has at least _SERIES_MIN_LOGITS logits. The
-# series costs a fixed number of small array calls, so below that size the
-# exp path's one matmul and one exp cost less. Forward + backward on unit
-# vectors at c = 1/sqrt(d), 2-vCPU VM, one BLAS thread, exp / series µs:
-# 4,096 logits (1, 64) 56 / 84; 16,384 (4, 64) 81 / 96 and (1, 128) 74 / 84;
-# 32,768 (8, 64) 149 / 140 and (2, 128) 157 / 141; 65,536 (1, 256) 180 / 94;
-# 2,097,152 (32, 256) 6,602 / 582.
-_SERIES_MAX_RADIUS = 1.0
-_SERIES_MIN_LOGITS = 32768
+# ``rank1_attention`` sums the exp series to the order K that ``_series_order``
+# picks, at most _TOP_ORDER on its domain r <= 1. Row q of each table serves
+# the term of order q: _INV_FACT holds 1/q!, and _COEF_INDEX the indices
+# q + p (p = 0, 1, 2) of the power sums that, times 1/q!, are the term's
+# coefficients in the row sums of exp, exp * v and exp * v^2.
+_TOP_ORDER = 18
+_INV_FACT = np.array([1.0 / math.factorial(q) for q in range(_TOP_ORDER + 1)])
+_COEF_INDEX = np.arange(_TOP_ORDER + 1)[:, None] + np.arange(3)
 
 
-def _rank1_exp(u: np.ndarray, cv: np.ndarray) -> np.ndarray:
-    """exp of the rank-1 logits u_i * cv_j, each row shifted by its maximum.
+def _series_order(u: np.ndarray, v: np.ndarray, c: float) -> int:
+    """Order K of the exp series ``rank1_attention`` sums for these operands:
+    the smallest K whose first omitted term r^(K+1)/(K+1)! is at most
+    2^-53, half an ulp of 1, for the logit radius r = |c| max|u| max|v|.
 
-    A row of a rank-1 matrix peaks at u_i * max(cv) where u_i >= 0, else at
-    u_i * min(cv), so the shift costs no pass over the logits, and the shifted
-    logits are one (n, 2) @ (2, m) product: [u, -top] @ [cv; 1].
+    A finite r above 1 raises ``DegenerateInputError``. A radius that is
+    not finite gets the top order, so a NaN or inf operand reaches the
+    output instead of vanishing from a low-order sum.
     """
-    hi = np.maximum.reduce(cv, axis=-1, keepdims=True)
-    lo = np.minimum.reduce(cv, axis=-1, keepdims=True)
-    top = np.maximum(u * hi, u * lo)  # u * hi where u >= 0, else u * lo
-    # filled in place: np.stack would cost more than the matmul for one item at d=64
-    lhs = np.empty(u.shape + (2,))
-    lhs[..., 0] = u
-    np.negative(top, out=lhs[..., 1])
-    rhs = np.empty(cv.shape[:-1] + (2, cv.shape[-1]))
-    rhs[..., 0, :] = cv
-    rhs[..., 1, :] = 1.0
-    e = np.matmul(lhs, rhs)
-    np.exp(e, out=e)
-    return e
-
-
-def rank1_softmax(u: np.ndarray, v: np.ndarray, c: float) -> np.ndarray:
-    """p[..., i, :] = softmax(c * u[..., i] * v): the row-wise softmax of the
-    scaled outer product of each pair of vectors, as a plain array.
-
-    This is the explicit (..., n, m) map that ``rank1_attention`` attends
-    through without keeping; it builds no tape node.
-    """
-    e = _rank1_exp(u, c * v)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
-
-
-def _exp_moments(u: np.ndarray, v: np.ndarray, c: float):
-    """``_series_moments`` through the exponentiated logits: each row's sums
-    are of its shifted exp, and ``times_exp`` multiplies by the kept exp."""
-    e = _rank1_exp(u, c * v)
-    # row sums of e, e * v and e * v^2 in one product
-    powers = np.empty(v.shape + (3,))
-    powers[..., 0] = 1.0
-    powers[..., 1] = v
-    np.multiply(v, v, out=powers[..., 2])
-
-    def times_exp(lhs):
-        return np.matmul(lhs, e)
-
-    return np.matmul(e, powers), times_exp
-
-
-def _series_order(u: np.ndarray, v: np.ndarray, c: float) -> int | None:
-    """Order K of the exp series ``rank1_attention`` sums for these operands,
-    or None when the call takes the exp path: fewer than
-    ``_SERIES_MIN_LOGITS`` logits, or a logit radius r = |c| max|u| max|v|
-    above ``_SERIES_MAX_RADIUS`` (or not finite).
-
-    K is the smallest order whose first omitted term r^(K+1)/(K+1)! is at
-    most 2^-53, half an ulp of 1.
-    """
-    if u.size * v.shape[-1] < _SERIES_MIN_LOGITS:
-        return None
-    r = abs(c) * max(u.max(), -u.min()) * max(v.max(), -v.min())
-    if not r <= _SERIES_MAX_RADIUS:
-        return None
-    k, omitted = 0, r
-    while omitted > 2.0 ** -53:
-        k += 1
-        omitted *= r / (k + 1)
-    return k
+    r = float(abs(c) * np.maximum.reduce(np.abs(u), axis=None) * np.maximum.reduce(np.abs(v), axis=None))
+    if r <= 1.0:
+        k, omitted = 0, r
+        while omitted > 2.0 ** -53:
+            k += 1
+            omitted *= r / (k + 1)
+        return k
+    if math.isfinite(r):
+        raise DegenerateInputError(
+            f"rank1_attention needs a logit radius |c| max|u| max|v| of at most 1, got r = {r!r}"
+        )
+    return _TOP_ORDER
 
 
 def _series_moments(s: np.ndarray, v: np.ndarray, k: int):
     """Row sums of exp(s_i v_j) times 1, v_j and v_j^2 from power sums of v,
     with the exp expanded to order k.
 
-    Returns the (..., n, 3) sums and ``times_exp(lhs)``, the product
-    lhs @ exp(s v^T) (..., m) to the same order, which is
-    ((lhs @ S) / q!) @ V with S[..., i, q] = s_i^q and V[..., q, j] = v_j^q.
+    Returns the (B, n, 3) sums and ``times_exp(lhs)``, the product
+    lhs @ exp(s v^T) (B, m) to the same order, which is
+    ((lhs @ S) / q!) @ V with S[b, i, q] = s_i^q and V[b, q, j] = v_j^q.
     """
-    # powers stacked on a new leading axis, so each is one contiguous array
+    # powers stacked on a new leading axis, so each is one contiguous array;
+    # one array holding both (one loop) made training take more page faults
     s_pow = np.empty((k + 1,) + s.shape)
-    s_pow[0] = 1.0
+    power = s_pow[0] = 1.0
     for q in range(1, k + 1):
-        np.multiply(s_pow[q - 1], s, out=s_pow[q])
+        power = np.multiply(power, s, out=s_pow[q])
     v_pow = np.empty((k + 3,) + v.shape)
-    v_pow[0] = 1.0
+    power = v_pow[0] = 1.0
     for q in range(1, k + 3):
-        np.multiply(v_pow[q - 1], v, out=v_pow[q])
-    inv_fact = np.array([1.0 / math.factorial(q) for q in range(k + 1)])
+        power = np.multiply(power, v, out=v_pow[q])
+    inv_fact = _INV_FACT[: k + 1]
     # sum_j exp(s_i v_j) v_j^p = sum_q s_i^q (P_{q+p} / q!), with P_q = sum_j v_j^q
-    power_sums = np.moveaxis(v_pow.sum(axis=-1), 0, -1)
-    coef = np.empty(s.shape[:-1] + (k + 1, 3))
-    for p in range(3):
-        np.multiply(power_sums[..., p : p + k + 1], inv_fact, out=coef[..., p])
-    s_pow = np.moveaxis(s_pow, 0, -1)
-    v_pow = np.moveaxis(v_pow[: k + 1], 0, -2)
+    power_sums = np.add.reduce(v_pow, axis=-1).T
+    coef = power_sums[:, _COEF_INDEX[: k + 1]] * inv_fact[:, None]
+    s_pow = s_pow.transpose(1, 2, 0)
+    v_pow = v_pow[: k + 1].transpose(1, 0, 2)
 
-    def times_exp(lhs):
+    def times_exp(lhs, s_pow=s_pow, inv_fact=inv_fact, v_pow=v_pow):
         return np.matmul(np.matmul(lhs, s_pow) * inv_fact, v_pow)
 
     return np.matmul(s_pow, coef), times_exp
 
 
 def rank1_attention(u: Tensor | np.ndarray, v: Tensor | np.ndarray, c: float) -> Tensor | np.ndarray:
-    """out[..., i] = sum_j softmax_j(c * u[..., i] * v[..., j]) * v[..., j]:
-    each entry of u attends over v through the rank-1 logits c u v^T.
+    """out[b, i] = sum_j softmax_j(c * u[b, i] * v[b, j]) * v[b, j] for (B, n)
+    u and (B, m) v: each entry of u attends over v through the rank-1
+    logits c u v^T, whose radius r = |c| max|u| max|v| must be at most 1.
 
-    One node, and the (..., n, m) attention map is no node at all. With p_i
-    the softmax of row i, d out_i / d u_i = c (E_p[v^2] - out_i^2), and the
-    gradient of v is a (2, n) @ E product with E = exp(c u v^T).
+    One node, and no (B, n, m) array is built in either direction. With
+    s_i = c u_i and power sums P_q = sum_j v_j^q, the row sums of
+    E = exp(c u v^T) times 1, v and v^2 are sum_{q<=K} s_i^q/q! P_{q+p}, so
+    the forward is one (n, K+1) @ (K+1, 3) product per item. With p_i the
+    softmax of row i, d out_i / d u_i = c (E_p[v^2] - out_i^2), and the
+    gradient of v is a (2, n) @ E product, formed as (2, n) @ S @ V with
+    S[i, q] = s_i^q/q! and V[q, j] = v_j^q: O((n + m) K) per item.
 
-    Two ways to get E's products, picked per call by ``_series_order``:
-
-    - Series (r = |c| max|u| max|v| <= 1 and at least
-      ``_SERIES_MIN_LOGITS`` logits): with s_i = c u_i and power sums
-      P_q = sum_j v_j^q, sum_j exp(s_i v_j) v_j^p = sum_{q<=K} s_i^q/q! P_{q+p},
-      so the forward is one (n, K+1) @ (K+1, 3) product and E = S @ V with
-      S[i, q] = s_i^q/q!, V[q, j] = v_j^q: O((n + m) K) per item, and no
-      (..., n, m) array in either direction. K is the smallest order whose
-      first omitted term r^(K+1)/(K+1)! is at most 2^-53. Truncation then
-      moves each exp(s_i v_j) by at most e^(2r) 2^-53 of its value, and the
-      terms' absolute sum is at most e^(2r) times it, which bounds their
-      rounding; r <= 1 caps both factors at e^2 and K at 18. Unit vectors
-      at c = 1/sqrt(d) give r <= 1/sqrt(d) and K of about 5-7.
-    - Exp (every other call): E is exponentiated, each row shifted by its
-      peak logit so any r stays finite; it is kept for the backward, and no
-      other (..., n, m) temporary is built.
+    K is the smallest order whose first omitted term r^(K+1)/(K+1)! is at
+    most 2^-53. Truncation then moves each exp(s_i v_j) by at most
+    e^(2r) 2^-53 of its value, and the terms' absolute sum is at most
+    e^(2r) times it, which bounds their rounding; r <= 1 caps both factors
+    at e^2 and K at 18. The model attends unit vectors at c = 1/sqrt(d), so
+    r <= 1/sqrt(d) and K is about 5-7. A finite r above 1 raises
+    ``DegenerateInputError`` naming r.
     """
-    plain = isinstance(u, np.ndarray)
+    plain = isinstance(u, _PLAIN)
     u_data, v_data = (u, v) if plain else (u.data, v.data)
-    if u_data.shape[:-1] != v_data.shape[:-1]:
-        raise ShapeError(f"rank1_attention batch dims disagree: {u_data.shape} vs {v_data.shape}")
-    k = _series_order(u_data, v_data, c)
-    if k is None:
-        sums, times_exp = _exp_moments(u_data, v_data, c)
-    else:
-        sums, times_exp = _series_moments(c * u_data, v_data, k)
+    if u_data.ndim != 2 or v_data.ndim != 2 or u_data.shape[0] != v_data.shape[0]:
+        raise ShapeError(f"rank1_attention needs (B, n) and (B, m) operands: {u_data.shape} vs {v_data.shape}")
+    sums, times_exp = _series_moments(c * u_data, v_data, _series_order(u_data, v_data, c))
     total = sums[..., 0]
     y = sums[..., 1] / total
     if plain:
@@ -615,7 +560,7 @@ def rank1_attention(u: Tensor | np.ndarray, v: Tensor | np.ndarray, c: float) ->
 
 def l2_normalize(v: Tensor | np.ndarray) -> Tensor | np.ndarray:
     """Each vector along the last axis scaled to unit Euclidean norm."""
-    plain = isinstance(v, np.ndarray)
+    plain = isinstance(v, _PLAIN)
     v_data = v if plain else v.data
     if v_data.ndim < 1:
         raise ShapeError("l2_normalize needs at least one axis")
@@ -641,7 +586,7 @@ def l2_normalize(v: Tensor | np.ndarray) -> Tensor | np.ndarray:
 
 
 def mean_pool(x: Tensor | np.ndarray, axis: int) -> Tensor | np.ndarray:
-    plain = isinstance(x, np.ndarray)
+    plain = isinstance(x, _PLAIN)
     x_data = x if plain else x.data
     if not 0 <= axis < x_data.ndim:
         raise ShapeError(f"mean_pool axis {axis} out of range for shape {x_data.shape}")
@@ -665,7 +610,7 @@ def rank1_max_pool(u: Tensor | np.ndarray, v: Tensor | np.ndarray) -> Tensor | n
 
     Ties route the gradient to the first maximum (or minimum) of u.
     """
-    plain = isinstance(u, np.ndarray)
+    plain = isinstance(u, _PLAIN)
     u_data, v_data = (u, v) if plain else (u.data, v.data)
     if u_data.shape[:-1] != v_data.shape[:-1]:
         raise ShapeError(f"rank1_max_pool batch dims disagree: {u_data.shape} vs {v_data.shape}")
@@ -721,7 +666,7 @@ def binary_nll(probs: Tensor, col: int, positive: np.ndarray, eps: float) -> Ten
 
 def concat(parts: list) -> Tensor | np.ndarray:
     """Concatenate along the last axis; leading axes must agree."""
-    plain = all(isinstance(p, np.ndarray) for p in parts)
+    plain = all(isinstance(p, _PLAIN) for p in parts)
     arrays = parts if plain else [p.data for p in parts]
     leading = {a.shape[:-1] for a in arrays}
     if len(leading) != 1 or arrays[0].ndim < 1:
@@ -745,7 +690,7 @@ def concat(parts: list) -> Tensor | np.ndarray:
 def gated_concat(parts: list, gates: Tensor | np.ndarray) -> Tensor | np.ndarray:
     """``concat`` of equal-shape parts, part i scaled by gates[..., i], as
     one node; ``gates`` has one entry per part for each leading index."""
-    plain = isinstance(gates, np.ndarray)
+    plain = isinstance(gates, _PLAIN)
     arrays, g_data = (parts, gates) if plain else ([p.data for p in parts], gates.data)
     shapes = {a.shape for a in arrays}
     lead = arrays[0].shape[:-1]
@@ -773,7 +718,7 @@ def gated_concat(parts: list, gates: Tensor | np.ndarray) -> Tensor | np.ndarray
 
 def stack_rows(parts: list) -> Tensor | np.ndarray:
     """Stack equal-shape tensors along a new leading axis."""
-    plain = all(isinstance(p, np.ndarray) for p in parts)
+    plain = all(isinstance(p, _PLAIN) for p in parts)
     arrays = parts if plain else [p.data for p in parts]
     shapes = {a.shape for a in arrays}
     if len(shapes) != 1:

@@ -11,6 +11,12 @@ from mmfnd.tensor import ShapeError
 from gradcheck import finite_diff_check, weighted_sum
 
 
+def _unit_rows(x):
+    """Rows scaled to unit norm, as the aligned vectors are: every logit
+    then lies within the radius 1/sqrt(d) that ``rank1_attention`` takes."""
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
 def test_cross_attention_basis_example():
     m = T.Tensor(np.array([[1.0, 0.0]]))
     f_tv, f_vt = interact.cross_attention(m, m)
@@ -66,7 +72,7 @@ def test_modality_update_identity_and_uniform():
     """Attention over a constant vector returns it unchanged; a zero query
     attends uniformly, so it returns the other modality's mean."""
     gen = Rng(44).stream("update")
-    m_t = gen.normal(size=(2, 4))
+    m_t = _unit_rows(gen.normal(size=(2, 4)))
     const = np.array([[1.5] * 4, [-0.25] * 4])
     out_v, out_t = interact.modality_update(T.Tensor(m_t), T.Tensor(const))
     np.testing.assert_allclose(out_v.data, const, atol=1e-15)
@@ -79,8 +85,8 @@ def test_modality_update_matches_double_loop():
     """Each output entry is a row of the cross-attention map times the
     other modality's vector, summed term by term."""
     gen = Rng(45).stream("update-oracle")
-    m_t = gen.normal(size=(2, 5))
-    m_v = gen.normal(size=(2, 5))
+    m_t = _unit_rows(gen.normal(size=(2, 5)))
+    m_v = _unit_rows(gen.normal(size=(2, 5)))
     f_tv, f_vt = interact.cross_attention(T.Tensor(m_t), T.Tensor(m_v))
     out_v, out_t = interact.modality_update(T.Tensor(m_t), T.Tensor(m_v))
     for b in range(2):
@@ -91,14 +97,14 @@ def test_modality_update_matches_double_loop():
 
 
 def test_modality_update_equals_cross_attention_maps_times_values():
-    """Large logits (the exp path) and, above the logit floor, unit vectors
-    like the aligned ones the model attends over (the power-series path)."""
+    """Logits near the radius limit (the highest series orders) and unit
+    vectors like the aligned ones the model attends over (low orders)."""
     gen = Rng(51).stream("update-maps")
-    large = (gen.normal(size=(6, 32)) * 4.0, gen.normal(size=(6, 32)) * 4.0)
-    unit = gen.normal(size=(2, 8, 64))
-    unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
-    assert T._series_order(*large, 1.0 / np.sqrt(32)) is None
-    assert T._series_order(unit[0], unit[1], 1.0 / 8.0) is not None
+    # max|m_t| max|m_v| / sqrt(32) = 0.9
+    large = tuple(x / np.abs(x).max() * (0.9 * np.sqrt(32)) ** 0.5 for x in gen.normal(size=(2, 6, 32)))
+    unit = _unit_rows(gen.normal(size=(2, 8, 64)))
+    assert T._series_order(*large, 1.0 / np.sqrt(32)) >= 15
+    assert T._series_order(unit[0], unit[1], 1.0 / 8.0) <= 8
     for m_t, m_v in (large, tuple(unit)):
         f_tv, f_vt = interact.cross_attention(T.Tensor(m_t), T.Tensor(m_v))
         out_v, out_t = interact.modality_update(T.Tensor(m_t), T.Tensor(m_v))
@@ -179,8 +185,8 @@ def test_interaction_feature_matches_step_by_step_oracle():
 
 def test_interaction_matrix_is_rank_one():
     gen = Rng(49).stream("ifeat-rank")
-    m_t = T.Tensor(gen.normal(size=(10, 5)))
-    m_v = T.Tensor(gen.normal(size=(10, 5)))
+    m_t = T.Tensor(_unit_rows(gen.normal(size=(10, 5))))
+    m_v = T.Tensor(_unit_rows(gen.normal(size=(10, 5))))
     m_f_v, m_f_t = interact.modality_update(m_t, m_v)
     for u, v in zip(m_f_v.data, m_f_t.data):
         singular = np.linalg.svd(np.outer(u, v), compute_uv=False)
@@ -191,8 +197,8 @@ def test_interaction_gradcheck_end_to_end():
     gen = Rng(50).stream("ifeat-grad")
     d = 4
     w1, b1, w2, b2 = _mlp_params(gen, d)
-    m_t = T.Param("m_t", gen.normal(size=(2, d)))
-    m_v = T.Param("m_v", gen.normal(size=(2, d)))
+    m_t = T.Param("m_t", _unit_rows(gen.normal(size=(2, d))))
+    m_v = T.Param("m_v", _unit_rows(gen.normal(size=(2, d))))
     weights = gen.normal(size=(2, d))
 
     def f():

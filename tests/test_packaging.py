@@ -83,3 +83,38 @@ def test_no_module_reads_a_private_name_of_another():
     in the making: what one module shares with another is public."""
     reads = {m: _private_reads(PACKAGE / f"{m}.py") for m in MODULES}
     assert {m: r for m, r in reads.items() if r} == {}
+
+
+def _private_definitions(tree):
+    """(name, node) of each module-level private function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in names if _is_private(name))
+
+
+def _reads(node, name):
+    return (
+        (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name)
+    )
+
+
+def test_every_private_module_name_has_a_reader_in_the_package():
+    """A private helper or constant that nothing in ``src/mmfnd`` reads,
+    apart from its own definition, is dead code left behind by a change."""
+    trees = [ast.parse((PACKAGE / f"{m}.py").read_text(encoding="utf-8")) for m in MODULES]
+    unread = []
+    for module, tree in zip(MODULES, trees):
+        for name, definition in _private_definitions(tree):
+            own = {id(node) for node in ast.walk(definition)}
+            if not any(id(node) not in own and _reads(node, name) for t in trees for node in ast.walk(t)):
+                unread.append(f"{module}.{name}")
+    assert unread == []

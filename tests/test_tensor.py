@@ -149,7 +149,9 @@ def _attention_oracle(u, v, c):
 
 def test_rank1_attention_against_high_precision_oracle():
     gen = Rng(8).stream("rank1-attention")
-    u, v = gen.normal(size=(2, 4)) * 3.0, gen.normal(size=(2, 5))
+    u, v = gen.normal(size=(2, 4)), gen.normal(size=(2, 5))
+    u *= 1.4 / np.abs(u).max()  # radius 0.5 * 1.4 * 1.4 = 0.98
+    v *= 1.4 / np.abs(v).max()
     u[0, 1] = 0.0
     out = T.rank1_attention(t(u), t(v), 0.5)
     for b in range(2):
@@ -163,32 +165,28 @@ def test_rank1_attention_of_a_zero_query_is_the_mean_value():
 
 
 def test_rank1_attention_extreme_logits_stay_finite_and_warning_free():
-    """|c u_i v_j| up to 1e4: rows collapse onto the value at the peak logit."""
-    u = t([[100.0, -100.0, 1e-3, 0.0]])
-    v = np.array([[-10.0, 3.0, 10.0]])
+    """|c u_i v_j| up to 1, the largest radius the op takes: the top
+    series order, finite and warning-free, and a zero query still gets
+    the mean value."""
+    u = t([[10.0, -10.0, 1e-3, 0.0]])
+    v = np.array([[-0.1, 0.03, 0.1]])
     p = T.Param("v", v)
+    assert T._series_order(u.data, v, 1.0) == 18
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = T.rank1_attention(u, p, 10.0)
+        out = T.rank1_attention(u, p, 1.0)
         R.tsum(out).backward()
-        probs = T.rank1_softmax(u.data, v, 10.0)
-    assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(p.grad)) and np.all(np.isfinite(probs))
-    np.testing.assert_allclose(out.data[0, :2], [10.0, -10.0], atol=1e-12)
-    np.testing.assert_allclose(out.data[0, 3], v.mean(), atol=1e-12)
-
-
-def test_rank1_softmax_is_softmax_of_scaled_outer_product():
-    gen = Rng(9).stream("rank1-softmax")
-    u, v = gen.normal(size=(2, 4)), gen.normal(size=(2, 3))
-    logits = 0.5 * u[:, :, None] * v[:, None, :]
-    expected = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
-    np.testing.assert_allclose(T.rank1_softmax(u, v, 0.5), expected, atol=1e-15)
+    assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(p.grad))
+    np.testing.assert_allclose(out.data[0, :2], [_attention_oracle(row, v[0], 1.0)[0] for row in ([10.0], [-10.0])], rtol=1e-13)
+    np.testing.assert_allclose(out.data[0, 3], v.mean(), atol=1e-15)
 
 
 def test_rank1_attention_gradient_at_zero_and_mixed_sign_queries():
     gen = Rng(10).stream("rank1-attention-grad")
     u = np.array([[0.0, -1.3, 0.8, 0.0, 2.1], [1.1, 0.0, -0.4, -2.2, 0.0]])
-    _check_op(lambda ts: T.rank1_attention(ts[0], ts[1], 0.7), [u, gen.normal(size=(2, 4))])
+    v = gen.normal(size=(2, 4))
+    v *= 0.6 / np.abs(v).max()  # radius 0.7 * 2.2 * 0.6 = 0.924
+    _check_op(lambda ts: T.rank1_attention(ts[0], ts[1], 0.7), [u, v])
 
 
 def _unit_rows(gen, b, d):
@@ -228,23 +226,65 @@ def _attention_and_gradients(u, v, c):
     return out.data, pu.grad, pv.grad
 
 
-@pytest.mark.parametrize("radius", [0.0, 1.0 - 1e-9, 1.0 + 1e-9])
-def test_rank1_attention_series_and_exp_paths_agree_at_the_radius_limit(radius, monkeypatch):
-    """Just inside r = 1 the series runs, just outside the exp path does;
-    forward and gradients agree with the exp path on the same inputs."""
+def _exp_attention_and_gradients(u, v, c):
+    """``_attention_and_gradients`` through the exponentiated (B, n, m) map:
+    with p the row softmax and y the output, d y_i / d u_i is
+    c (E_p[v^2] - y_i^2) and d y_i / d v_j is p_ij (1 + c u_i (v_j - y_i))."""
+    g = np.linspace(0.5, 1.5, u.size).reshape(u.shape)
+    p = T.softmax(c * (u[:, :, None] * v[:, None, :]))
+    y = np.einsum("bij,bj->bi", p, v)
+    gu = g * c * (np.einsum("bij,bj->bi", p, v * v) - y * y)
+    gv = np.einsum("bi,bij->bj", g, p * (1.0 + c * u[:, :, None] * (v[:, None, :] - y[:, :, None])))
+    return y, gu, gv
+
+
+@pytest.mark.parametrize("radius", [0.0, 1.0 - 1e-9, 1.0])
+def test_rank1_attention_series_and_exp_paths_agree_at_the_radius_limit(radius):
+    """From r = 0 (order 0) up to r = 1 (order 18), the series' forward and
+    gradients agree with those of the exponentiated map on the same inputs."""
     gen = Rng(14).stream("rank1-series-edge")
     u, v = gen.uniform(-1.0, 1.0, size=(8, 64)), gen.uniform(-1.0, 1.0, size=(8, 64))
     u /= np.abs(u).max()
     v /= np.abs(v).max()
     c = max(radius, 0.5)
     u *= radius / c  # max|u| max|v| c = radius
-    assert (T._series_order(u, v, c) is not None) == (radius <= 1.0)
+    assert T._series_order(u, v, c) == (0 if radius == 0.0 else 18)
     series = _attention_and_gradients(u, v, c)
-    monkeypatch.setattr(T, "_SERIES_MIN_LOGITS", np.inf)
-    exp = _attention_and_gradients(u, v, c)
+    exp = _exp_attention_and_gradients(u, v, c)
     for got, want in zip(series, exp):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
-    np.testing.assert_allclose(series[0], np.einsum("bij,bj->bi", T.rank1_softmax(u, v, c), v), rtol=1e-13, atol=1e-15)
+
+
+def test_rank1_attention_at_radius_one_matches_the_oracle():
+    """r = 1 exactly: the top order, 18, the last row of the series tables."""
+    gen = Rng(16).stream("rank1-radius-one")
+    u, v = gen.uniform(-1.0, 1.0, size=(2, 6)), gen.uniform(-1.0, 1.0, size=(2, 7))
+    u /= np.abs(u).max()
+    v /= np.abs(v).max()
+    assert T._series_order(u, v, 1.0) == 18 == len(T._INV_FACT) - 1
+    out = T.rank1_attention(t(u), t(v), 1.0)
+    for b in range(2):
+        np.testing.assert_allclose(out.data[b], _attention_oracle(u[b], v[b], 1.0), rtol=1e-13, atol=1e-15)
+
+
+def test_rank1_attention_rejects_a_radius_above_one_naming_it():
+    u, v = np.array([[1.0 + 1e-9, -0.5]]), np.array([[1.0, 0.25]])
+    for operands in ((u, v), (t(u), T.Param("v", v))):
+        with pytest.raises(T.DegenerateInputError, match=r"r = 1\.000000001"):
+            T.rank1_attention(*operands, 1.0)
+
+
+def test_rank1_attention_passes_non_finite_operands_to_the_output():
+    """A NaN or inf radius takes the top order, so a non-finite query entry
+    poisons its own output entry and a non-finite value poisons them all."""
+    u, v = np.array([[0.5, np.nan, -0.25]]), np.array([[1.0, 0.25]])
+    assert T._series_order(u, v, 1.0) == 18
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = T.rank1_attention(u, v, 1.0)
+        assert np.isnan(out[0, 1]) and np.all(np.isfinite(out[0, [0, 2]]))
+        v[0, 1] = np.inf
+        assert T._series_order(u[:, [0, 2]], v, 1.0) == 18
+        assert not np.any(np.isfinite(T.rank1_attention(u[:, [0, 2]], v, 1.0)))
 
 
 def test_rank1_attention_memory_stays_below_a_quarter_of_one_attention_map():
@@ -394,7 +434,7 @@ OP_CASES = [
     ("sigmoid", lambda ts: T.sigmoid(ts[0]), [(3, 4)]),
     ("softmax_rows", lambda ts: T.softmax_rows(ts[0]), [(3, 4)]),
     ("softmax_rows_masked", lambda ts: R.masked_softmax_rows(ts[0], MASK), [(3, 4)]),
-    ("rank1_attention", lambda ts: T.rank1_attention(ts[0], ts[1], 0.7), [(2, 4), (2, 3)]),
+    ("rank1_attention", lambda ts: T.rank1_attention(ts[0], ts[1], 0.3), [(2, 4), (2, 3)]),
     ("l2_normalize", lambda ts: T.l2_normalize(ts[0]), [(5,)]),
     ("l2_normalize_rows", lambda ts: T.l2_normalize(ts[0]), [(3, 5)]),
     ("mean_pool_0", lambda ts: T.mean_pool(ts[0], 0), [(3, 4)]),
@@ -452,6 +492,27 @@ def test_ops_pass_plain_arrays_through(name, build, shapes, monkeypatch):
     got = build(arrs)
     assert isinstance(got, np.ndarray) and made[0] == 0
     assert np.array_equal(got, want)
+
+
+def test_zero_d_plain_operands_build_no_node(monkeypatch):
+    """A ufunc on 0-d operands returns a numpy scalar, not an array; an op
+    given one still counts it as plain and makes no node."""
+    base, made = T.Tensor, [0]
+
+    class Counted(base):
+        __slots__ = ()
+
+        def __init__(self, data, parents=()):
+            base.__init__(self, data, parents)
+            made[0] += 1
+
+    monkeypatch.setattr(T, "Tensor", Counted)
+    s = T.mean_pool(np.array([1.0, 2.0]), 0)
+    total = T.add(s, s)
+    assert isinstance(total, np.generic)
+    out = T.sigmoid(T.relu(total))
+    assert made[0] == 0 and not isinstance(out, T.Tensor)
+    assert out == pytest.approx(1.0 / (1.0 + np.exp(-3.0)))
 
 
 def test_backward_requires_scalar():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mmfnd import data, metrics
+from mmfnd import data, encoders, metrics
 from mmfnd import tensor as T
 from mmfnd.errors import ConfigError
 from mmfnd.model import Model, ModelConfig
@@ -276,3 +276,16 @@ def test_items_with_vectors_train_and_evaluate_from_jsonl(tmp_path):
     np.testing.assert_array_equal(feats[1].text, items[1].text_vec)
     np.testing.assert_array_equal(feats[2].descs[1], items[2].desc_vecs[1])
     assert metrics.evaluate(result.model, loaded).n_items == 4
+
+
+def test_build_vocabulary_tokenizes_each_distinct_text_once(monkeypatch):
+    calls = []
+    tokenize = encoders.tokenize
+    monkeypatch.setattr(encoders, "tokenize", lambda text: calls.append(text) or tokenize(text))
+    items = [
+        data.NewsItem(id=f"i{k}", text=f"post {k}", label=k % 2, descriptions=["A shared description."], image=np.zeros(2))
+        for k in range(3)
+    ]
+    vocab = build_vocabulary(data.Dataset(items, "train", "test"), include_descriptions=True)
+    assert sorted(calls) == ["A shared description.", "post 0", "post 1", "post 2"]
+    assert vocab.tokens == ["0", "1", "2", "a", "description", "post", "shared"]
