@@ -28,6 +28,8 @@ from .rng import Rng
 logger = logging.getLogger(__name__)
 
 REQUIRED_FIELDS = ("id", "text", "image_vec", "label")
+# the empty value that, besides null or absence, marks a required field missing
+_EMPTY_VALUES = {"id": "", "text": "", "image_vec": []}
 # JSONL field name -> NewsItem attribute of each vector field
 VECTOR_FIELDS = {"image_vec": "image", "text_vec": "text_vec", "desc_vecs": "desc_vecs"}
 # the flat vector fields load_jsonl checks without decoding them
@@ -289,8 +291,9 @@ def load_jsonl(path, split: str = "train") -> Dataset:
     "label": 0 | 1, "entities": [str, ...]?, "desc_sentences": [str, ...]?,
     "text_vec": [float, ...]?, "desc_vecs": [[float, ...], ...]?}.
 
-    Lines missing text, image features or a valid label are excluded with
-    a warning (mirroring the usual multimodal preprocessing rule). Broken
+    Lines missing a required field are excluded with a warning (mirroring
+    the usual multimodal preprocessing rule): the field is absent or null,
+    ``id`` or ``text`` is ``""``, or ``image_vec`` is ``[]``. Broken
     JSON, wrong field types, duplicate ids, and a vector (or ``desc_vecs``
     row) that is not a flat list of numbers, holds a non-finite value (the
     JSON literals NaN and Infinity) or changes width within the file are
@@ -310,7 +313,7 @@ def load_jsonl(path, split: str = "train") -> Dataset:
     widths: dict[str, int] = {}
     for line_no, obj, texts in json_objects(path, UNDECODED_FIELDS):
         where = f"{path}: line {line_no}"
-        missing = [name for name in REQUIRED_FIELDS if obj.get(name) in (None, "", [])]
+        missing = [name for name in REQUIRED_FIELDS if obj.get(name) in (None, _EMPTY_VALUES.get(name))]
         if missing:
             skipped += 1
             logger.warning("%s: skipping item (missing %s)", where, ", ".join(missing))

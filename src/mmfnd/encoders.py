@@ -6,6 +6,12 @@ projection. The image path linearly projects pre-extracted feature
 vectors. Precomputed text and description embeddings (``text_vec`` and
 ``desc_vecs`` of a news item) replace the pooled token embeddings; the
 projection layers stay in place either way.
+
+Texts and descriptions share the token table, so ``embed_rows`` pools the
+text slots and the padded description slots of a batch through one bag of
+ids and one product with the table. The product's text rows and
+description rows are two results, and on the tape two nodes, each of
+whose backward adds its own block of the bag to the table's gradient.
 """
 
 from __future__ import annotations
@@ -101,38 +107,48 @@ def bag_of_ids(seqs: list, vocab_size: int) -> np.ndarray:
     return bag.reshape(len(seqs), vocab_size)
 
 
-def pooled_embedding(emb: Param, bag: np.ndarray) -> Tensor:
-    """Mean of the embedding rows each row of ``bag`` selects (see bag_of_ids).
-    The bag is a constant operand: it gets no gradient."""
-    return T.matmul(bag, emb)
+def pooled_embedding(emb: Param, bag: np.ndarray, leads: list[tuple[int, ...]]) -> list:
+    """Mean of the embedding rows each row of ``bag`` selects (see bag_of_ids),
+    from one product with the table, split into one result per shape in
+    ``leads``, in order: the first rows of ``bag`` shaped ``leads[0] + (d,)``,
+    and so on. On the tape each result is its own node. The bag is a
+    constant operand: it gets no gradient."""
+    return T.matmul(bag, emb, leads)
 
 
-def embed_rows(emb: Param, slots: list, lead: tuple[int, ...]) -> Tensor | np.ndarray | None:
-    """Feature rows shaped ``lead + (d,)`` from ``slots``, in row-major
-    order, or None when every slot is None.
+def embed_rows(emb: Param, groups: list[tuple[list, tuple[int, ...]]]) -> list:
+    """Feature rows for each ``(slots, lead)`` group, shaped ``lead + (d,)``
+    from its slots in row-major order, or None when every slot of the group
+    is None.
 
     The one place that reads a slot's kind: a TokenSequence slot gives the
     mean of its token embeddings, an array slot is a precomputed vector
-    taken as it is, and a None slot (padding) gives a zero row. A batch may
-    mix all three. Precomputed vectors are constants: with no token slot
-    the rows are a plain array, and otherwise they enter as the offset of
-    one ``affine`` node. A plain-array ``emb`` gives plain rows.
+    taken as it is, and a None slot (padding) gives a zero row. A group may
+    mix all three. The token slots of every group share one ``bag_of_ids``
+    and one product with the table, which gives one result per group that
+    holds a token slot. Precomputed vectors are constants: a group with no
+    token slot gives a plain array, and otherwise they enter as the offset
+    of one ``affine`` node. A plain-array ``emb`` gives plain rows.
     """
     n_vocab, d = T.data_of(emb).shape
-    seqs = [s if isinstance(s, TokenSequence) else None for s in slots]
-    rows = None
-    if any(s is not None for s in seqs):
-        rows = pooled_embedding(emb, bag_of_ids(seqs, n_vocab).reshape(*lead, n_vocab))
-    if any(isinstance(s, np.ndarray) for s in slots):
-        pre = np.array([s if isinstance(s, np.ndarray) else np.zeros(d) for s in slots]).reshape(*lead, d)
-        rows = pre if rows is None else T.affine(rows, 1.0, pre)
+    rows = [None] * len(groups)
+    seqs = [[s if isinstance(s, TokenSequence) else None for s in slots] for slots, _ in groups]
+    pooled = [i for i, group in enumerate(seqs) if any(s is not None for s in group)]
+    if pooled:
+        bag = bag_of_ids([s for i in pooled for s in seqs[i]], n_vocab)
+        for i, block in zip(pooled, pooled_embedding(emb, bag, [groups[i][1] for i in pooled])):
+            rows[i] = block
+    for i, (slots, lead) in enumerate(groups):
+        if any(isinstance(s, np.ndarray) for s in slots):
+            pre = np.array([s if isinstance(s, np.ndarray) else np.zeros(d) for s in slots]).reshape(*lead, d)
+            rows[i] = pre if rows[i] is None else T.affine(rows[i], 1.0, pre)
     return rows
 
 
-def encode_description(emb: Param, w_df: Param, slots: list, lead: tuple[int, int]) -> Tensor:
-    """Projected description features (B, D, d) from padded description
-    slots (see embed_rows); they share the token table with the text."""
-    return T.matvec(w_df, embed_rows(emb, slots, lead))
+def encode_description(w_df: Param, rows: Tensor | np.ndarray) -> Tensor | np.ndarray:
+    """Projected description features (B, D, d) from the description rows
+    that ``embed_rows`` gives; they share the token table with the text."""
+    return T.matvec(w_df, rows)
 
 
 def encode_image(w_vf: Param, img: Tensor | np.ndarray) -> Tensor:

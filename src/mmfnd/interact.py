@@ -8,13 +8,16 @@ a batch of (B, d) vectors.
 
 Training and inference attend without the (B, d, d) maps:
 ``modality_update`` fuses each map's softmax with its value product in one
-``rank1_attention`` op. On the tape that is one node, so no map is a node
-and none gets a gradient; scoring runs the same op on plain arrays and
-makes no node at all. The aligned vectors are unit-norm and the logit
-scale is 1/sqrt(d), so every logit lies within 1/sqrt(d) of zero, inside
-the radius of 1 that ``rank1_attention`` accepts. In every call it sums a
-short power series over the vectors' entries instead of exponentiating
-d^2 logits per item, and builds no (B, d, d) array at all.
+``rank1_attention`` call, which computes both directions. The two maps
+are transposes of each other's logits, so both share one logit radius and
+one series order, and one pass over the stacked vectors serves both. On
+the tape each direction is one node, so no map is a node and none gets a
+gradient; scoring runs the same op on plain arrays and makes no node at
+all. The aligned vectors are unit-norm and the logit scale is 1/sqrt(d),
+so every logit lies within 1/sqrt(d) of zero, inside the radius of 1 that
+``rank1_attention`` accepts. It sums a short power series over the
+vectors' entries instead of exponentiating d^2 logits per item, and
+builds no (B, d, d) array at all.
 
 ``cross_attention`` returns the maps as tensors off the tape. Nothing in
 the package calls it; it stays while the benchmark's stage tracer patches
@@ -55,7 +58,7 @@ def modality_update(m_t: Tensor, m_v: Tensor) -> tuple[Tensor, Tensor]:
     """Each modality vector smoothed through the other modality's attention:
     (``cross_attention`` maps) @ (m_v, m_t), without building the maps."""
     c = logit_scale(T.data_of(m_t), T.data_of(m_v))
-    return T.rank1_attention(m_t, m_v, c), T.rank1_attention(m_v, m_t, c)
+    return T.rank1_attention(m_t, m_v, c)
 
 
 def interaction_feature(

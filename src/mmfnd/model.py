@@ -5,10 +5,16 @@ fusion stages. Items are featurized one by one, then stacked into (B, ...)
 arrays, with each item's descriptions padded to the widest item in the
 batch. ``featurize`` decides once per text whether it enters as token ids
 or as a precomputed embedding; only ``encoders.embed_rows`` reads that
-choice. Ablation variants rewire the graph: ``no_E`` drops the description
-channel, ``no_M`` drops the contrastive loss and the interaction feature
-(the classifier then fuses two channels), ``no_A`` fixes every fusion gate
-at one.
+choice. Work that repeats within an item or across items is done once:
+a description sentence, which recurs in every item that mentions its
+entity, is tokenized once per model; the text and description slots of a
+batch share one embedding product; and both cross-modal attention
+directions share one ``rank1_attention`` pass. Each of the shared
+computations still gives one tape node per result, so the tape and the
+trained parameters are those of separate calls. Ablation variants rewire
+the graph: ``no_E`` drops the description channel, ``no_M`` drops the
+contrastive loss and the interaction feature (the classifier then fuses
+two channels), ``no_A`` fixes every fusion gate at one.
 
 ``forward`` is the one wiring of the stages, for training and scoring
 alike. Like the ``tensor`` ops it calls, every stage function takes plain
@@ -178,6 +184,9 @@ class Model:
                 raise ConfigError(f"parameter {name} has shape {data.shape}, expected {shape}")
             checked.append((name, data))
         self.params = T.ParamRegistry(checked)
+        # description sentence -> its tokens: one entry per distinct sentence
+        # that featurize has read (one per entity); shared, so read-only
+        self._desc_tokens: dict[str, enc.TokenSequence] = {}
 
     @classmethod
     def initialize(cls, config: ModelConfig, vocab: enc.Vocabulary, rng: Rng) -> "Model":
@@ -203,9 +212,12 @@ class Model:
         ``desc_vecs`` in place of its text and descriptions.
 
         Description inputs are prepared only when the enhancement channel
-        is active; the ``no_E`` variant never reads them. Vector widths,
+        is active; the ``no_E`` variant never reads them. A description
+        sentence recurs across every item that mentions its entity, so it is
+        tokenized once per model and its ``TokenSequence`` is shared, read
+        only, by those items; item texts are not kept. Vector widths,
         non-finite vector values and texts without word tokens are rejected
-        here, naming the item and the field.
+        here, naming the item and the field, on every item that holds one.
         """
         cfg = self.config
 
@@ -233,7 +245,11 @@ class Model:
             if item.desc_vecs is not None:
                 descs = [checked(f"desc_vecs[{i}]", v, cfg.d) for i, v in enumerate(item.desc_vecs)]
             else:
-                descs = [tokens(f"desc_sentences[{i}]", s) for i, s in enumerate(item.descriptions)]
+                for i, s in enumerate(item.descriptions):
+                    seq = self._desc_tokens.get(s)
+                    if seq is None:
+                        seq = self._desc_tokens[s] = tokens(f"desc_sentences[{i}]", s)
+                    descs.append(seq)
         return ItemFeatures(item_id=item.id, label=item.label, image=image, text=text, descs=descs)
 
     # -- forward ------------------------------------------------------------
@@ -247,14 +263,19 @@ class Model:
         """
         cfg, n = self.config, len(batch)
         w = self.params if weights is None else weights
-        r_t = T.matvec(w["w_tf"], enc.embed_rows(w["emb"], [f.text for f in batch], (n,)))
+        groups = [([f.text for f in batch], (n,))]
+        if cfg.uses_enhancement:
+            counts, width, slots = _padded_descs(batch)
+            if width:
+                groups.append((slots, (n, width)))
+        rows = enc.embed_rows(w["emb"], groups)
+        r_t = T.matvec(w["w_tf"], rows[0])
         r_v = enc.encode_image(w["w_vf"], np.array([f.image for f in batch]))
 
         m_d = None
         if cfg.uses_enhancement:
-            counts, width, slots = _padded_descs(batch)
             if width:
-                m_d = enc.encode_description(w["emb"], w["w_df"], slots, (n, width))
+                m_d = enc.encode_description(w["w_df"], rows[1])
             r_t_enh = enrich.enhance(r_t, m_d, counts, w["w_t"], w["w_d"])
         else:
             r_t_enh = T.matvec(w["w_t"], r_t)

@@ -6,7 +6,11 @@ leaf. One tape covers a whole training batch: ops act on (B, ...) arrays
 and treat the leading axes as batch axes. A model stage that would take a
 chain of small ops (a loss head, an attention pool, gated fusion) is one
 fused op with a closed-form backward, so a default training step builds
-32 nodes. Broadcasting is explicit: each op states the shapes it accepts.
+32 nodes. Where one computation serves two results (``matmul`` split into
+row blocks, the two directions of ``rank1_attention``), each result is its
+own node with the backward that result would have alone, so the tape and
+its arithmetic stay those of two separate calls. Broadcasting is
+explicit: each op states the shapes it accepts.
 
 An op records a node only when an operand needs a gradient. Given plain
 arrays where it takes tensors, every op but the loss heads (``infonce``,
@@ -187,13 +191,22 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor | np.ndarray:
+def matmul(
+    a: Tensor | np.ndarray, b: Tensor | np.ndarray, blocks: list | None = None
+) -> Tensor | np.ndarray | list:
     """C = A @ B for a 2-D B; leading axes of A beyond the last are batch axes.
 
     The leading axes are folded into one 2-D product, forward and backward:
     numpy would otherwise run one small GEMM per batch row. A plain array
     ``a`` is a constant: it is no parent and gets no gradient. With ``b`` a
     plain array too, C is a plain array.
+
+    With ``blocks``, a list of leading shapes whose sizes add up to the rows
+    of a constant (N, k) ``a``, one product serves several results: C is
+    returned as a list of one row block per shape, each shaped
+    ``shape + (m,)``. On the tape each block is its own node, whose backward
+    adds ``a_block.T @ g`` to B's gradient, as a product of that block alone
+    would.
     """
     const_a = isinstance(a, _PLAIN)
     plain = isinstance(b, _PLAIN)
@@ -201,6 +214,10 @@ def matmul(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor | np.ndarra
     b_data = b if plain else b.data
     if b_data.ndim != 2 or a_data.ndim < 2 or a_data.shape[-1] != b_data.shape[0]:
         raise ShapeError(f"matmul inner dims disagree: {a_data.shape} vs {b_data.shape}")
+    if blocks is not None:
+        if not const_a:
+            raise TypeError("matmul with blocks takes a constant (plain array) a")
+        return _row_block_products(a_data, b, b_data, blocks, plain)
     y = (a_data.reshape(-1, a_data.shape[-1]) @ b_data).reshape(a_data.shape[:-1] + b_data.shape[1:])
     if plain:
         return y
@@ -214,6 +231,30 @@ def matmul(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor | np.ndarra
 
     out._backward = _backward
     return out
+
+
+def _row_block_products(a: np.ndarray, b, b_data: np.ndarray, blocks: list, plain: bool) -> list:
+    """``matmul`` with ``blocks``: one (N, k) @ (k, m) product, split into
+    its row blocks."""
+    sizes = [math.prod(shape) for shape in blocks]
+    if a.ndim != 2 or sum(sizes) != a.shape[0]:
+        raise ShapeError(f"matmul blocks {blocks} do not split the rows of {a.shape}")
+    m = b_data.shape[1]
+    y = a @ b_data
+    outs, start = [], 0
+    for shape, size in zip(blocks, sizes):
+        rows = a[start:start + size]
+        out = y[start:start + size].reshape(tuple(shape) + (m,))
+        start += size
+        if not plain:
+            out = Tensor(out, (b,))
+
+            def _backward(out=out, b=b, rows=rows, m=m):
+                b.grad += rows.T @ out.grad.reshape(-1, m)
+
+            out._backward = _backward
+        outs.append(out)
+    return outs
 
 
 def matvec(
@@ -481,11 +522,12 @@ def _series_order(u: np.ndarray, v: np.ndarray, c: float) -> int:
 
 def _series_moments(s: np.ndarray, v: np.ndarray, k: int):
     """Row sums of exp(s_i v_j) times 1, v_j and v_j^2 from power sums of v,
-    with the exp expanded to order k.
+    with the exp expanded to order k, for P problems stacked on a leading
+    axis: s is (P, B, n) and v is (P, B, m).
 
-    Returns the (B, n, 3) sums and ``times_exp(lhs)``, the product
-    lhs @ exp(s v^T) (B, m) to the same order, which is
-    ((lhs @ S) / q!) @ V with S[b, i, q] = s_i^q and V[b, q, j] = v_j^q.
+    Returns the (P, B, n, 3) sums and the power arrays S (P, B, n, k+1) and
+    V (P, B, k+1, m), with S[..., i, q] = s_i^q and V[..., q, j] = v_j^q,
+    from which ``_times_exp`` forms lhs @ exp(s v^T) of one problem.
     """
     # powers stacked on a new leading axis, so each is one contiguous array;
     # one array holding both (one loop) made training take more page faults
@@ -497,31 +539,36 @@ def _series_moments(s: np.ndarray, v: np.ndarray, k: int):
     power = v_pow[0] = 1.0
     for q in range(1, k + 3):
         power = np.multiply(power, v, out=v_pow[q])
-    inv_fact = _INV_FACT[: k + 1]
     # sum_j exp(s_i v_j) v_j^p = sum_q s_i^q (P_{q+p} / q!), with P_q = sum_j v_j^q
-    power_sums = np.add.reduce(v_pow, axis=-1).T
-    coef = power_sums[:, _COEF_INDEX[: k + 1]] * inv_fact[:, None]
-    s_pow = s_pow.transpose(1, 2, 0)
-    v_pow = v_pow[: k + 1].transpose(1, 0, 2)
-
-    def times_exp(lhs, s_pow=s_pow, inv_fact=inv_fact, v_pow=v_pow):
-        return np.matmul(np.matmul(lhs, s_pow) * inv_fact, v_pow)
-
-    return np.matmul(s_pow, coef), times_exp
+    power_sums = np.add.reduce(v_pow, axis=-1).transpose(1, 2, 0)
+    coef = power_sums[..., _COEF_INDEX[: k + 1]] * _INV_FACT[: k + 1, None]
+    s_pow = s_pow.transpose(1, 2, 3, 0)
+    return np.matmul(s_pow, coef), s_pow, v_pow[: k + 1].transpose(1, 2, 0, 3)
 
 
-def rank1_attention(u: Tensor | np.ndarray, v: Tensor | np.ndarray, c: float) -> Tensor | np.ndarray:
-    """out[b, i] = sum_j softmax_j(c * u[b, i] * v[b, j]) * v[b, j] for (B, n)
-    u and (B, m) v: each entry of u attends over v through the rank-1
-    logits c u v^T, whose radius r = |c| max|u| max|v| must be at most 1.
+def _times_exp(lhs: np.ndarray, s_pow: np.ndarray, v_pow: np.ndarray) -> np.ndarray:
+    """lhs @ exp(s v^T) of one ``_series_moments`` problem, to its order:
+    ((lhs @ S) / q!) @ V."""
+    return np.matmul(np.matmul(lhs, s_pow) * _INV_FACT[: s_pow.shape[-1]], v_pow)
 
-    One node, and no (B, n, m) array is built in either direction. With
+
+def rank1_attention(u: Tensor | np.ndarray, v: Tensor | np.ndarray, c: float) -> tuple:
+    """Both directions of rank-1 attention between (B, n) u and (B, m) v,
+    as the pair (u over v, v over u): out[b, i] = sum_j softmax_j(c * u[b, i]
+    * v[b, j]) * v[b, j], each entry of u attending over v through the
+    logits c u v^T, and the same with u and v swapped. Both directions share
+    the logit radius r = |c| max|u| max|v|, which must be at most 1.
+
+    One node per direction, and no (B, n, m) array is built in either. With
     s_i = c u_i and power sums P_q = sum_j v_j^q, the row sums of
     E = exp(c u v^T) times 1, v and v^2 are sum_{q<=K} s_i^q/q! P_{q+p}, so
     the forward is one (n, K+1) @ (K+1, 3) product per item. With p_i the
     softmax of row i, d out_i / d u_i = c (E_p[v^2] - out_i^2), and the
     gradient of v is a (2, n) @ E product, formed as (2, n) @ S @ V with
     S[i, q] = s_i^q/q! and V[q, j] = v_j^q: O((n + m) K) per item.
+    Operands of equal shape are stacked, so one ``_series_moments`` pass
+    serves both directions, and each node's backward reads its half of the
+    power arrays; operands of unequal width take one pass per direction.
 
     K is the smallest order whose first omitted term r^(K+1)/(K+1)! is at
     most 2^-53. Truncation then moves each exp(s_i v_j) by at most
@@ -535,27 +582,40 @@ def rank1_attention(u: Tensor | np.ndarray, v: Tensor | np.ndarray, c: float) ->
     u_data, v_data = (u, v) if plain else (u.data, v.data)
     if u_data.ndim != 2 or v_data.ndim != 2 or u_data.shape[0] != v_data.shape[0]:
         raise ShapeError(f"rank1_attention needs (B, n) and (B, m) operands: {u_data.shape} vs {v_data.shape}")
-    sums, times_exp = _series_moments(c * u_data, v_data, _series_order(u_data, v_data, c))
-    total = sums[..., 0]
-    y = sums[..., 1] / total
-    if plain:
-        return y
-    second = sums[..., 2] / total
-    out = Tensor(y, (u, v))
+    # the pair's radius, not that of the stacked operands: c max(max|u|, max|v|)^2
+    # is larger and could raise K, which would change the bits
+    k = _series_order(u_data, v_data, c)
+    if u_data.shape == v_data.shape:
+        sums, s_pow, v_pow = _series_moments(c * np.array([u_data, v_data]), np.array([v_data, u_data]), k)
+    else:  # unequal widths do not stack: one pass per direction
+        sums, s_pow, v_pow = zip(*(
+            [part[0] for part in _series_moments(c * x[None], y[None], k)]
+            for x, y in ((u_data, v_data), (v_data, u_data))
+        ))
+    outs = []
+    for p, (query, keys) in enumerate(((u, v), (v, u))):
+        total = sums[p][..., 0]
+        y = sums[p][..., 1] / total
+        if plain:
+            outs.append(y)
+            continue
+        second = sums[p][..., 2] / total
+        out = Tensor(y, (query, keys))
 
-    def _backward(
-        out=out, u=u, v=v, u_data=u_data, v_data=v_data,
-        c=c, y=y, second=second, total=total, times_exp=times_exp,
-    ):
-        g = out.grad
-        u.grad += c * g * (second - y * y)
-        a = g / total
-        b = c * u_data * a
-        rows = times_exp(np.stack([a - b * y, b], axis=-2))
-        v.grad += rows[..., 0, :] + v_data * rows[..., 1, :]
+        def _backward(
+            out=out, u=query, v=keys, u_data=query.data, v_data=keys.data,
+            c=c, y=y, second=second, total=total, s_pow=s_pow[p], v_pow=v_pow[p],
+        ):
+            g = out.grad
+            u.grad += c * g * (second - y * y)
+            a = g / total
+            b = c * u_data * a
+            rows = _times_exp(np.stack([a - b * y, b], axis=-2), s_pow, v_pow)
+            v.grad += rows[..., 0, :] + v_data * rows[..., 1, :]
 
-    out._backward = _backward
-    return out
+        out._backward = _backward
+        outs.append(out)
+    return tuple(outs)
 
 
 def l2_normalize(v: Tensor | np.ndarray) -> Tensor | np.ndarray:

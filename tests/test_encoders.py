@@ -47,7 +47,7 @@ def _identity_params(d, vocab_size):
 
 def _encode_text(emb, proj, seqs):
     """The model's text path: mean-pooled token rows, then the projection."""
-    return T.matvec(proj, enc.embed_rows(emb, seqs, (len(seqs),)))
+    return T.matvec(proj, enc.embed_rows(emb, [(seqs, (len(seqs),))])[0])
 
 
 def test_encode_text_identity_weights_single_token():
@@ -91,7 +91,7 @@ def test_embed_rows_mixes_token_precomputed_and_padding_slots():
     emb, _ = _identity_params(2, 4)
     emb.data[1] = [2.0, 0.0]
     slots = [enc.TokenSequence(ids=[1]), np.array([7.0, 8.0]), None, None]
-    out = enc.embed_rows(emb, slots, (2, 2))
+    (out,) = enc.embed_rows(emb, [(slots, (2, 2))])
     np.testing.assert_array_equal(out.data, [[[2.0, 0.0], [7.0, 8.0]], [[0.0, 0.0], [0.0, 0.0]]])
 
 
@@ -101,12 +101,50 @@ def test_embed_rows_takes_precomputed_vectors_as_constants():
     emb, _ = _identity_params(2, 4)
     emb.data[1] = [2.0, 0.0]
     pre = [np.array([7.0, 8.0]), np.array([1.0, -1.0])]
-    out = enc.embed_rows(emb, pre, (2,))
+    (out,) = enc.embed_rows(emb, [(pre, (2,))])
     assert isinstance(out, np.ndarray)
     np.testing.assert_array_equal(out, pre)
-    mixed = enc.embed_rows(emb, [enc.TokenSequence(ids=[1]), pre[0]], (2,))
+    (mixed,) = enc.embed_rows(emb, [([enc.TokenSequence(ids=[1]), pre[0]], (2,))])
     assert len(mixed._parents) == 1 and mixed._parents[0]._parents == (emb,)
     np.testing.assert_array_equal(mixed.data, [[2.0, 0.0], pre[0]])
+
+
+def test_embed_rows_serves_a_ragged_batch_with_one_bag_and_one_product(monkeypatch):
+    """Text slots and padded description slots, mixing token, precomputed
+    and padding slots, take one ``bag_of_ids`` and one product with the
+    table: one node per group over it, plus one offset node per group that
+    holds a precomputed vector. The rows equal those of each group alone."""
+    gen = Rng(21).stream("ragged-embed")
+    emb = T.Param("emb", gen.normal(size=(6, 3)))
+    text = [enc.TokenSequence(ids=[1, 2]), gen.normal(size=3), enc.TokenSequence(ids=[5])]
+    descs = [enc.TokenSequence(ids=[3]), None, gen.normal(size=3), None, enc.TokenSequence(ids=[4, 4, 1]), None]
+    groups = [(text, (3,)), (descs, (3, 2))]
+    alone = [enc.embed_rows(emb.data, [group])[0] for group in groups]
+    bags, original = [], enc.bag_of_ids
+
+    def counting(seqs, vocab_size):
+        bags.append(len(seqs))
+        return original(seqs, vocab_size)
+
+    monkeypatch.setattr(enc, "bag_of_ids", counting)
+    rows = enc.embed_rows(emb, groups)
+    assert bags == [9]
+    products = [row._parents[0] for row in rows]
+    assert all(len(row._parents) == 1 for row in rows) and [p._parents for p in products] == [(emb,), (emb,)]
+    for got, want in zip(rows, alone):
+        np.testing.assert_allclose(got.data, want, rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(rows[1].data[1, 1], 0.0)
+    np.testing.assert_array_equal(rows[1].data[1, 0], descs[2])
+
+
+def test_embed_rows_gives_no_node_to_a_group_without_a_token_slot():
+    emb = T.Param("emb", np.arange(8.0).reshape(4, 2))
+    pre = np.array([7.0, 8.0])
+    text, descs = enc.embed_rows(emb, [([pre], (1,)), ([enc.TokenSequence(ids=[3]), None], (1, 2))])
+    assert isinstance(text, np.ndarray) and descs._parents == (emb,)
+    np.testing.assert_array_equal(text, [pre])
+    np.testing.assert_array_equal(descs.data, [[[6.0, 7.0], [0.0, 0.0]]])
+    assert enc.embed_rows(emb, [([None], (1,))]) == [None]
 
 
 def test_encode_image_basis_extraction():
@@ -147,9 +185,10 @@ def test_gradcheck_through_text_and_image_encoders():
     desc_weights = gen.normal(size=(2, 2, 4))
 
     def f():
-        r_t = _encode_text(emb, w_tf, seqs)
+        text_rows, desc_rows = enc.embed_rows(emb, [(seqs, (2,)), (desc_slots, (2, 2))])
+        r_t = T.matvec(w_tf, text_rows)
         r_v = enc.encode_image(w_vf, img)
-        m_d = enc.encode_description(emb, w_df, desc_slots, (2, 2))
+        m_d = enc.encode_description(w_df, desc_rows)
         return T.add(
             weighted_sum(T.add(r_t, r_v), weights),
             weighted_sum(m_d, desc_weights),

@@ -247,6 +247,39 @@ def test_vector_literal_loads_like_an_eager_decode(tmp_path, vector, outcome):
         assert error == f"{path}: {outcome}"
 
 
+@pytest.mark.parametrize("field, value, outcome", [
+    ("label", "", "label must be 0 or 1"),
+    ("label", [], "label must be 0 or 1"),
+    ("label", "x", "label must be 0 or 1"),
+    ("text", [], "text must be a string"),
+    ("text", 5, "text must be a string"),
+    ("id", [], "id must be a string"),
+    ("id", 7, "id must be a string"),
+    ("image_vec", "", "image_vec must be a flat list of numbers"),
+    ("image_vec", {}, "image_vec must be a flat list of numbers"),
+    ("label", None, "skipped"),
+    ("text", "", "skipped"),
+    ("id", "", "skipped"),
+    ("image_vec", [], "skipped"),
+    ("image_vec", None, "skipped"),
+])
+def test_a_required_field_is_missing_only_when_absent_null_or_empty(tmp_path, caplog, field, value, outcome):
+    """Null, and ``""`` for ``id`` and ``text`` or ``[]`` for ``image_vec``,
+    mark a line as missing that field, and so does leaving it out; a value
+    of any other wrong type raises the field's message naming the line."""
+    lines = [dict(_GOOD, **{field: value}), {k: v for k, v in _GOOD.items() if k != field}]
+    for obj in lines if outcome == "skipped" else lines[:1]:
+        path = tmp_path / "f.jsonl"
+        path.write_text(json.dumps(dict(_GOOD, id="z")) + "\n" + json.dumps(obj) + "\n", encoding="utf-8")
+        caplog.clear()
+        ds, error = _load(path)
+        if outcome == "skipped":
+            assert error is None and len(ds) == 1 and ds.skipped == 1
+            assert any(f"line 2: skipping item (missing {field})" in r.getMessage() for r in caplog.records)
+        else:
+            assert error == f"{path}: line 2: {outcome}"
+
+
 _EXTREMES = [
     "-0.0", "0", "-0", "5e-324", "1e-05", "1E5", "1e+05", "1.7976931348623157e+308",
     "1234567890123456", "12345678901234567", "NaN", "Infinity", "-Infinity", "1e400",

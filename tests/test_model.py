@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from mmfnd import encoders as enc
 from mmfnd import fuse, interact
 from mmfnd import tensor as T
 from mmfnd.data import NewsItem
@@ -241,6 +242,30 @@ def test_featurize_skips_the_token_check_for_a_field_with_vectors():
     assert isinstance(feats.text, np.ndarray) and all(isinstance(s, np.ndarray) for s in feats.descs)
 
 
+def test_featurize_tokenizes_each_distinct_description_once(monkeypatch):
+    """Items that share a description sentence share its tokens: it is
+    tokenized once per model, and each item's text once per item."""
+    model, _ = build_gradcheck_problem(d=6)
+    calls, original = [], enc.tokenize
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(enc, "tokenize", counting)
+    feats = [model.featurize(_item(f"i{k}", 6, text=f"tok{k + 1}", descriptions=["tok3 tok4"])) for k in range(3)]
+    assert calls.count("tok3 tok4") == 1
+    assert [calls.count(f"tok{k + 1}") for k in range(3)] == [1, 1, 1]
+    assert feats[0].descs[0] is feats[1].descs[0] is feats[2].descs[0]
+
+
+def test_a_description_without_word_tokens_raises_on_every_item_that_holds_it():
+    model, _ = build_gradcheck_problem(d=6)
+    for item_id, descriptions, field in (("a", ["tok3", "--"], 1), ("b", ["--"], 0)):
+        with pytest.raises(EmptyTextError, match=f"item '{item_id}': desc_sentences\\[{field}\\] has no word tokens"):
+            model.featurize(_item(item_id, 6, descriptions=descriptions))
+
+
 def test_predict_batch_matches_item_by_item_predict():
     model, _ = build_gradcheck_problem(d=6)
     gen = Rng(3).stream("mixed")
@@ -435,10 +460,11 @@ def test_training_tape_holds_no_attention_map():
     assert not [s for s in shapes if s[-2:] == (8, 8) and len(s) > 2]
 
 
-# Tape nodes of one default-config training batch: 4 encoder nodes (two
-# bag products, the image and description projections), the text
-# projection, 4 in enrichment, 5 in alignment, 6 in interaction and 12 in
-# fusion and the losses.
+# Tape nodes of one default-config training batch: 4 encoder nodes (the
+# text and the description rows of one bag product, one node each, and the
+# image and description projections), the text projection, 4 in
+# enrichment, 5 in alignment, 6 in interaction (both attention directions
+# of one kernel pass, one node each) and 12 in fusion and the losses.
 DEFAULT_BATCH_NODES = 32
 
 
@@ -521,3 +547,24 @@ def test_rebinding_the_tensor_class_leaves_every_gradient_unchanged(monkeypatch)
         grads.append(model.params.grad.copy())
     assert np.any(model.params["emb"].grad != 0.0)
     np.testing.assert_array_equal(grads[1], grads[0])
+
+
+@pytest.mark.parametrize("run", ["predict", "batch_loss"])
+def test_a_forward_runs_one_embedding_product_and_one_attention_kernel_pass(run, monkeypatch):
+    """Text and description slots share one bag of ids, so one product with
+    the table, and both attention directions share one series pass."""
+    model, feats = _default_config_batch()
+    counts = {"bag_of_ids": 0, "_series_moments": 0}
+    for module, name in ((enc, "bag_of_ids"), (T, "_series_moments")):
+
+        def counting(*args, original=getattr(module, name), name=name):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    if run == "predict":
+        assert feats[1].descs
+        model.predict(feats[1])
+    else:
+        model.batch_loss(feats)
+    assert counts == {"bag_of_ids": 1, "_series_moments": 1}

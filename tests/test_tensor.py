@@ -64,6 +64,42 @@ def test_array_operands_are_constants_and_products_fold_leading_axes():
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("d", [64, 256])
+def test_matmul_blocks_equal_the_products_of_each_block_alone(d):
+    """One product split into row blocks of 7 or more rows, the sizes a
+    training batch makes, gives each block, and each block's gradient of
+    the table, the bits of that block's own product. (BLAS may sum a one-
+    or two-row product in another order.)"""
+    gen = Rng(18).stream("matmul-blocks", d)
+    leads = [(32,), (32, 2), (7,), (64,)]
+    bag = gen.uniform(size=(32 + 64 + 7 + 64, 121))
+    emb_data = gen.normal(size=(121, d))
+    emb = T.Param("emb", emb_data)
+    blocks = T.matmul(bag, emb, leads)
+    np.testing.assert_array_equal(np.concatenate([b.reshape(-1, d) for b in T.matmul(bag, emb_data, leads)]),
+                                  bag @ emb_data)
+    start = 0
+    for lead, block in zip(leads, blocks):
+        rows = bag[start:start + int(np.prod(lead))].reshape(lead + (121,))
+        start += rows.size // 121
+        alone = T.Param("alone", emb_data)
+        want = T.matmul(rows, alone)
+        assert block._parents == (emb,) and block.data.tobytes() == want.data.tobytes()
+        g = gen.normal(size=want.data.shape)
+        emb.grad[...] = 0.0
+        weighted_sum(block, g).backward()
+        weighted_sum(want, g).backward()
+        assert emb.grad.tobytes() == alone.grad.tobytes()
+
+
+def test_matmul_blocks_must_split_the_rows_of_a_constant():
+    emb = T.Param("emb", np.ones((3, 2)))
+    with pytest.raises(T.ShapeError, match=r"\[\(2,\), \(3,\)\]"):
+        T.matmul(np.ones((4, 3)), emb, [(2,), (3,)])
+    with pytest.raises(TypeError, match="constant"):
+        T.matmul(t(np.ones((4, 3))), emb, [(2,), (2,)])
+
+
 def test_param_operands_get_gradients_with_the_tensor_class_rebound(monkeypatch):
     """A stage tracer rebinds ``Tensor`` to a subclass; a Param is then no
     instance of it, and must still count as a variable operand."""
@@ -153,14 +189,14 @@ def test_rank1_attention_against_high_precision_oracle():
     u *= 1.4 / np.abs(u).max()  # radius 0.5 * 1.4 * 1.4 = 0.98
     v *= 1.4 / np.abs(v).max()
     u[0, 1] = 0.0
-    out = T.rank1_attention(t(u), t(v), 0.5)
+    out = T.rank1_attention(t(u), t(v), 0.5)[0]
     for b in range(2):
         np.testing.assert_allclose(out.data[b], _attention_oracle(u[b], v[b], 0.5), rtol=1e-13, atol=1e-15)
 
 
 def test_rank1_attention_of_a_zero_query_is_the_mean_value():
     v = np.array([[1.0, -2.0, 4.0, 0.5], [3.0, 3.0, -1.0, 7.0]])
-    out = T.rank1_attention(t(np.zeros((2, 3))), t(v), 2.0)
+    out = T.rank1_attention(t(np.zeros((2, 3))), t(v), 2.0)[0]
     np.testing.assert_allclose(out.data, np.repeat(v.mean(axis=1, keepdims=True), 3, axis=1), atol=1e-15)
 
 
@@ -174,7 +210,7 @@ def test_rank1_attention_extreme_logits_stay_finite_and_warning_free():
     assert T._series_order(u.data, v, 1.0) == 18
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = T.rank1_attention(u, p, 1.0)
+        out = T.rank1_attention(u, p, 1.0)[0]
         R.tsum(out).backward()
     assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(p.grad))
     np.testing.assert_allclose(out.data[0, :2], [_attention_oracle(row, v[0], 1.0)[0] for row in ([10.0], [-10.0])], rtol=1e-13)
@@ -186,7 +222,7 @@ def test_rank1_attention_gradient_at_zero_and_mixed_sign_queries():
     u = np.array([[0.0, -1.3, 0.8, 0.0, 2.1], [1.1, 0.0, -0.4, -2.2, 0.0]])
     v = gen.normal(size=(2, 4))
     v *= 0.6 / np.abs(v).max()  # radius 0.7 * 2.2 * 0.6 = 0.924
-    _check_op(lambda ts: T.rank1_attention(ts[0], ts[1], 0.7), [u, v])
+    _check_op(lambda ts: T.rank1_attention(ts[0], ts[1], 0.7)[0], [u, v])
 
 
 def _unit_rows(gen, b, d):
@@ -202,7 +238,7 @@ def test_rank1_attention_series_against_high_precision_oracle(b, d):
     u, v = _unit_rows(gen, b, d), _unit_rows(gen, b, d)
     c = 1.0 / np.sqrt(d)
     assert T._series_order(u, v, c) is not None
-    out = T.rank1_attention(t(u), t(v), c)
+    out = T.rank1_attention(t(u), t(v), c)[0]
     for k in range(b):
         # the largest and smallest query entries and a few others
         rows = np.unique(np.r_[np.argmax(u[k]), np.argmin(u[k]), gen.integers(0, d, size=6)])
@@ -216,12 +252,12 @@ def test_rank1_attention_series_gradient_matches_finite_differences():
     u, v = (gen.uniform(0.3, 1.7, size=(8, 64)) * gen.choice([-1.0, 1.0], size=(8, 64)) for _ in range(2))
     u[:, ::7] = 0.0
     assert T._series_order(u, v, 0.3) >= 15
-    _check_op(lambda ts: T.rank1_attention(ts[0], ts[1], 0.3), [u, v])
+    _check_op(lambda ts: T.rank1_attention(ts[0], ts[1], 0.3)[0], [u, v])
 
 
 def _attention_and_gradients(u, v, c):
     pu, pv = T.Param("u", u), T.Param("v", v)
-    out = T.rank1_attention(pu, pv, c)
+    out = T.rank1_attention(pu, pv, c)[0]
     weighted_sum(out, np.linspace(0.5, 1.5, out.data.size).reshape(out.data.shape)).backward()
     return out.data, pu.grad, pv.grad
 
@@ -262,16 +298,58 @@ def test_rank1_attention_at_radius_one_matches_the_oracle():
     u /= np.abs(u).max()
     v /= np.abs(v).max()
     assert T._series_order(u, v, 1.0) == 18 == len(T._INV_FACT) - 1
-    out = T.rank1_attention(t(u), t(v), 1.0)
+    out = T.rank1_attention(t(u), t(v), 1.0)[0]
     for b in range(2):
         np.testing.assert_allclose(out.data[b], _attention_oracle(u[b], v[b], 1.0), rtol=1e-13, atol=1e-15)
 
 
 def test_rank1_attention_rejects_a_radius_above_one_naming_it():
     u, v = np.array([[1.0 + 1e-9, -0.5]]), np.array([[1.0, 0.25]])
-    for operands in ((u, v), (t(u), T.Param("v", v))):
+    for operands in ((u, v), (t(u), T.Param("v", v)), (v, u), (u, v[:, :1])):
         with pytest.raises(T.DegenerateInputError, match=r"r = 1\.000000001"):
             T.rank1_attention(*operands, 1.0)
+
+
+def _one_direction(u, v, c, k):
+    """u attending over v alone, through one ``_series_moments`` problem."""
+    sums = T._series_moments(c * u[None], v[None], k)[0][0]
+    return sums[..., 1] / sums[..., 0]
+
+
+@pytest.mark.parametrize("b,d", [(1, 64), (32, 64), (32, 256)])
+def test_rank1_attention_pair_equals_each_direction_alone_and_the_oracle(b, d):
+    """Unit vectors at the model's scale: the stacked pass gives each
+    direction the bits of that direction computed alone at the pair's order,
+    on plain arrays and on the tape, and each matches 50-digit softmax."""
+    gen = Rng(19).stream("rank1-pair", b, d)
+    u, v = _unit_rows(gen, b, d), _unit_rows(gen, b, d)
+    c = 1.0 / np.sqrt(d)
+    k = T._series_order(u, v, c)
+    assert k == T._series_order(v, u, c)
+    plain = T.rank1_attention(u, v, c)
+    taped = T.rank1_attention(t(u), t(v), c)
+    for got, on_tape, (x, y) in zip(plain, taped, ((u, v), (v, u))):
+        want = _one_direction(x, y, c, k)
+        assert got.tobytes() == on_tape.data.tobytes() == want.tobytes()
+        rows = np.unique(np.r_[np.argmax(x[0]), np.argmin(x[0]), gen.integers(0, d, size=4)])
+        np.testing.assert_allclose(got[0, rows], _attention_oracle(x[0, rows], y[0], c), rtol=1e-13, atol=1e-16)
+
+
+def test_rank1_attention_pair_backward_matches_the_exponentiated_map():
+    """Each direction's node, on equal and unequal widths, gets the gradients
+    of the exponentiated map, and a loss on both directions gets their sum."""
+    gen = Rng(20).stream("rank1-pair-grad")
+    for m in (5, 3):
+        u, v = gen.uniform(-1.0, 1.0, size=(4, 5)), gen.uniform(-1.0, 1.0, size=(4, m))
+        c = 0.9
+        y_u, gu_u, gv_u = _exp_attention_and_gradients(u, v, c)
+        y_v, gv_v, gu_v = _exp_attention_and_gradients(v, u, c)
+        pu, pv = T.Param("u", u), T.Param("v", v)
+        out_u, out_v = T.rank1_attention(pu, pv, c)
+        ramps = [np.linspace(0.5, 1.5, x.size).reshape(x.shape) for x in (u, v)]
+        T.add(weighted_sum(out_u, ramps[0]), weighted_sum(out_v, ramps[1])).backward()
+        for got, want in ((out_u.data, y_u), (out_v.data, y_v), (pu.grad, gu_u + gu_v), (pv.grad, gv_u + gv_v)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
 def test_rank1_attention_passes_non_finite_operands_to_the_output():
@@ -280,11 +358,11 @@ def test_rank1_attention_passes_non_finite_operands_to_the_output():
     u, v = np.array([[0.5, np.nan, -0.25]]), np.array([[1.0, 0.25]])
     assert T._series_order(u, v, 1.0) == 18
     with np.errstate(invalid="ignore", over="ignore"):
-        out = T.rank1_attention(u, v, 1.0)
+        out = T.rank1_attention(u, v, 1.0)[0]
         assert np.isnan(out[0, 1]) and np.all(np.isfinite(out[0, [0, 2]]))
         v[0, 1] = np.inf
         assert T._series_order(u[:, [0, 2]], v, 1.0) == 18
-        assert not np.any(np.isfinite(T.rank1_attention(u[:, [0, 2]], v, 1.0)))
+        assert not np.any(np.isfinite(T.rank1_attention(u[:, [0, 2]], v, 1.0)[0]))
 
 
 def test_rank1_attention_memory_stays_below_a_quarter_of_one_attention_map():
@@ -296,7 +374,7 @@ def test_rank1_attention_memory_stays_below_a_quarter_of_one_attention_map():
     u, v = T.Param("u", _unit_rows(gen, 32, 256)), T.Param("v", _unit_rows(gen, 32, 256))
     tracemalloc.start()
     try:
-        R.tsum(T.rank1_attention(u, v, 1.0 / 16.0)).backward()
+        R.tsum(T.rank1_attention(u, v, 1.0 / 16.0)[0]).backward()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -415,10 +493,12 @@ MASK = np.array([[True, True, False, True], [False, False, False, False], [True,
 POOL_WEIGHTS = np.array([1.0 / 3.0, 1.0, 1.0])
 POSITIVE = np.array([True, False, True])
 SUM_WEIGHTS = np.linspace(-1.0, 2.0, 12).reshape(3, 4)
+BLOCK_BAG = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.25, 0.0, 0.75], [1.0, 0.0, 0.0]])
 
 OP_CASES = [
     ("matmul", lambda ts: T.matmul(ts[0], ts[1]), [(3, 4), (4, 2)]),
     ("matmul_batched", lambda ts: T.matmul(ts[0], ts[1]), [(2, 3, 4), (4, 2)]),
+    ("matmul_blocks", lambda ts: T.concat(T.matmul(BLOCK_BAG, ts[0], [(2,), (2,)])), [(3, 2)]),
     ("matvec", lambda ts: T.matvec(ts[0], ts[1]), [(3, 4), (4,)]),
     ("matvec_batched_bias", lambda ts: T.matvec(ts[0], ts[1], ts[2]), [(3, 4), (2, 5, 4), (3,)]),
     ("bmv", lambda ts: R.bmv(ts[0], ts[1]), [(2, 3, 4), (2, 4)]),
@@ -434,7 +514,11 @@ OP_CASES = [
     ("sigmoid", lambda ts: T.sigmoid(ts[0]), [(3, 4)]),
     ("softmax_rows", lambda ts: T.softmax_rows(ts[0]), [(3, 4)]),
     ("softmax_rows_masked", lambda ts: R.masked_softmax_rows(ts[0], MASK), [(3, 4)]),
-    ("rank1_attention", lambda ts: T.rank1_attention(ts[0], ts[1], 0.3), [(2, 4), (2, 3)]),
+    ("rank1_attention", lambda ts: T.rank1_attention(ts[0], ts[1], 0.3)[0], [(2, 4), (2, 3)]),
+    ("rank1_attention_back", lambda ts: T.rank1_attention(ts[0], ts[1], 0.3)[1], [(2, 4), (2, 3)]),
+    ("rank1_attention_pair_u", lambda ts: T.rank1_attention(ts[0], ts[1], 0.3)[0], [(2, 4), (2, 4)]),
+    ("rank1_attention_pair_v", lambda ts: T.rank1_attention(ts[0], ts[1], 0.3)[1], [(2, 4), (2, 4)]),
+    ("rank1_attention_pair_sum", lambda ts: T.add(*T.rank1_attention(ts[0], ts[1], 0.3)), [(2, 4), (2, 4)]),
     ("l2_normalize", lambda ts: T.l2_normalize(ts[0]), [(5,)]),
     ("l2_normalize_rows", lambda ts: T.l2_normalize(ts[0]), [(3, 5)]),
     ("mean_pool_0", lambda ts: T.mean_pool(ts[0], 0), [(3, 4)]),
