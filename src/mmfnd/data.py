@@ -22,7 +22,7 @@ from json.decoder import scanstring
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, require_integers
 from .rng import Rng
 
 logger = logging.getLogger(__name__)
@@ -422,6 +422,9 @@ class SynthConfig:
     d_raw: int
 
     def validate(self) -> None:
+        require_integers(self, "n_train", "n_test", "seed", "d_raw")
+        if self.d_raw < 1:
+            raise ConfigError(f"d_raw must be positive, got {self.d_raw!r}")
         if self.n_train < 10 or self.n_test < 10:
             raise ConfigError("synthetic splits need at least 10 items each")
 

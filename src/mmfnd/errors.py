@@ -1,4 +1,6 @@
-"""Shared error types for configuration and data ingestion."""
+"""Shared error types for configuration and data ingestion, and the configs' integer rule."""
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -7,3 +9,13 @@ class ConfigError(ValueError):
 
 class DataFormatError(ValueError):
     """Dataset file violates the expected schema."""
+
+
+def require_integers(config, *names: str) -> None:
+    """Raise ``ConfigError`` naming the first of ``names`` whose value on
+    ``config`` is not an integer: a float such as 8.0, or a bool, fails; a
+    numpy integer passes."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -4,8 +4,9 @@ A per-item sigmoid gate is learned for every feature channel from the
 mean of the channels; gated channels are concatenated in a fixed order and
 classified by a two-layer MLP with a 2-way softmax. Every function takes a
 batch: each channel is (B, d), gates are (B, k), the fused input (B, k*d).
-The gated concatenation and the detection loss are one tape node each
-(``tensor.gated_concat``, ``tensor.binary_nll``).
+The channel mean, the gated concatenation and the detection loss are one
+tape node each (``tensor.mean_parts``, ``tensor.gated_concat``,
+``tensor.binary_nll``); ``gates=None`` means constant unit gates.
 """
 
 from __future__ import annotations
@@ -32,18 +33,19 @@ class Prediction:
 
 def adaptive_weights(features: list[Tensor], w_g: Param, b_g: Param) -> Tensor:
     """Per-item, per-channel sigmoid gates (B, k) from the channel mean."""
-    pooled = T.mean_pool(T.stack_rows(features), axis=0)
+    pooled = T.mean_parts(features)
     return T.sigmoid(T.matvec(w_g, pooled, b_g))
 
 
 def fuse(features: list[Tensor], gates: Tensor | None) -> Tensor:
     """Concatenate the channels, each scaled by its gate.
 
-    ``gates=None`` is the plain-concatenation variant (all gates one).
-    Channel order is fixed: enhanced text, image, interaction.
+    ``gates=None`` is the plain-concatenation variant: constant unit gates,
+    which leave every bit of the channels as it is. Channel order is fixed:
+    enhanced text, image, interaction.
     """
     if gates is None:
-        return T.concat(features)
+        gates = np.ones(T.data_of(features[0]).shape[:-1] + (len(features),))
     return T.gated_concat(features, gates)
 
 

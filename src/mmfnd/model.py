@@ -38,7 +38,7 @@ import numpy as np
 from . import align, enrich, fuse, interact
 from . import encoders as enc
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, require_integers
 from .rng import Rng
 
 ABLATIONS = ("none", "no_A", "no_M", "no_E")
@@ -63,17 +63,8 @@ class ModelConfig:
         if not (math.isfinite(value) and holds(value)):
             raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
-    def _require_integers(self, *names: str) -> None:
-        """Raise ``ConfigError`` naming the first of ``names`` whose value is
-        not an integer: a float such as 8.0, or a bool, fails; a numpy
-        integer passes."""
-        for name in names:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-
     def validate(self) -> None:
-        self._require_integers("d", "d_raw", "max_len")
+        require_integers(self, "d", "d_raw", "max_len")
         for name in ("d", "d_raw", "max_len", "tau"):
             self._require(name, lambda v: v > 0, "positive")
         self._require("lambda_c", lambda v: v >= 0, "non-negative")

@@ -4,13 +4,14 @@ Tensors wrap numpy arrays and record their producing operation on a tape;
 calling ``backward()`` on a scalar result propagates gradients to every
 leaf. One tape covers a whole training batch: ops act on (B, ...) arrays
 and treat the leading axes as batch axes. A model stage that would take a
-chain of small ops (a loss head, an attention pool, gated fusion) is one
-fused op with a closed-form backward, so a default training step builds
-32 nodes. Where one computation serves two results (``matmul`` split into
-row blocks, the two directions of ``rank1_attention``), each result is its
-own node with the backward that result would have alone, so the tape and
-its arithmetic stay those of two separate calls. Broadcasting is
-explicit: each op states the shapes it accepts.
+chain of small ops (a loss head, an attention pool, the channel mean,
+gated fusion) is one fused op with a closed-form backward, so a default
+training step builds 31 nodes. Where one computation serves two results
+(``matmul`` split into row blocks, the two directions of
+``rank1_attention``), each result is its own node with the backward that
+result would have alone, so the tape and its arithmetic stay those of two
+separate calls. Broadcasting is explicit: each op states the shapes it
+accepts.
 
 An op records a node only when an operand needs a gradient. Given plain
 arrays where it takes tensors, every op but the loss heads (``infonce``,
@@ -191,54 +192,22 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 # ---------------------------------------------------------------------------
 
 
-def matmul(
-    a: Tensor | np.ndarray, b: Tensor | np.ndarray, blocks: list | None = None
-) -> Tensor | np.ndarray | list:
-    """C = A @ B for a 2-D B; leading axes of A beyond the last are batch axes.
+def matmul(a: np.ndarray, b: Tensor | np.ndarray, blocks: list) -> list:
+    """C = A @ B for a constant (N, k) array A and a (k, m) B, returned as
+    its row blocks: ``blocks`` is a list of leading shapes whose sizes add
+    up to N, and C is a list of one block per shape, each shaped
+    ``shape + (m,)``. So one product serves several results.
 
-    The leading axes are folded into one 2-D product, forward and backward:
-    numpy would otherwise run one small GEMM per batch row. A plain array
-    ``a`` is a constant: it is no parent and gets no gradient. With ``b`` a
-    plain array too, C is a plain array.
-
-    With ``blocks``, a list of leading shapes whose sizes add up to the rows
-    of a constant (N, k) ``a``, one product serves several results: C is
-    returned as a list of one row block per shape, each shaped
-    ``shape + (m,)``. On the tape each block is its own node, whose backward
-    adds ``a_block.T @ g`` to B's gradient, as a product of that block alone
-    would.
+    A is a constant: it is no parent and gets no gradient. With ``b`` a
+    plain array, the blocks are plain arrays. On the tape each block is its
+    own node, whose backward adds ``a_block.T @ g`` to B's gradient, as a
+    product of that block alone would.
     """
-    const_a = isinstance(a, _PLAIN)
     plain = isinstance(b, _PLAIN)
-    a_data = a if const_a else a.data
     b_data = b if plain else b.data
-    if b_data.ndim != 2 or a_data.ndim < 2 or a_data.shape[-1] != b_data.shape[0]:
-        raise ShapeError(f"matmul inner dims disagree: {a_data.shape} vs {b_data.shape}")
-    if blocks is not None:
-        if not const_a:
-            raise TypeError("matmul with blocks takes a constant (plain array) a")
-        return _row_block_products(a_data, b, b_data, blocks, plain)
-    y = (a_data.reshape(-1, a_data.shape[-1]) @ b_data).reshape(a_data.shape[:-1] + b_data.shape[1:])
-    if plain:
-        return y
-    out = Tensor(y, (b,) if const_a else (a, b))
-
-    def _backward(out=out, a=a, b=b, a_data=a_data, b_data=b_data, const_a=const_a):
-        g = out.grad.reshape(-1, b_data.shape[1])
-        if not const_a:
-            a.grad += (g @ b_data.T).reshape(a_data.shape)
-        b.grad += a_data.reshape(-1, a_data.shape[-1]).T @ g
-
-    out._backward = _backward
-    return out
-
-
-def _row_block_products(a: np.ndarray, b, b_data: np.ndarray, blocks: list, plain: bool) -> list:
-    """``matmul`` with ``blocks``: one (N, k) @ (k, m) product, split into
-    its row blocks."""
     sizes = [math.prod(shape) for shape in blocks]
-    if a.ndim != 2 or sum(sizes) != a.shape[0]:
-        raise ShapeError(f"matmul blocks {blocks} do not split the rows of {a.shape}")
+    if a.ndim != 2 or b_data.ndim != 2 or a.shape[1] != b_data.shape[0] or sum(sizes) != a.shape[0]:
+        raise ShapeError(f"matmul of {a.shape} and {b_data.shape} cannot give the row blocks {blocks}")
     m = b_data.shape[1]
     y = a @ b_data
     outs, start = [], 0
@@ -262,9 +231,9 @@ def matvec(
 ) -> Tensor | np.ndarray:
     """y = A x (+ b) for every vector along the last axis of x (a dense layer).
 
-    As in ``matmul``, the leading axes of x form one 2-D product (a 2-D x
-    needs no reshape), and a plain array ``x`` is a constant input that
-    gets no gradient. With ``a`` and ``b`` plain arrays too, y is a plain
+    The leading axes of x form one 2-D product (a 2-D x needs no reshape).
+    A plain array ``x`` is a constant input that gets no gradient, as
+    ``matmul``'s A is. With ``a`` and ``b`` plain arrays too, y is a plain
     array.
     """
     plain = isinstance(a, _PLAIN)
@@ -398,8 +367,6 @@ def softmax_rows(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
     """Softmax along the last axis with max-subtraction for stability."""
     plain = isinstance(x, _PLAIN)
     x_data = x if plain else x.data
-    if x_data.ndim < 1:
-        raise ShapeError("softmax_rows needs at least one axis")
     p = softmax(x_data)
     if plain:
         return p
@@ -553,22 +520,22 @@ def _times_exp(lhs: np.ndarray, s_pow: np.ndarray, v_pow: np.ndarray) -> np.ndar
 
 
 def rank1_attention(u: Tensor | np.ndarray, v: Tensor | np.ndarray, c: float) -> tuple:
-    """Both directions of rank-1 attention between (B, n) u and (B, m) v,
-    as the pair (u over v, v over u): out[b, i] = sum_j softmax_j(c * u[b, i]
-    * v[b, j]) * v[b, j], each entry of u attending over v through the
-    logits c u v^T, and the same with u and v swapped. Both directions share
-    the logit radius r = |c| max|u| max|v|, which must be at most 1.
+    """Both directions of rank-1 attention between two (B, d) operands of
+    one shape, as the pair (u over v, v over u): out[b, i] = sum_j
+    softmax_j(c * u[b, i] * v[b, j]) * v[b, j], each entry of u attending
+    over v through the logits c u v^T, and the same with u and v swapped.
+    Both directions share the logit radius r = |c| max|u| max|v|, which
+    must be at most 1. Operands of different shapes raise ``ShapeError``.
 
-    One node per direction, and no (B, n, m) array is built in either. With
+    One node per direction, and no (B, d, d) array is built in either. With
     s_i = c u_i and power sums P_q = sum_j v_j^q, the row sums of
     E = exp(c u v^T) times 1, v and v^2 are sum_{q<=K} s_i^q/q! P_{q+p}, so
-    the forward is one (n, K+1) @ (K+1, 3) product per item. With p_i the
+    the forward is one (d, K+1) @ (K+1, 3) product per item. With p_i the
     softmax of row i, d out_i / d u_i = c (E_p[v^2] - out_i^2), and the
-    gradient of v is a (2, n) @ E product, formed as (2, n) @ S @ V with
-    S[i, q] = s_i^q/q! and V[q, j] = v_j^q: O((n + m) K) per item.
-    Operands of equal shape are stacked, so one ``_series_moments`` pass
-    serves both directions, and each node's backward reads its half of the
-    power arrays; operands of unequal width take one pass per direction.
+    gradient of v is a (2, d) @ E product, formed as (2, d) @ S @ V with
+    S[i, q] = s_i^q/q! and V[q, j] = v_j^q: O(d K) per item. The operands
+    are stacked, so one ``_series_moments`` pass serves both directions,
+    and each node's backward reads its half of the power arrays.
 
     K is the smallest order whose first omitted term r^(K+1)/(K+1)! is at
     most 2^-53. Truncation then moves each exp(s_i v_j) by at most
@@ -580,18 +547,12 @@ def rank1_attention(u: Tensor | np.ndarray, v: Tensor | np.ndarray, c: float) ->
     """
     plain = isinstance(u, _PLAIN)
     u_data, v_data = (u, v) if plain else (u.data, v.data)
-    if u_data.ndim != 2 or v_data.ndim != 2 or u_data.shape[0] != v_data.shape[0]:
-        raise ShapeError(f"rank1_attention needs (B, n) and (B, m) operands: {u_data.shape} vs {v_data.shape}")
+    if u_data.ndim != 2 or v_data.shape != u_data.shape:
+        raise ShapeError(f"rank1_attention needs two (B, d) operands of one shape: {u_data.shape} vs {v_data.shape}")
     # the pair's radius, not that of the stacked operands: c max(max|u|, max|v|)^2
     # is larger and could raise K, which would change the bits
     k = _series_order(u_data, v_data, c)
-    if u_data.shape == v_data.shape:
-        sums, s_pow, v_pow = _series_moments(c * np.array([u_data, v_data]), np.array([v_data, u_data]), k)
-    else:  # unequal widths do not stack: one pass per direction
-        sums, s_pow, v_pow = zip(*(
-            [part[0] for part in _series_moments(c * x[None], y[None], k)]
-            for x, y in ((u_data, v_data), (v_data, u_data))
-        ))
+    sums, s_pow, v_pow = _series_moments(c * np.array([u_data, v_data]), np.array([v_data, u_data]), k)
     outs = []
     for p, (query, keys) in enumerate(((u, v), (v, u))):
         total = sums[p][..., 0]
@@ -622,8 +583,6 @@ def l2_normalize(v: Tensor | np.ndarray) -> Tensor | np.ndarray:
     """Each vector along the last axis scaled to unit Euclidean norm."""
     plain = isinstance(v, _PLAIN)
     v_data = v if plain else v.data
-    if v_data.ndim < 1:
-        raise ShapeError("l2_normalize needs at least one axis")
     n = np.sqrt(np.add.reduce(v_data * v_data, axis=-1, keepdims=True))
     if np.logical_or.reduce(n == 0.0, axis=None):
         raise DegenerateInputError("l2_normalize of a zero vector")
@@ -645,20 +604,25 @@ def l2_normalize(v: Tensor | np.ndarray) -> Tensor | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def mean_pool(x: Tensor | np.ndarray, axis: int) -> Tensor | np.ndarray:
-    plain = isinstance(x, _PLAIN)
-    x_data = x if plain else x.data
-    if not 0 <= axis < x_data.ndim:
-        raise ShapeError(f"mean_pool axis {axis} out of range for shape {x_data.shape}")
-    m = x_data.shape[axis]
-    # the sum and the division that .mean() runs, without its Python frames
-    y = np.add.reduce(x_data, axis=axis) / m
+def mean_parts(parts: list) -> Tensor | np.ndarray:
+    """Elementwise mean of equal-shape parts, as one node; each part gets
+    the output gradient divided by the number of parts."""
+    plain = isinstance(parts[0], _PLAIN)
+    arrays = parts if plain else [p.data for p in parts]
+    shapes = {a.shape for a in arrays}
+    if len(shapes) != 1:
+        raise ShapeError(f"mean_parts needs equal shapes, got {sorted(shapes)}")
+    k = len(arrays)
+    # np.stack's result at a third of its call cost; .mean()'s sum and division without its frames
+    y = np.add.reduce(np.array(arrays), axis=0) / k
     if plain:
-        return np.asarray(y)  # a vector's mean is a numpy scalar, not an array
-    out = Tensor(y, (x,))
+        return y
+    out = Tensor(y, tuple(parts))
 
-    def _backward(out=out, x=x, axis=axis, m=m):
-        x.grad += np.expand_dims(out.grad, axis) / m
+    def _backward(out=out, parts=parts, k=k):
+        g = out.grad / k
+        for p in parts:
+            p.grad += g
 
     out._backward = _backward
     return out
@@ -724,34 +688,15 @@ def binary_nll(probs: Tensor, col: int, positive: np.ndarray, eps: float) -> Ten
 # ---------------------------------------------------------------------------
 
 
-def concat(parts: list) -> Tensor | np.ndarray:
-    """Concatenate along the last axis; leading axes must agree."""
-    plain = all(isinstance(p, _PLAIN) for p in parts)
-    arrays = parts if plain else [p.data for p in parts]
-    leading = {a.shape[:-1] for a in arrays}
-    if len(leading) != 1 or arrays[0].ndim < 1:
-        raise ShapeError(f"concat needs equal leading dims, got {[a.shape for a in arrays]}")
-    y = np.concatenate(arrays, axis=-1)
-    if plain:
-        return y
-    out = Tensor(y, tuple(parts))
-    sizes = [a.shape[-1] for a in arrays]
-
-    def _backward(out=out, parts=parts, sizes=sizes):
-        off = 0
-        for p, size in zip(parts, sizes):
-            p.grad += out.grad[..., off:off + size]
-            off += size
-
-    out._backward = _backward
-    return out
-
-
 def gated_concat(parts: list, gates: Tensor | np.ndarray) -> Tensor | np.ndarray:
-    """``concat`` of equal-shape parts, part i scaled by gates[..., i], as
-    one node; ``gates`` has one entry per part for each leading index."""
-    plain = isinstance(gates, _PLAIN)
-    arrays, g_data = (parts, gates) if plain else ([p.data for p in parts], gates.data)
+    """Concatenation of equal-shape parts (all tensors or all plain arrays),
+    part i scaled by gates[..., i], as one node; ``gates`` has one entry per
+    part for each leading index. Plain gates are a constant, no parent and
+    no gradient, and unit gates give the plain concatenation to the bit."""
+    plain = isinstance(parts[0], _PLAIN)
+    const_g = plain or isinstance(gates, _PLAIN)
+    arrays = parts if plain else [p.data for p in parts]
+    g_data = gates if const_g else gates.data
     shapes = {a.shape for a in arrays}
     lead = arrays[0].shape[:-1]
     if len(shapes) != 1 or arrays[0].ndim < 1 or g_data.shape != lead + (len(arrays),):
@@ -763,34 +708,15 @@ def gated_concat(parts: list, gates: Tensor | np.ndarray) -> Tensor | np.ndarray
     y = (x * g_data[..., None]).reshape(lead + (-1,))
     if plain:
         return y
-    out = Tensor(y, (*parts, gates))
+    out = Tensor(y, tuple(parts) if const_g else (*parts, gates))
 
-    def _backward(out=out, parts=parts, gates=gates, x=x, g_data=g_data):
+    def _backward(out=out, parts=parts, gates=gates, x=x, g_data=g_data, const_g=const_g):
         g = out.grad.reshape(x.shape)
-        gates.grad += np.sum(g * x, axis=-1)
+        if not const_g:
+            gates.grad += np.sum(g * x, axis=-1)
         g = g * g_data[..., None]
         for i, p in enumerate(parts):
             p.grad += g[..., i, :]
-
-    out._backward = _backward
-    return out
-
-
-def stack_rows(parts: list) -> Tensor | np.ndarray:
-    """Stack equal-shape tensors along a new leading axis."""
-    plain = all(isinstance(p, _PLAIN) for p in parts)
-    arrays = parts if plain else [p.data for p in parts]
-    shapes = {a.shape for a in arrays}
-    if len(shapes) != 1:
-        raise ShapeError(f"stack_rows needs equal shapes, got {sorted(shapes)}")
-    y = np.array(arrays)  # equal shapes: np.stack's result, at a third of its call cost
-    if plain:
-        return y
-    out = Tensor(y, tuple(parts))
-
-    def _backward(out=out, parts=parts):
-        for i, p in enumerate(parts):
-            p.grad += out.grad[i]
 
     out._backward = _backward
     return out

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset
 from .encoders import Vocabulary
-from .errors import ConfigError
+from .errors import ConfigError, require_integers
 from .model import Model, ModelConfig
 from .rng import Rng
 from .tensor import ParamRegistry
@@ -32,7 +32,7 @@ class TrainConfig(ModelConfig):
 
     def validate(self) -> None:
         super().validate()
-        self._require_integers("epochs", "batch", "seed")
+        require_integers(self, "epochs", "batch", "seed")
         for name in ("epochs", "batch", "lr", "eps"):
             self._require(name, lambda v: v > 0, "positive")
         if self.uses_interaction and self.batch < 2:
@@ -148,6 +148,10 @@ def train(cfg: TrainConfig, train_ds: Dataset, progress=None) -> TrainResult:
     cfg.validate()
     if not train_ds.items:
         raise ConfigError(f"training dataset {train_ds.provenance!r} is empty")
+    for item in train_ds.items:
+        if isinstance(item.label, (bool, np.bool_)) or item.label not in (0, 1):
+            problem = f"item {item.id!r} has label {item.label!r}, expected 0 or 1"
+            raise ConfigError(f"training dataset {train_ds.provenance!r}: {problem}")
     rng = Rng(cfg.seed)
     vocab = build_vocabulary(train_ds, include_descriptions=cfg.uses_enhancement)
     model = Model.initialize(cfg.model_config(), vocab, rng)

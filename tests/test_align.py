@@ -227,8 +227,8 @@ def test_full_contrastive_gradcheck():
     r_vs = gen.normal(size=(n, d))
 
     def f():
-        e_t = T.stack_rows([align.shared_encode(T.Tensor(r), w_st, b_st) for r in r_ts])
-        e_v = T.stack_rows([align.shared_encode(T.Tensor(r), w_sv, b_sv) for r in r_vs])
+        e_t = align.shared_encode(T.Tensor(r_ts), w_st, b_st)
+        e_v = align.shared_encode(T.Tensor(r_vs), w_sv, b_sv)
         return align.contrastive_loss(e_v, e_t, tau=0.5)
 
     assert finite_diff_check(f, [w_st, b_st, w_sv, b_sv]).max_rel_err < 1e-4

@@ -199,6 +199,24 @@ def test_generator_rejects_tiny_splits():
         data.synth_generate(5, 100, seed=1)
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    ("seed", 1.5, "an integer"), ("seed", True, "an integer"), ("n_train", 10.5, "an integer"),
+    ("n_train", "20", "an integer"), ("n_test", 12.0, "an integer"), ("d_raw", 2.5, "an integer"),
+    ("d_raw", None, "an integer"), ("d_raw", 0, "positive"), ("d_raw", -1, "positive"),
+])
+def test_generator_rejects_bad_arguments_naming_the_field(field, value, rule):
+    """A float seed would be truncated into another seed's corpus, and a
+    non-positive width would give 0-wide images or a numpy error."""
+    args = {"n_train": 20, "n_test": 10, "seed": 1, "d_raw": 8, field: value}
+    with pytest.raises(ConfigError, match=f"^{field} must be {rule}, got {value!r}$"):
+        data.synth_generate(**args)
+
+
+def test_generator_takes_numpy_integer_arguments():
+    art = data.synth_generate(np.int64(20), np.int64(10), seed=np.int64(1), d_raw=np.int64(8))
+    assert (len(art.train), len(art.test), art.train.items[0].image.shape) == (20, 10, (8,))
+
+
 def test_generated_entities_are_extractable_and_described():
     art = data.synth_generate(40, 10, seed=6)
     gaz = Gazetteer(art.gazetteer)

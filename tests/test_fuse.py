@@ -56,6 +56,7 @@ def test_fuse_without_gates_is_plain_concatenation():
     feats = _features(gen, 4)
     out = fuse.fuse(feats, None)
     np.testing.assert_array_equal(out.data, np.concatenate([f.data for f in feats], axis=1))
+    assert out._parents == tuple(feats)  # the unit gates are constants
 
 
 def test_fuse_zero_gates_annihilate():

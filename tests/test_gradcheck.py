@@ -17,11 +17,11 @@ def test_quadratic_is_exact_under_central_differences():
 
 def test_random_matmul_chain():
     gen = Rng(7).stream("gradcheck")
-    a = T.Param("a", gen.normal(size=(3, 4)))
-    b = T.Param("b", gen.normal(size=(4, 2)))
+    a = T.Param("a", gen.normal(size=(2, 4)))
+    b = T.Param("b", gen.normal(size=(3, 4)))
 
     def f():
-        return tsum(T.relu(T.matmul(a, b)))
+        return tsum(T.relu(T.matvec(a, b)))
 
     report = finite_diff_check(f, [a, b])
     assert report.max_rel_err < 1e-6

@@ -464,11 +464,14 @@ def test_training_tape_holds_no_attention_map():
 # text and the description rows of one bag product, one node each, and the
 # image and description projections), the text projection, 4 in
 # enrichment, 5 in alignment, 6 in interaction (both attention directions
-# of one kernel pass, one node each) and 12 in fusion and the losses.
-DEFAULT_BATCH_NODES = 32
+# of one kernel pass, one node each) and 11 in fusion and the losses (the
+# channel mean, the gated concatenation and each loss head one node each).
+DEFAULT_BATCH_NODES = 31
 
 
-@pytest.mark.parametrize("case,nodes", [("none", 32), ("ragged", 34)])
+@pytest.mark.parametrize(
+    "case,nodes", [("none", 31), ("no_A", 28), ("no_M", 18), ("no_E", 26), ("ragged", 33)]
+)
 def test_reference_problems_build_the_pinned_nodes_and_no_constant_leaf(case, nodes):
     """On the batched-equivalence problems, every node of the tape but the
     Params has parents: precomputed text and description vectors enter as

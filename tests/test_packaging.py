@@ -118,3 +118,25 @@ def test_every_private_module_name_has_a_reader_in_the_package():
             if not any(id(node) not in own and _reads(node, name) for t in trees for node in ast.walk(t)):
                 unread.append(f"{module}.{name}")
     assert unread == []
+
+
+def _unread_imports(path):
+    """Names a module imports but never reads; ``from __future__`` imports
+    are directives, not names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+def test_every_import_is_read_in_its_module():
+    """A change that deletes the last use of a name should delete its import."""
+    unread = {m: _unread_imports(PACKAGE / f"{m}.py") for m in ["__init__", *MODULES]}
+    assert {m: names for m, names in unread.items() if names} == {}

@@ -27,41 +27,44 @@ def t(x):
 def test_matmul_identity():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     eye = np.eye(2)
-    np.testing.assert_array_equal(T.matmul(t(eye), t(a)).data, a)
-    np.testing.assert_array_equal(T.matmul(t(a), t(eye)).data, a)
+    np.testing.assert_array_equal(T.matmul(eye, t(a), [(2,)])[0].data, a)
+    np.testing.assert_array_equal(T.matmul(a, t(eye), [(2,)])[0].data, a)
 
 
 def test_matmul_by_hand():
-    out = T.matmul(t([[1.0, 2.0]]), t([[3.0], [4.0]]))
+    (out,) = T.matmul(np.array([[1.0, 2.0]]), t([[3.0], [4.0]]), [(1,)])
     np.testing.assert_array_equal(out.data, [[11.0]])
 
 
 def test_matmul_shape_mismatch_names_shapes():
     with pytest.raises(T.ShapeError) as exc:
-        T.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
+        T.matmul(np.ones((2, 3)), t(np.ones((2, 3))), [(2,)])
     assert "(2, 3)" in str(exc.value)
 
 
 def test_array_operands_are_constants_and_products_fold_leading_axes():
     """A plain-array operand is no parent and gets no gradient; the other
     operand's gradient is the same as with a Tensor there. Leading axes fold
-    into one product that equals the per-row one."""
+    into one product that equals the per-row one: for ``matvec`` those of
+    x, for ``matmul`` those of a block shape."""
     gen = Rng(17).stream("array-operand")
     bag, x = gen.normal(size=(2, 3, 4)), gen.normal(size=(2, 5, 3))
     emb_data, w_data = gen.normal(size=(4, 2)), gen.normal(size=(2, 3))
     grads = {}
     for const in (True, False):
-        emb, w = T.Param("emb", emb_data), T.Param("w", w_data)
-        prod = T.matmul(bag if const else t(bag), emb)
+        w = T.Param("w", w_data)
         dense = T.matvec(w, x if const else t(x))
-        assert (prod._parents == (emb,) and dense._parents == (w,)) == const
-        np.testing.assert_allclose(prod.data, np.einsum("bik,kj->bij", bag, emb_data), rtol=1e-14)
+        assert (dense._parents == (w,)) == const
         np.testing.assert_allclose(dense.data, np.einsum("jk,bik->bij", w_data, x), rtol=1e-14)
-        R.tsum(prod).backward()
         R.tsum(dense).backward()
-        grads[const] = (emb.grad, w.grad)
-    for got, want in zip(grads[True], grads[False]):
-        np.testing.assert_array_equal(got, want)
+        grads[const] = w.grad
+    np.testing.assert_array_equal(grads[True], grads[False])
+    emb = T.Param("emb", emb_data)
+    (prod,) = T.matmul(bag.reshape(6, 4), emb, [(2, 3)])
+    assert prod._parents == (emb,)
+    np.testing.assert_allclose(prod.data, np.einsum("bik,kj->bij", bag, emb_data), rtol=1e-14)
+    R.tsum(prod).backward()
+    np.testing.assert_allclose(emb.grad, np.einsum("bik,bij->kj", bag, np.ones((2, 3, 2))), rtol=1e-14)
 
 
 @pytest.mark.parametrize("d", [64, 256])
@@ -83,7 +86,7 @@ def test_matmul_blocks_equal_the_products_of_each_block_alone(d):
         rows = bag[start:start + int(np.prod(lead))].reshape(lead + (121,))
         start += rows.size // 121
         alone = T.Param("alone", emb_data)
-        want = T.matmul(rows, alone)
+        (want,) = T.matmul(rows.reshape(-1, 121), alone, [lead])
         assert block._parents == (emb,) and block.data.tobytes() == want.data.tobytes()
         g = gen.normal(size=want.data.shape)
         emb.grad[...] = 0.0
@@ -96,8 +99,8 @@ def test_matmul_blocks_must_split_the_rows_of_a_constant():
     emb = T.Param("emb", np.ones((3, 2)))
     with pytest.raises(T.ShapeError, match=r"\[\(2,\), \(3,\)\]"):
         T.matmul(np.ones((4, 3)), emb, [(2,), (3,)])
-    with pytest.raises(TypeError, match="constant"):
-        T.matmul(t(np.ones((4, 3))), emb, [(2,), (2,)])
+    with pytest.raises(T.ShapeError, match=r"\(2, 2, 3\)"):
+        T.matmul(np.ones((2, 2, 3)), emb, [(2,), (2,)])
 
 
 def test_param_operands_get_gradients_with_the_tensor_class_rebound(monkeypatch):
@@ -108,10 +111,10 @@ def test_param_operands_get_gradients_with_the_tensor_class_rebound(monkeypatch)
         __slots__ = ()
 
     monkeypatch.setattr(T, "Tensor", Traced)
-    a, w, x = T.Param("a", np.ones((2, 3))), T.Param("w", np.ones((2, 3))), T.Param("x", np.ones((4, 3)))
-    R.tsum(T.matmul(a, T.Param("b", np.ones((3, 2))))).backward()
+    b, w, x = T.Param("b", np.ones((3, 2))), T.Param("w", np.ones((2, 3))), T.Param("x", np.ones((4, 3)))
+    R.tsum(T.matmul(np.ones((2, 3)), b, [(2,)])[0]).backward()
     R.tsum(T.matvec(w, x)).backward()
-    np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
+    np.testing.assert_array_equal(b.grad, np.full((3, 2), 2.0))
     np.testing.assert_array_equal(x.grad, np.full((4, 3), 2.0))
 
 
@@ -146,14 +149,30 @@ def test_l2_normalize_zero_vector_rejected():
         T.l2_normalize(t([0.0, 0.0]))
 
 
-def test_mean_pool_by_hand():
-    out = T.mean_pool(t([[1.0, 3.0], [5.0, 7.0]]), axis=0)
+def test_mean_parts_by_hand():
+    out = T.mean_parts([t([1.0, 3.0]), t([5.0, 7.0])])
     np.testing.assert_array_equal(out.data, [3.0, 5.0])
 
 
-def test_concat_layout():
-    out = T.concat([t([1.0, 2.0]), t([3.0])])
-    np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
+def test_mean_parts_rejects_unequal_shapes():
+    with pytest.raises(T.ShapeError, match=r"\(2,\).*\(3,\)"):
+        T.mean_parts([t([1.0, 2.0]), t([1.0, 2.0, 3.0])])
+
+
+def test_gated_concat_with_plain_unit_gates_is_the_concatenation():
+    """Plain gates are a constant: the node's parents are the parts only,
+    unit gates give np.concatenate to the bit, and each part's gradient is
+    its slice of the output gradient."""
+    gen = Rng(21).stream("unit-gates")
+    arrays = [gen.normal(size=(3, 4)) for _ in range(3)]
+    parts = [T.Param(f"p{i}", a) for i, a in enumerate(arrays)]
+    out = T.gated_concat(parts, np.ones((3, 3)))
+    assert out._parents == tuple(parts)
+    assert out.data.tobytes() == np.concatenate(arrays, axis=-1).tobytes()
+    g = gen.normal(size=(3, 12))
+    weighted_sum(out, g).backward()
+    for i, p in enumerate(parts):
+        assert p.grad.tobytes() == g[:, 4 * i:4 * (i + 1)].tobytes()
 
 
 def test_masked_softmax_zeroes_masked_entries_and_empty_rows():
@@ -185,7 +204,7 @@ def _attention_oracle(u, v, c):
 
 def test_rank1_attention_against_high_precision_oracle():
     gen = Rng(8).stream("rank1-attention")
-    u, v = gen.normal(size=(2, 4)), gen.normal(size=(2, 5))
+    u, v = gen.normal(size=(2, 4)), gen.normal(size=(2, 4))
     u *= 1.4 / np.abs(u).max()  # radius 0.5 * 1.4 * 1.4 = 0.98
     v *= 1.4 / np.abs(v).max()
     u[0, 1] = 0.0
@@ -196,8 +215,8 @@ def test_rank1_attention_against_high_precision_oracle():
 
 def test_rank1_attention_of_a_zero_query_is_the_mean_value():
     v = np.array([[1.0, -2.0, 4.0, 0.5], [3.0, 3.0, -1.0, 7.0]])
-    out = T.rank1_attention(t(np.zeros((2, 3))), t(v), 2.0)[0]
-    np.testing.assert_allclose(out.data, np.repeat(v.mean(axis=1, keepdims=True), 3, axis=1), atol=1e-15)
+    out = T.rank1_attention(t(np.zeros((2, 4))), t(v), 2.0)[0]
+    np.testing.assert_allclose(out.data, np.repeat(v.mean(axis=1, keepdims=True), 4, axis=1), atol=1e-15)
 
 
 def test_rank1_attention_extreme_logits_stay_finite_and_warning_free():
@@ -205,7 +224,7 @@ def test_rank1_attention_extreme_logits_stay_finite_and_warning_free():
     series order, finite and warning-free, and a zero query still gets
     the mean value."""
     u = t([[10.0, -10.0, 1e-3, 0.0]])
-    v = np.array([[-0.1, 0.03, 0.1]])
+    v = np.array([[-0.1, 0.03, 0.1, -0.05]])
     p = T.Param("v", v)
     assert T._series_order(u.data, v, 1.0) == 18
     with warnings.catch_warnings():
@@ -220,7 +239,7 @@ def test_rank1_attention_extreme_logits_stay_finite_and_warning_free():
 def test_rank1_attention_gradient_at_zero_and_mixed_sign_queries():
     gen = Rng(10).stream("rank1-attention-grad")
     u = np.array([[0.0, -1.3, 0.8, 0.0, 2.1], [1.1, 0.0, -0.4, -2.2, 0.0]])
-    v = gen.normal(size=(2, 4))
+    v = gen.normal(size=(2, 5))
     v *= 0.6 / np.abs(v).max()  # radius 0.7 * 2.2 * 0.6 = 0.924
     _check_op(lambda ts: T.rank1_attention(ts[0], ts[1], 0.7)[0], [u, v])
 
@@ -294,7 +313,7 @@ def test_rank1_attention_series_and_exp_paths_agree_at_the_radius_limit(radius):
 def test_rank1_attention_at_radius_one_matches_the_oracle():
     """r = 1 exactly: the top order, 18, the last row of the series tables."""
     gen = Rng(16).stream("rank1-radius-one")
-    u, v = gen.uniform(-1.0, 1.0, size=(2, 6)), gen.uniform(-1.0, 1.0, size=(2, 7))
+    u, v = gen.uniform(-1.0, 1.0, size=(2, 6)), gen.uniform(-1.0, 1.0, size=(2, 6))
     u /= np.abs(u).max()
     v /= np.abs(v).max()
     assert T._series_order(u, v, 1.0) == 18 == len(T._INV_FACT) - 1
@@ -305,9 +324,17 @@ def test_rank1_attention_at_radius_one_matches_the_oracle():
 
 def test_rank1_attention_rejects_a_radius_above_one_naming_it():
     u, v = np.array([[1.0 + 1e-9, -0.5]]), np.array([[1.0, 0.25]])
-    for operands in ((u, v), (t(u), T.Param("v", v)), (v, u), (u, v[:, :1])):
+    for operands in ((u, v), (t(u), T.Param("v", v)), (v, u)):
         with pytest.raises(T.DegenerateInputError, match=r"r = 1\.000000001"):
             T.rank1_attention(*operands, 1.0)
+
+
+@pytest.mark.parametrize("u_shape,v_shape", [((2, 4), (2, 3)), ((2, 4), (3, 4)), ((4,), (4,))])
+def test_rank1_attention_rejects_operands_other_than_two_of_one_2d_shape_naming_both(u_shape, v_shape):
+    for operands in ((np.zeros(u_shape), np.zeros(v_shape)), (t(np.zeros(u_shape)), T.Param("v", np.zeros(v_shape)))):
+        with pytest.raises(T.ShapeError) as exc:
+            T.rank1_attention(*operands, 0.5)
+        assert str(u_shape) in str(exc.value) and str(v_shape) in str(exc.value)
 
 
 def _one_direction(u, v, c, k):
@@ -336,11 +363,11 @@ def test_rank1_attention_pair_equals_each_direction_alone_and_the_oracle(b, d):
 
 
 def test_rank1_attention_pair_backward_matches_the_exponentiated_map():
-    """Each direction's node, on equal and unequal widths, gets the gradients
-    of the exponentiated map, and a loss on both directions gets their sum."""
+    """Each direction's node, on two batch shapes, gets the gradients of the
+    exponentiated map, and a loss on both directions gets their sum."""
     gen = Rng(20).stream("rank1-pair-grad")
-    for m in (5, 3):
-        u, v = gen.uniform(-1.0, 1.0, size=(4, 5)), gen.uniform(-1.0, 1.0, size=(4, m))
+    for shape in ((4, 5), (2, 3)):
+        u, v = gen.uniform(-1.0, 1.0, size=shape), gen.uniform(-1.0, 1.0, size=shape)
         c = 0.9
         y_u, gu_u, gv_u = _exp_attention_and_gradients(u, v, c)
         y_v, gv_v, gu_v = _exp_attention_and_gradients(v, u, c)
@@ -355,14 +382,14 @@ def test_rank1_attention_pair_backward_matches_the_exponentiated_map():
 def test_rank1_attention_passes_non_finite_operands_to_the_output():
     """A NaN or inf radius takes the top order, so a non-finite query entry
     poisons its own output entry and a non-finite value poisons them all."""
-    u, v = np.array([[0.5, np.nan, -0.25]]), np.array([[1.0, 0.25]])
+    u, v = np.array([[0.5, np.nan, -0.25]]), np.array([[1.0, 0.25, -0.5]])
     assert T._series_order(u, v, 1.0) == 18
     with np.errstate(invalid="ignore", over="ignore"):
         out = T.rank1_attention(u, v, 1.0)[0]
         assert np.isnan(out[0, 1]) and np.all(np.isfinite(out[0, [0, 2]]))
-        v[0, 1] = np.inf
-        assert T._series_order(u[:, [0, 2]], v, 1.0) == 18
-        assert not np.any(np.isfinite(T.rank1_attention(u[:, [0, 2]], v, 1.0)[0]))
+        u[0, 1], v[0, 1] = 0.75, np.inf
+        assert T._series_order(u, v, 1.0) == 18
+        assert not np.any(np.isfinite(T.rank1_attention(u, v, 1.0)[0]))
 
 
 def test_rank1_attention_memory_stays_below_a_quarter_of_one_attention_map():
@@ -429,7 +456,7 @@ def test_l2_normalize_unit_norm(v):
 def test_param_registry_reset():
     reg = T.ParamRegistry([("w", np.ones((2, 2))), ("b", np.zeros(3))])
     p, q = reg["w"], reg["b"]
-    loss = R.tsum(T.matmul(p, p))
+    loss = R.tsum(T.matvec(p, p))
     loss.backward()
     assert np.any(p.grad != 0.0)
     reg.reset_gradients()
@@ -494,11 +521,13 @@ POOL_WEIGHTS = np.array([1.0 / 3.0, 1.0, 1.0])
 POSITIVE = np.array([True, False, True])
 SUM_WEIGHTS = np.linspace(-1.0, 2.0, 12).reshape(3, 4)
 BLOCK_BAG = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.25, 0.0, 0.75], [1.0, 0.0, 0.0]])
+PLAIN_GATES = np.array([[0.5, 1.0, -2.0], [1.5, 0.25, 3.0]])
 
 OP_CASES = [
-    ("matmul", lambda ts: T.matmul(ts[0], ts[1]), [(3, 4), (4, 2)]),
-    ("matmul_batched", lambda ts: T.matmul(ts[0], ts[1]), [(2, 3, 4), (4, 2)]),
-    ("matmul_blocks", lambda ts: T.concat(T.matmul(BLOCK_BAG, ts[0], [(2,), (2,)])), [(3, 2)]),
+    ("matmul", lambda ts: T.matmul(BLOCK_BAG, ts[0], [(4,)])[0], [(3, 2)]),
+    ("matmul_batched", lambda ts: T.matmul(BLOCK_BAG, ts[0], [(2, 2)])[0], [(3, 2)]),
+    # unit gates: the blocks side by side, so each block's backward meets its own weights
+    ("matmul_blocks", lambda ts: T.gated_concat(T.matmul(BLOCK_BAG, ts[0], [(2,), (2,)]), np.ones((2, 2))), [(3, 2)]),
     ("matvec", lambda ts: T.matvec(ts[0], ts[1]), [(3, 4), (4,)]),
     ("matvec_batched_bias", lambda ts: T.matvec(ts[0], ts[1], ts[2]), [(3, 4), (2, 5, 4), (3,)]),
     ("bmv", lambda ts: R.bmv(ts[0], ts[1]), [(2, 3, 4), (2, 4)]),
@@ -514,22 +543,21 @@ OP_CASES = [
     ("sigmoid", lambda ts: T.sigmoid(ts[0]), [(3, 4)]),
     ("softmax_rows", lambda ts: T.softmax_rows(ts[0]), [(3, 4)]),
     ("softmax_rows_masked", lambda ts: R.masked_softmax_rows(ts[0], MASK), [(3, 4)]),
-    ("rank1_attention", lambda ts: T.rank1_attention(ts[0], ts[1], 0.3)[0], [(2, 4), (2, 3)]),
-    ("rank1_attention_back", lambda ts: T.rank1_attention(ts[0], ts[1], 0.3)[1], [(2, 4), (2, 3)]),
+    ("rank1_attention", lambda ts: T.rank1_attention(ts[0], ts[1], 0.3)[0], [(3, 5), (3, 5)]),
+    ("rank1_attention_back", lambda ts: T.rank1_attention(ts[0], ts[1], 0.3)[1], [(3, 5), (3, 5)]),
     ("rank1_attention_pair_u", lambda ts: T.rank1_attention(ts[0], ts[1], 0.3)[0], [(2, 4), (2, 4)]),
     ("rank1_attention_pair_v", lambda ts: T.rank1_attention(ts[0], ts[1], 0.3)[1], [(2, 4), (2, 4)]),
     ("rank1_attention_pair_sum", lambda ts: T.add(*T.rank1_attention(ts[0], ts[1], 0.3)), [(2, 4), (2, 4)]),
     ("l2_normalize", lambda ts: T.l2_normalize(ts[0]), [(5,)]),
     ("l2_normalize_rows", lambda ts: T.l2_normalize(ts[0]), [(3, 5)]),
-    ("mean_pool_0", lambda ts: T.mean_pool(ts[0], 0), [(3, 4)]),
-    ("mean_pool_1", lambda ts: T.mean_pool(ts[0], 1), [(3, 4)]),
-    ("mean_pool_vector", lambda ts: T.mean_pool(ts[0], 0), [(5,)]),
+    ("mean_parts", lambda ts: T.mean_parts(list(ts)), [(4,), (4,), (4,)]),
+    ("mean_parts_matrices", lambda ts: T.mean_parts(list(ts)), [(2, 3), (2, 3)]),
     ("rank1_max_pool", lambda ts: T.rank1_max_pool(ts[0], ts[1]), [(2, 4), (2, 5)]),
-    ("concat", lambda ts: T.concat(list(ts)), [(3,), (2,), (4,)]),
-    ("concat_rows", lambda ts: T.concat(list(ts)), [(2, 3), (2, 1)]),
-    ("stack_rows", lambda ts: T.stack_rows(list(ts)), [(4,), (4,), (4,)]),
-    ("stack_matrices", lambda ts: T.stack_rows(list(ts)), [(2, 3), (2, 3)]),
+    # the plain concatenation, as ``fuse.fuse`` runs it without learned gates
+    ("concat", lambda ts: T.gated_concat(list(ts), np.ones(3)), [(4,), (4,), (4,)]),
+    ("concat_rows", lambda ts: T.gated_concat(list(ts), np.ones((2, 2))), [(2, 3), (2, 3)]),
     ("gated_concat", lambda ts: T.gated_concat(list(ts[:3]), ts[3]), [(2, 4), (2, 4), (2, 4), (2, 3)]),
+    ("gated_concat_plain_gates", lambda ts: T.gated_concat(list(ts), PLAIN_GATES), [(2, 4), (2, 4), (2, 4)]),
     ("attention_pool", lambda ts: T.attention_pool(ts[0], ts[1], MASK, POOL_WEIGHTS), [(3, 5), (3, 4, 5)]),
     ("infonce", lambda ts: T.infonce(ts[0], ts[1], 0.7, 1e-12)[0], [(4, 3), (4, 3)]),
     ("binary_nll", lambda ts: T.binary_nll(T.softmax_rows(ts[0]), 1, POSITIVE, 1e-12), [(3, 2)]),
@@ -591,7 +619,7 @@ def test_zero_d_plain_operands_build_no_node(monkeypatch):
             made[0] += 1
 
     monkeypatch.setattr(T, "Tensor", Counted)
-    s = T.mean_pool(np.array([1.0, 2.0]), 0)
+    s = T.mean_parts([np.array(1.0), np.array(2.0)])
     total = T.add(s, s)
     assert isinstance(total, np.generic)
     out = T.sigmoid(T.relu(total))
@@ -610,7 +638,7 @@ def test_backward_unlinks_the_graph_so_refcounting_frees_it():
     p = T.Param("p", np.array([[1.0, 2.0], [3.0, 4.0]]))
     gc.disable()
     try:
-        hidden = T.softmax_rows(T.matmul(p, p))
+        hidden = T.softmax_rows(T.matvec(p, p))
         alive = weakref.ref(hidden.data)
         loss = R.tsum(hidden)
         del hidden

@@ -48,6 +48,15 @@ def test_numpy_integer_sizes_counts_and_seeds_pass_validation():
     TrainConfig(**{name: np.int64(4) for name in fields}).validate()
 
 
+@pytest.mark.parametrize("label", [2, None, True, np.False_, 0.5, -1])
+def test_train_rejects_a_label_other_than_0_or_1_naming_the_item(label):
+    """Before the first step: the loss would count such an item as real."""
+    ds = data.synth_generate(20, 10, 1, 8).train
+    ds.items[3].label = label
+    with pytest.raises(ConfigError, match=rf"{ds.provenance}.*{ds.items[3].id!r} has label {label!r}"):
+        train(TrainConfig(d=8, d_raw=8, batch=4, epochs=1), ds)
+
+
 def test_adam_steps_match_hand_computation():
     reg = T.ParamRegistry([("p", np.array([1.0, -2.0]))])
     p = reg["p"]
