@@ -141,6 +141,16 @@ class Dataset:
     def labels(self) -> list[int]:
         return [item.label for item in self.items]
 
+    def require_labels(self, role: str) -> None:
+        """Raise ``ConfigError`` naming the ``role`` dataset's provenance when
+        it is empty, or also the first item whose label is not the int 0 or 1."""
+        where = f"{role} dataset {self.provenance!r}"
+        if not self.items:
+            raise ConfigError(f"{where} is empty")
+        for item in self.items:
+            if isinstance(item.label, (bool, np.bool_)) or item.label not in (0, 1):
+                raise ConfigError(f"{where}: item {item.id!r} has label {item.label!r}, expected 0 or 1")
+
 
 # ---------------------------------------------------------------------------
 # JSONL input/output

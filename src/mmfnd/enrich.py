@@ -52,7 +52,7 @@ class CacheMissError(LookupError):
 
 
 class FetchError(RuntimeError):
-    """Live retrieval kept failing after the configured retries."""
+    """Live retrieval kept failing for ``MAX_RETRIES`` attempts."""
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +273,10 @@ def requests_transport(url: str, headers: dict, timeout: float) -> tuple[int, by
 
 DEFAULT_BASE_URL = "https://en.wikipedia.org"
 DEFAULT_USER_AGENT = "mmfnd/0.1 (multimodal news verification research)"
+# live retrieval: attempts per title, seconds between requests, seconds per request
+MAX_RETRIES = 3
+MIN_INTERVAL = 0.1
+TIMEOUT = 10.0
 
 
 class WikiClient:
@@ -293,9 +297,6 @@ class WikiClient:
         fixture: dict[str, str] | None = None,
         transport=None,
         user_agent: str = DEFAULT_USER_AGENT,
-        max_retries: int = 3,
-        min_interval: float = 0.1,
-        timeout: float = 10.0,
         sleep=time.sleep,
         clock=time.monotonic,
     ):
@@ -304,15 +305,9 @@ class WikiClient:
         self.fixture = fixture or {}
         self.transport = transport or requests_transport
         self.user_agent = user_agent
-        self.max_retries = max_retries
-        self.min_interval = min_interval
-        self.timeout = timeout
         self._sleep = sleep
         self._clock = clock
         self._last_request: float | None = None
-
-    def summary_url(self, title: str) -> str:
-        return f"{self.base_url}/api/rest_v1/page/summary/{urllib.parse.quote(title, safe='')}"
 
     def fetch_description(self, entity, mode: str = "offline") -> EntityDescription | None:
         """Resolve one entity; returns None when the title has no page."""
@@ -331,15 +326,15 @@ class WikiClient:
         return self._fetch_live(title)
 
     def _fetch_live(self, title: str) -> EntityDescription | None:
-        url = self.summary_url(title)
+        url = f"{self.base_url}/api/rest_v1/page/summary/{urllib.parse.quote(title, safe='')}"
         headers = {"User-Agent": self.user_agent, "Accept": "application/json"}
         last_error: str = ""
-        for attempt in range(self.max_retries):
+        for attempt in range(MAX_RETRIES):
             if attempt > 0:
                 self._sleep(0.5 * 2 ** (attempt - 1))
             self._throttle()
             try:
-                status, body = self.transport(url, headers, self.timeout)
+                status, body = self.transport(url, headers, TIMEOUT)
             except ImportError as exc:  # a missing package does not come back on retry
                 raise FetchError(
                     f"live mode needs the 'live' extra (pip install 'mmfnd[live]'): {exc}"
@@ -363,12 +358,12 @@ class WikiClient:
             sentence = first_sentence(extract)
             self.cache.put(title, sentence)
             return EntityDescription(entity=title, sentence=sentence, source="live")
-        raise FetchError(f"failed to fetch {title!r} after {self.max_retries} attempts: {last_error}")
+        raise FetchError(f"failed to fetch {title!r} after {MAX_RETRIES} attempts: {last_error}")
 
     def _throttle(self) -> None:
         now = self._clock()
         if self._last_request is not None:
-            wait = self.min_interval - (now - self._last_request)
+            wait = MIN_INTERVAL - (now - self._last_request)
             if wait > 0:
                 self._sleep(wait)
         self._last_request = self._clock()
@@ -379,15 +374,16 @@ class WikiClient:
 # ---------------------------------------------------------------------------
 
 
-def enhance(r_t: Tensor, m_d: Tensor | None, counts: np.ndarray, w_t: Param, w_d: Param) -> Tensor:
+def enhance(r_t: Tensor, m_d: Tensor | None, counts: np.ndarray, w_t: Param, w_d: Param | None) -> Tensor:
     """Knowledge-enhanced text features (B, d).
 
     ``m_d`` holds each item's description rows padded to (B, D, d); item b
     has counts[b] of them. They are weighted by a softmax over their dot
     products with the text feature, mean-pooled over the item's own count
-    in the same node, projected, and added to the projected text feature.
-    Padding rows get no weight. An item with no descriptions (or
-    ``m_d=None``) gets the text projection alone.
+    in the same node, projected by ``w_d``, and added to the projected text
+    feature. Padding rows get no weight. An item with no descriptions (or
+    ``m_d=None``, as in every ``no_E`` batch) gets the text projection
+    alone. ``w_d`` is read only when descriptions are given; else it may be None.
     """
     base = T.matvec(w_t, r_t)
     if m_d is None:

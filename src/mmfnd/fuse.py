@@ -24,7 +24,8 @@ PROB_CLAMP = 1e-12
 
 @dataclass
 class Prediction:
-    """Classifier output for one item; ties in argmax resolve to real."""
+    """Classifier output for one item, as ``Model.predict`` returns it; ties
+    in argmax resolve to real. ``Model.predict_batch`` gives arrays instead."""
 
     probs: np.ndarray
     label: int

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
-
 
 @dataclass
 class ClassMetrics:
@@ -82,11 +80,8 @@ def confusion_from_predictions(y_true: list[int], y_pred: list[int]) -> tuple[in
     for i, (t, p) in enumerate(zip(y_true, y_pred)):
         if t not in (0, 1) or p not in (0, 1):
             raise ValueError(f"labels must be 0 or 1: position {i} has true {t!r}, predicted {p!r}")
-    tp = sum(1 for t, p in zip(y_true, y_pred) if t == 1 and p == 1)
-    fp = sum(1 for t, p in zip(y_true, y_pred) if t == 0 and p == 1)
-    fn = sum(1 for t, p in zip(y_true, y_pred) if t == 1 and p == 0)
-    tn = sum(1 for t, p in zip(y_true, y_pred) if t == 0 and p == 0)
-    return tp, fp, fn, tn
+    pairs = list(zip(y_true, y_pred))
+    return pairs.count((1, 1)), pairs.count((0, 1)), pairs.count((1, 0)), pairs.count((0, 0))
 
 
 def evaluate(model, dataset) -> MetricsReport:
@@ -96,11 +91,12 @@ def evaluate(model, dataset) -> MetricsReport:
     once, one item at a time: the traced benchmark run divides the time of
     these calls by their counts. Scoring in ``predict_batch`` chunks changes
     what that run measures, so it waits for the benchmark revision of
-    ROADMAP direction 2. ``predict`` runs the training forward on the
-    parameters' arrays, which builds no tape. An empty dataset raises
-    ``ConfigError`` naming its provenance."""
-    if not dataset.items:
-        raise ConfigError(f"evaluation dataset {dataset.provenance!r} is empty")
+    ROADMAP direction 2; after it, a chunk's labels are
+    ``model.predict_batch(chunk).labels``. ``predict`` runs the training
+    forward on the parameters' arrays, which builds no tape. An empty dataset
+    or a label other than 0 or 1 raises ``ConfigError`` naming the dataset
+    before any item is scored, from ``train``'s check, ``require_labels``."""
+    dataset.require_labels("evaluation")
     feats = [model.featurize(item) for item in dataset.items]
     preds = [model.predict(f).label for f in feats]
     tp, fp, fn, tn = confusion_from_predictions(dataset.labels(), preds)

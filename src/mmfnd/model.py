@@ -14,7 +14,9 @@ computations still gives one tape node per result, so the tape and the
 trained parameters are those of separate calls. Ablation variants rewire
 the graph: ``no_E`` drops the description channel, ``no_M`` drops the
 contrastive loss and the interaction feature (the classifier then fuses
-two channels), ``no_A`` fixes every fusion gate at one.
+two channels), ``no_A`` fixes every fusion gate at one. Each stage has one
+path for every variant: ``featurize`` gives a ``no_E`` item no
+descriptions, so ``enrich.enhance`` returns the text projection alone.
 
 ``forward`` is the one wiring of the stages, for training and scoring
 alike. Like the ``tensor`` ops it calls, every stage function takes plain
@@ -22,8 +24,9 @@ arrays in place of tensors and then returns plain arrays. On the
 registry's ``Param``s, ``forward`` records a whole batch on one tape, which
 ``batch_loss`` and the backward sweep need; on their arrays it builds no
 node, because a score needs no gradient, and ``predict_batch`` scores that
-way. The arithmetic is the same either way, so scores are bit-identical
-to the tape's probabilities.
+way and returns that plain-array ``Trace``; ``predict`` reads its row 0.
+The arithmetic is the same either way, so scores are bit-identical to the
+tape's probabilities.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -83,10 +87,6 @@ class ModelConfig:
     def uses_gates(self) -> bool:
         return self.ablation != "no_A"
 
-    @property
-    def n_channels(self) -> int:
-        return 3 if self.uses_interaction else 2
-
 
 @dataclass
 class ItemFeatures:
@@ -108,7 +108,8 @@ class ItemFeatures:
 @dataclass
 class Trace:
     """Intermediate tensors of one batched forward pass, one row per item:
-    tape nodes, or plain arrays when the pass read plain weights."""
+    tape nodes, or plain arrays when the pass read plain weights, as
+    ``predict_batch`` does. Fields of an absent module or input are None."""
 
     r_t: T.Tensor | np.ndarray
     m_d: T.Tensor | np.ndarray | None
@@ -129,7 +130,7 @@ def param_specs(config: ModelConfig, n_vocab: int) -> dict[str, tuple[tuple[int,
     A fan_in of None marks a zero-initialised bias; the embedding table
     draws unit normals (fan_in 1).
     """
-    d, d_raw, k = config.d, config.d_raw, config.n_channels
+    d, d_raw, k = config.d, config.d_raw, 3 if config.uses_interaction else 2
     specs = {"emb": ((n_vocab, d), 1), "w_tf": ((d, d), d), "w_vf": ((d, d_raw), d_raw), "w_t": ((d, d), d)}
     if config.uses_enhancement:
         specs.update(w_df=((d, d), d), w_d=((d, d), d))
@@ -149,6 +150,19 @@ def _padded_descs(batch: list[ItemFeatures]) -> tuple[np.ndarray, int, list]:
     lens = [len(f.descs) for f in batch]
     width = max(lens)
     return np.array(lens), width, [s for f in batch for s in f.descs + [None] * (width - len(f.descs))]
+
+
+def _shared_encode(batch: list[ItemFeatures], channel: str, r, w, b):
+    """``align.shared_encode`` of the "text" or "image" features, naming each
+    item whose row projects to a zero vector, and the field it came from."""
+    try:
+        return align.shared_encode(r, w, b)
+    except T.DegenerateInputError as exc:
+        def field(f):
+            return "image_vec" if channel == "image" else "text_vec" if isinstance(f.text, np.ndarray) else "text"
+
+        named = ", ".join(f"item {batch[i].item_id!r} ({field(batch[i])})" for i in exc.rows)
+        raise T.DegenerateInputError(f"{named}: the shared-space projection is a zero vector", exc.rows) from exc
 
 
 class Model:
@@ -250,31 +264,27 @@ class Model:
 
         ``weights`` maps each parameter name to what the stages read. The
         default, the registry's ``Param``s, records the pass on one tape;
-        ``self.params.arrays`` gives plain arrays and no node.
+        ``self.params.arrays`` gives plain arrays and no node. An empty
+        batch raises ``ConfigError``.
         """
+        if not batch:
+            raise ConfigError("a forward pass over an empty batch")
         cfg, n = self.config, len(batch)
         w = self.params if weights is None else weights
+        counts, width, slots = _padded_descs(batch)
         groups = [([f.text for f in batch], (n,))]
-        if cfg.uses_enhancement:
-            counts, width, slots = _padded_descs(batch)
-            if width:
-                groups.append((slots, (n, width)))
+        if width:
+            groups.append((slots, (n, width)))
         rows = enc.embed_rows(w["emb"], groups)
         r_t = T.matvec(w["w_tf"], rows[0])
         r_v = enc.encode_image(w["w_vf"], np.array([f.image for f in batch]))
-
-        m_d = None
-        if cfg.uses_enhancement:
-            if width:
-                m_d = enc.encode_description(w["w_df"], rows[1])
-            r_t_enh = enrich.enhance(r_t, m_d, counts, w["w_t"], w["w_d"])
-        else:
-            r_t_enh = T.matvec(w["w_t"], r_t)
+        m_d = enc.encode_description(w["w_df"], rows[1]) if width else None
+        r_t_enh = enrich.enhance(r_t, m_d, counts, w["w_t"], w["w_d"] if width else None)
 
         e_t = e_v = r_f = None
         if cfg.uses_interaction:
-            e_t = align.shared_encode(r_t, w["w_st"], w["b_st"])
-            e_v = align.shared_encode(r_v, w["w_sv"], w["b_sv"])
+            e_t = _shared_encode(batch, "text", r_t, w["w_st"], w["b_st"])
+            e_v = _shared_encode(batch, "image", r_v, w["w_sv"], w["b_sv"])
             m_f_v, m_f_t = interact.modality_update(e_t, e_v)
             r_f = interact.interaction_feature(m_f_v, m_f_t, w["w_i1"], w["b_i1"], w["w_i2"], w["b_i2"])
 
@@ -292,45 +302,30 @@ class Model:
     ) -> tuple[T.Tensor, dict]:
         """Total objective over a batch: mean detection loss plus the
         batch-level contrastive loss (when the interaction module is on)."""
-        if not batch:
-            raise ConfigError("batch_loss over an empty batch")
         trace = self.forward(batch)
         l_d = fuse.detection_loss(trace.probs, [f.label for f in batch])
-        parts = {"detection": float(l_d.data)}
+        loss, parts = l_d, {"detection": float(l_d.data), "contrastive": 0.0}
         if self.config.uses_interaction:
             l_c = align.contrastive_loss(trace.e_v, trace.e_t, self.config.tau, diagnostics)
             parts["contrastive"] = float(l_c.data)
             loss = fuse.total_loss(l_c, l_d, self.config.lambda_c)
-        else:
-            parts["contrastive"] = 0.0
-            loss = l_d
         parts["total"] = float(loss.data)
         return loss, parts
 
     # -- inference ----------------------------------------------------------
 
-    def predict_batch(self, batch: list[ItemFeatures]) -> list[fuse.Prediction]:
-        """Class distribution, label and gates of every item, in batch order.
-
-        Scoring runs ``forward`` on the parameters' arrays, which builds no
-        tape, and gives the same bits as the tape forward on the same items.
-        """
-        if not batch:
-            return []
-        trace = self.forward(batch, self.params.arrays)
-        probs, labels = trace.probs, trace.labels
-        gates = trace.gates.tolist() if trace.gates is not None else None
-        return [
-            fuse.Prediction(
-                probs=probs[i].copy(),
-                label=int(labels[i]),
-                gates=tuple(gates[i]) if gates is not None else None,
-            )
-            for i in range(len(batch))
-        ]
+    def predict_batch(self, batch: list[ItemFeatures]) -> Trace:
+        """The ``Trace`` of ``forward`` on the parameters' arrays: class
+        distributions, labels, gates and intermediates as plain arrays, one
+        row per item in batch order. It builds no tape, and gives the same
+        bits as the tape forward on the same items."""
+        return self.forward(batch, self.params.arrays)
 
     def predict(self, feats: ItemFeatures) -> fuse.Prediction:
-        return self.predict_batch([feats])[0]
+        """The record of one item: row 0 of ``predict_batch([feats])``."""
+        trace = self.predict_batch([feats])
+        gates = None if trace.gates is None else tuple(trace.gates[0].tolist())
+        return fuse.Prediction(probs=trace.probs[0], label=int(trace.labels[0]), gates=gates)
 
     # -- persistence ----------------------------------------------------------
 
@@ -345,7 +340,12 @@ class Model:
         or whose ``__meta__`` is not a JSON object with an object ``config``
         and a string list ``vocab``, with an unknown config key or a config
         value of the wrong type, or with parameters that do not fit its
-        config raises ``ConfigError`` naming the file and the key."""
+        config raises ``ConfigError`` naming the file and the key. So does a
+        file that is not an ``.npz`` archive; a missing file raises
+        ``FileNotFoundError``."""
+        with open(path, "rb") as fh:  # a missing file raises FileNotFoundError here
+            if fh.read(4) != b"PK\x03\x04" or not zipfile.is_zipfile(fh):
+                raise ConfigError(f"{path}: not an .npz archive")
         with np.load(path, allow_pickle=False) as archive:
             if "__meta__" not in archive.files:
                 raise ConfigError(f"{path}: checkpoint has no '__meta__' entry")

@@ -48,7 +48,12 @@ class ShapeError(ValueError):
 
 
 class DegenerateInputError(ValueError):
-    """Input is outside an operation's domain (e.g. normalizing a zero vector)."""
+    """Input is outside an operation's domain (e.g. normalizing a zero vector).
+    ``rows`` holds the offending rows' flat indices when the op knows them."""
+
+    def __init__(self, message: str, rows: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.rows = rows
 
 
 class Tensor:
@@ -585,7 +590,8 @@ def l2_normalize(v: Tensor | np.ndarray) -> Tensor | np.ndarray:
     v_data = v if plain else v.data
     n = np.sqrt(np.add.reduce(v_data * v_data, axis=-1, keepdims=True))
     if np.logical_or.reduce(n == 0.0, axis=None):
-        raise DegenerateInputError("l2_normalize of a zero vector")
+        rows = tuple(np.flatnonzero(n == 0.0).tolist())
+        raise DegenerateInputError(f"l2_normalize of a zero vector at rows {list(rows)}", rows)
     y = v_data / n
     if plain:
         return y

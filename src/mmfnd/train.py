@@ -146,12 +146,7 @@ def build_vocabulary(dataset: Dataset, include_descriptions: bool) -> Vocabulary
 def train(cfg: TrainConfig, train_ds: Dataset, progress=None) -> TrainResult:
     """Run the full optimization and return the model plus the loss curve."""
     cfg.validate()
-    if not train_ds.items:
-        raise ConfigError(f"training dataset {train_ds.provenance!r} is empty")
-    for item in train_ds.items:
-        if isinstance(item.label, (bool, np.bool_)) or item.label not in (0, 1):
-            problem = f"item {item.id!r} has label {item.label!r}, expected 0 or 1"
-            raise ConfigError(f"training dataset {train_ds.provenance!r}: {problem}")
+    train_ds.require_labels("training")
     rng = Rng(cfg.seed)
     vocab = build_vocabulary(train_ds, include_descriptions=cfg.uses_enhancement)
     model = Model.initialize(cfg.model_config(), vocab, rng)
@@ -176,12 +171,7 @@ def train(cfg: TrainConfig, train_ds: Dataset, progress=None) -> TrainResult:
             opt.step()
             for key in sums:
                 sums[key] += parts[key] * len(batch)
-        stats = EpochStats(
-            epoch=epoch,
-            total=sums["total"] / n,
-            detection=sums["detection"] / n,
-            contrastive=sums["contrastive"] / n,
-        )
+        stats = EpochStats(epoch=epoch, **{key: total / n for key, total in sums.items()})
         curve.append(stats)
         if progress is not None:
             progress(stats)

@@ -57,6 +57,5 @@ def test_batched_path_matches_per_item_reference(case, reference):
             model.params[name].grad, reference[f"{case}/grad/{name}"], rtol=0, atol=TOL,
             err_msg=name,
         )
-    preds = model.predict_batch(feats)
-    probs = np.stack([p.probs for p in preds])
+    probs = model.predict_batch(feats).probs
     np.testing.assert_allclose(probs, reference[f"{case}/probs"], rtol=0, atol=TOL)

@@ -430,7 +430,7 @@ def test_live_requests_are_rate_limited(tmp_path):
     client, ft = _client(tmp_path, transport)
     client.fetch_description("One", mode="live")
     client.fetch_description("Two", mode="live")
-    assert any(abs(s - client.min_interval) < 1e-9 for s in ft.sleeps)
+    assert any(abs(s - enrich.MIN_INTERVAL) < 1e-9 for s in ft.sleeps)
 
 
 def test_live_without_requests_fails_at_once_naming_the_extra(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,8 @@ def test_evaluate_featurizes_and_predicts_each_item_exactly_once(trained, monkey
     """The traced benchmark times ``Model.featurize`` and ``Model.predict``
     and divides by their call counts, so ``evaluate`` calls each once per
     item. Scoring in ``predict_batch`` chunks changes what the benchmark
-    measures; it belongs with the benchmark revision of ROADMAP direction 2."""
+    measures; it belongs with the benchmark revision of ROADMAP direction 2,
+    after which a chunk's labels are ``model.predict_batch(chunk).labels``."""
     model, test = trained
     calls = {"featurize": 0, "predict": 0}
     for name in calls:
@@ -67,6 +70,21 @@ def test_evaluate_featurizes_and_predicts_each_item_exactly_once(trained, monkey
         monkeypatch.setattr(Model, name, counted)
     metrics.evaluate(model, test)
     assert calls == {"featurize": len(test), "predict": len(test)}
+
+
+@pytest.mark.parametrize("label", [2, None, True, 0.5])
+def test_evaluate_rejects_a_label_other_than_0_or_1_before_scoring(trained, monkeypatch, label):
+    """The check ``train`` runs, naming the dataset and the item, before
+    any item is featurized or scored."""
+    model, test = trained
+    items = list(test.items)
+    items[3] = dataclasses.replace(items[3], label=label)
+    test = data.Dataset(items, test.split, test.provenance)
+    for name in ("featurize", "predict"):
+        monkeypatch.setattr(Model, name, lambda self, arg: pytest.fail("scored a dataset with a bad label"))
+    message = rf"^evaluation dataset {test.provenance!r}: item {test.items[3].id!r} has label {label!r}, expected 0 or 1$"
+    with pytest.raises(ConfigError, match=message):
+        metrics.evaluate(model, test)
 
 
 def test_evaluate_matches_item_by_item_and_batched_predictions(trained, tmp_path):
@@ -81,8 +99,8 @@ def test_evaluate_matches_item_by_item_and_batched_predictions(trained, tmp_path
     assert isinstance(feats[2].text, np.ndarray)
     assert len(feats[0].descs) == 1 and isinstance(feats[0].descs[0], np.ndarray)
     by_item = [model.predict(f).label for f in feats]
-    batched = [p.label for chunk in (feats[:64], feats[64:]) for p in model.predict_batch(chunk)]
-    assert by_item == batched
+    batched = np.concatenate([model.predict_batch(chunk).labels for chunk in (feats[:64], feats[64:])])
+    assert by_item == batched.tolist()
     counts = metrics.confusion_from_predictions(test.labels(), by_item)
     assert (report.tp, report.fp, report.fn, report.tn) == counts
     assert report.n_items == len(test)

@@ -276,11 +276,11 @@ def test_predict_batch_matches_item_by_item_predict():
     assert isinstance(feats[1].text, np.ndarray)
     assert len(feats[3].descs) == 1 and isinstance(feats[3].descs[0], np.ndarray)
     batched = model.predict_batch(feats)
-    for f, got in zip(feats, batched):
+    for i, f in enumerate(feats):
         single = model.predict(f)
-        np.testing.assert_allclose(got.probs, single.probs, rtol=0, atol=1e-12)
-        assert got.label == single.label
-        np.testing.assert_allclose(got.gates, single.gates, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batched.probs[i], single.probs, rtol=0, atol=1e-12)
+        assert batched.labels[i] == single.label
+        np.testing.assert_allclose(batched.gates[i], single.gates, rtol=0, atol=1e-12)
 
 
 def test_predict_batch_builds_no_tape_node_and_leaves_no_cyclic_garbage(monkeypatch):
@@ -313,18 +313,42 @@ def test_predict_batch_builds_no_tape_node_and_leaves_no_cyclic_garbage(monkeypa
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert len(preds) == 3
+    assert preds.probs.shape == (3, 2)
 
 
 def _assert_scores_equal_the_tape_forward(model, feats):
+    """Every field of the scoring ``Trace`` is a plain array with the tape
+    forward's bits, or None where the tape's is."""
     trace = model.forward(feats)
-    preds = model.predict_batch(feats)
-    assert np.array_equal(np.stack([p.probs for p in preds]), trace.probs.data)
-    assert np.array_equal([p.label for p in preds], trace.labels)
-    if trace.gates is None:
-        assert all(p.gates is None for p in preds)
-    else:
-        assert np.array_equal([p.gates for p in preds], trace.gates.data)
+    scores = model.predict_batch(feats)
+    for name in ("r_t", "m_d", "r_t_enh", "e_t", "e_v", "r_f", "gates", "fused", "probs"):
+        tape, plain = getattr(trace, name), getattr(scores, name)
+        assert (tape is None) == (plain is None), name
+        if tape is not None:
+            assert type(plain) is np.ndarray and np.array_equal(plain, tape.data), name
+    assert len(scores.features) == len(trace.features)
+    assert all(np.array_equal(p, t.data) for p, t in zip(scores.features, trace.features))
+    assert np.array_equal(scores.labels, trace.labels)
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_predict_is_row_0_of_a_one_item_predict_batch(ablation):
+    model, feats = build_gradcheck_problem(d=6, n_items=2, ablation=ablation)
+    for f in feats:
+        scores, pred = model.predict_batch([f]), model.predict(f)
+        assert pred.probs.tobytes() == scores.probs[0].tobytes()
+        assert type(pred.label) is int and pred.label == scores.labels[0]
+        if scores.gates is None:
+            assert pred.gates is None
+        else:
+            assert pred.gates == tuple(scores.gates[0].tolist())
+
+
+@pytest.mark.parametrize("run", ["predict_batch", "batch_loss", "forward"])
+def test_an_empty_batch_raises_config_error(run):
+    model, _ = build_gradcheck_problem(d=6, n_items=2)
+    with pytest.raises(ConfigError, match="empty batch"):
+        getattr(model, run)([])
 
 
 @pytest.mark.parametrize("case", BATCHED_CASES)
@@ -363,9 +387,10 @@ def test_chunked_scores_match_item_by_item_predict_at_d64(ablation):
     model, feats = build_gradcheck_problem(d=64, n_items=128, ablation=ablation)
     single = [model.predict(f) for f in feats]
     for size in (1, 7, 64):
-        chunked = [p for i in range(0, len(feats), size) for p in model.predict_batch(feats[i:i + size])]
-        assert [p.label for p in chunked] == [p.label for p in single]
-        np.testing.assert_allclose([p.probs for p in chunked], [p.probs for p in single], rtol=0, atol=1e-12)
+        chunks = [model.predict_batch(feats[i:i + size]) for i in range(0, len(feats), size)]
+        assert np.concatenate([c.labels for c in chunks]).tolist() == [p.label for p in single]
+        probs = np.concatenate([c.probs for c in chunks])
+        np.testing.assert_allclose(probs, [p.probs for p in single], rtol=0, atol=1e-12)
 
 
 def _saved(tmp_path, edit):
@@ -438,6 +463,24 @@ def test_load_rejects_a_checkpoint_whose_config_holds_nan(tmp_path):
     with pytest.raises(ConfigError) as err:
         Model.load(path)
     assert str(path) in str(err.value) and "tau must be positive, got nan" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["text", "empty", "truncated_zip", "npy"])
+def test_load_names_a_file_that_is_not_an_npz_archive(tmp_path, kind):
+    path = _saved(tmp_path, lambda a: None)
+    whole = path.read_bytes()
+    with open(path, "wb") as fh:
+        if kind == "npy":
+            np.save(fh, np.zeros(3))
+        else:
+            fh.write({"text": b"not a checkpoint\n", "empty": b"", "truncated_zip": whole[:40]}[kind])
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: not an .npz archive")):
+        Model.load(path)
+
+
+def test_load_of_a_missing_file_raises_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        Model.load(tmp_path / "absent.npz")
 
 
 def test_load_draws_no_random_weights(tmp_path, monkeypatch):

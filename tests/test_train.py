@@ -57,6 +57,27 @@ def test_train_rejects_a_label_other_than_0_or_1_naming_the_item(label):
         train(TrainConfig(d=8, d_raw=8, batch=4, epochs=1), ds)
 
 
+@pytest.mark.parametrize("field", ["image_vec", "text_vec"])
+def test_a_zero_input_row_names_its_items_and_field(field):
+    """A zero image or text vector projects to zero while the shared-space
+    bias is still zero, and a zero vector has no unit direction. Items 1
+    and 3 both fall in seed 0's first batch, before any step moves the
+    bias. A trained model scores such an item."""
+    art = data.synth_generate(64, 10, 1)
+    for item in (art.train.items[1], art.train.items[3]):
+        if field == "image_vec":
+            item.image = np.zeros_like(item.image)
+        else:
+            item.text_vec = np.zeros(8)
+    named = ", ".join(f"item {item.id!r} \\({field}\\)" for item in art.train.items[1:4:2])
+    with pytest.raises(T.DegenerateInputError, match=f"^{named}: the shared-space projection is a zero vector$"):
+        train(TrainConfig(d=8, epochs=1, batch=32), art.train)
+
+    model = train(TrainConfig(d=8, epochs=1, batch=32), data.synth_generate(64, 10, 1).train).model
+    pred = model.predict(model.featurize(art.train.items[1]))
+    assert np.isfinite(pred.probs).all() and pred.label in (0, 1)
+
+
 def test_adam_steps_match_hand_computation():
     reg = T.ParamRegistry([("p", np.array([1.0, -2.0]))])
     p = reg["p"]
