@@ -7,11 +7,12 @@ vectors. Precomputed text and description embeddings (``text_vec`` and
 ``desc_vecs`` of a news item) replace the pooled token embeddings; the
 projection layers stay in place either way.
 
-Texts and descriptions share the token table, so ``embed_rows`` pools the
-text slots and the padded description slots of a batch through one bag of
-ids and one product with the table. The product's text rows and
-description rows are two results, and on the tape two nodes, each of
-whose backward adds its own block of the bag to the table's gradient.
+Texts and descriptions share the token table, so ``embed_rows`` pads each
+item's description slots to the widest item of the batch and pools them
+with the text slots through one bag of ids and one product with the
+table. The product's text rows and description rows are two results, and
+on the tape two nodes, each of whose backward adds its own block of the
+bag to the table's gradient.
 """
 
 from __future__ import annotations
@@ -116,33 +117,38 @@ def pooled_embedding(emb: Param, bag: np.ndarray, leads: list[tuple[int, ...]]) 
     return T.matmul(bag, emb, leads)
 
 
-def embed_rows(emb: Param, groups: list[tuple[list, tuple[int, ...]]]) -> list:
-    """Feature rows for each ``(slots, lead)`` group, shaped ``lead + (d,)``
-    from its slots in row-major order, or None when every slot of the group
-    is None.
+def embed_rows(emb: Param, texts: list, descs: list[list]) -> tuple:
+    """The feature rows of a batch: ``texts`` holds each item's text slot,
+    ``descs`` each item's list of description slots. Returns the (B, d)
+    text rows; the (B, D, d) description rows, each item's slots padded
+    with zero rows to the widest item's D, or None when no item has a
+    description; and each item's description count.
 
     The one place that reads a slot's kind: a TokenSequence slot gives the
-    mean of its token embeddings, an array slot is a precomputed vector
-    taken as it is, and a None slot (padding) gives a zero row. A group may
-    mix all three. The token slots of every group share one ``bag_of_ids``
-    and one product with the table, which gives one result per group that
-    holds a token slot. Precomputed vectors are constants: a group with no
+    mean of its token embeddings, and an array slot is a precomputed vector
+    taken as it is. The token slots of both blocks share one ``bag_of_ids``
+    and one product with the table, which gives one result per block that
+    holds a token slot. Precomputed vectors are constants: a block with no
     token slot gives a plain array, and otherwise they enter as the offset
     of one ``affine`` node. A plain-array ``emb`` gives plain rows.
     """
     n_vocab, d = T.data_of(emb).shape
-    rows = [None] * len(groups)
-    seqs = [[s if isinstance(s, TokenSequence) else None for s in slots] for slots, _ in groups]
-    pooled = [i for i, group in enumerate(seqs) if any(s is not None for s in group)]
+    lens = [len(slots) for slots in descs]
+    width = max(lens)
+    blocks = [(texts, (len(texts),))]
+    if width:
+        blocks.append(([s for slots in descs for s in slots + [None] * (width - len(slots))], (len(descs), width)))
+    rows = [None, None]
+    pooled = [i for i, (slots, _) in enumerate(blocks) if any(isinstance(s, TokenSequence) for s in slots)]
     if pooled:
-        bag = bag_of_ids([s for i in pooled for s in seqs[i]], n_vocab)
-        for i, block in zip(pooled, pooled_embedding(emb, bag, [groups[i][1] for i in pooled])):
+        bag = bag_of_ids([s if isinstance(s, TokenSequence) else None for i in pooled for s in blocks[i][0]], n_vocab)
+        for i, block in zip(pooled, pooled_embedding(emb, bag, [blocks[i][1] for i in pooled])):
             rows[i] = block
-    for i, (slots, lead) in enumerate(groups):
+    for i, (slots, lead) in enumerate(blocks):
         if any(isinstance(s, np.ndarray) for s in slots):
             pre = np.array([s if isinstance(s, np.ndarray) else np.zeros(d) for s in slots]).reshape(*lead, d)
             rows[i] = pre if rows[i] is None else T.affine(rows[i], 1.0, pre)
-    return rows
+    return rows[0], rows[1], np.array(lens)
 
 
 def encode_description(w_df: Param, rows: Tensor | np.ndarray) -> Tensor | np.ndarray:

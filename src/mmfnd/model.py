@@ -2,8 +2,9 @@
 
 The model assembles the encoder, enrichment, alignment, interaction and
 fusion stages. Items are featurized one by one, then stacked into (B, ...)
-arrays, with each item's descriptions padded to the widest item in the
-batch. ``featurize`` decides once per text whether it enters as token ids
+arrays; one ``encoders.embed_rows`` call lays out a batch's text and
+description rows, padding each item's descriptions to the widest item in
+the batch. ``featurize`` decides once per text whether it enters as token ids
 or as a precomputed embedding; only ``encoders.embed_rows`` reads that
 choice. Work that repeats within an item or across items is done once:
 a description sentence, which recurs in every item that mentions its
@@ -144,14 +145,6 @@ def param_specs(config: ModelConfig, n_vocab: int) -> dict[str, tuple[tuple[int,
     return specs
 
 
-def _padded_descs(batch: list[ItemFeatures]) -> tuple[np.ndarray, int, list]:
-    """Each item's description count, the widest count, and the description
-    slots of every item padded with None to that width, in row-major order."""
-    lens = [len(f.descs) for f in batch]
-    width = max(lens)
-    return np.array(lens), width, [s for f in batch for s in f.descs + [None] * (width - len(f.descs))]
-
-
 def _shared_encode(batch: list[ItemFeatures], channel: str, r, w, b):
     """``align.shared_encode`` of the "text" or "image" features, naming each
     item whose row projects to a zero vector, and the field it came from."""
@@ -265,21 +258,21 @@ class Model:
         ``weights`` maps each parameter name to what the stages read. The
         default, the registry's ``Param``s, records the pass on one tape;
         ``self.params.arrays`` gives plain arrays and no node. An empty
-        batch raises ``ConfigError``.
+        batch raises ``ConfigError``, and so do items holding descriptions
+        on a model without the enhancement channel, naming those items.
         """
         if not batch:
             raise ConfigError("a forward pass over an empty batch")
-        cfg, n = self.config, len(batch)
+        cfg = self.config
         w = self.params if weights is None else weights
-        counts, width, slots = _padded_descs(batch)
-        groups = [([f.text for f in batch], (n,))]
-        if width:
-            groups.append((slots, (n, width)))
-        rows = enc.embed_rows(w["emb"], groups)
-        r_t = T.matvec(w["w_tf"], rows[0])
+        text_rows, desc_rows, counts = enc.embed_rows(w["emb"], [f.text for f in batch], [f.descs for f in batch])
+        if desc_rows is not None and not cfg.uses_enhancement:
+            named = ", ".join(f"item {f.item_id!r}" for f in batch if f.descs)
+            raise ConfigError(f"{named}: the {cfg.ablation!r} model has no enhancement channel to take descriptions")
+        r_t = T.matvec(w["w_tf"], text_rows)
         r_v = enc.encode_image(w["w_vf"], np.array([f.image for f in batch]))
-        m_d = enc.encode_description(w["w_df"], rows[1]) if width else None
-        r_t_enh = enrich.enhance(r_t, m_d, counts, w["w_t"], w["w_d"] if width else None)
+        m_d = None if desc_rows is None else enc.encode_description(w["w_df"], desc_rows)
+        r_t_enh = enrich.enhance(r_t, m_d, counts, w["w_t"], None if m_d is None else w["w_d"])
 
         e_t = e_v = r_f = None
         if cfg.uses_interaction:

@@ -47,7 +47,7 @@ def _identity_params(d, vocab_size):
 
 def _encode_text(emb, proj, seqs):
     """The model's text path: mean-pooled token rows, then the projection."""
-    return T.matvec(proj, enc.embed_rows(emb, [(seqs, (len(seqs),))])[0])
+    return T.matvec(proj, enc.embed_rows(emb, seqs, [[] for _ in seqs])[0])
 
 
 def test_encode_text_identity_weights_single_token():
@@ -90,9 +90,10 @@ def test_bag_of_ids_rejects_an_out_of_range_id_naming_its_slot(ids, slot, bad):
 def test_embed_rows_mixes_token_precomputed_and_padding_slots():
     emb, _ = _identity_params(2, 4)
     emb.data[1] = [2.0, 0.0]
-    slots = [enc.TokenSequence(ids=[1]), np.array([7.0, 8.0]), None, None]
-    (out,) = enc.embed_rows(emb, [(slots, (2, 2))])
+    text = enc.TokenSequence(ids=[2])
+    _, out, counts = enc.embed_rows(emb, [text, text], [[enc.TokenSequence(ids=[1]), np.array([7.0, 8.0])], []])
     np.testing.assert_array_equal(out.data, [[[2.0, 0.0], [7.0, 8.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    np.testing.assert_array_equal(counts, [2, 0])
 
 
 def test_embed_rows_takes_precomputed_vectors_as_constants():
@@ -101,10 +102,10 @@ def test_embed_rows_takes_precomputed_vectors_as_constants():
     emb, _ = _identity_params(2, 4)
     emb.data[1] = [2.0, 0.0]
     pre = [np.array([7.0, 8.0]), np.array([1.0, -1.0])]
-    (out,) = enc.embed_rows(emb, [(pre, (2,))])
-    assert isinstance(out, np.ndarray)
+    out, no_descs, _ = enc.embed_rows(emb, pre, [[], []])
+    assert isinstance(out, np.ndarray) and no_descs is None
     np.testing.assert_array_equal(out, pre)
-    (mixed,) = enc.embed_rows(emb, [([enc.TokenSequence(ids=[1]), pre[0]], (2,))])
+    mixed, _, _ = enc.embed_rows(emb, [enc.TokenSequence(ids=[1]), pre[0]], [[], []])
     assert len(mixed._parents) == 1 and mixed._parents[0]._parents == (emb,)
     np.testing.assert_array_equal(mixed.data, [[2.0, 0.0], pre[0]])
 
@@ -112,14 +113,15 @@ def test_embed_rows_takes_precomputed_vectors_as_constants():
 def test_embed_rows_serves_a_ragged_batch_with_one_bag_and_one_product(monkeypatch):
     """Text slots and padded description slots, mixing token, precomputed
     and padding slots, take one ``bag_of_ids`` and one product with the
-    table: one node per group over it, plus one offset node per group that
-    holds a precomputed vector. The rows equal those of each group alone."""
+    table: one node per block over it, plus one offset node per block that
+    holds a precomputed vector. The rows equal those of each block alone:
+    text rows beside no description, description rows beside precomputed
+    text vectors, which take no part in the bag."""
     gen = Rng(21).stream("ragged-embed")
     emb = T.Param("emb", gen.normal(size=(6, 3)))
     text = [enc.TokenSequence(ids=[1, 2]), gen.normal(size=3), enc.TokenSequence(ids=[5])]
-    descs = [enc.TokenSequence(ids=[3]), None, gen.normal(size=3), None, enc.TokenSequence(ids=[4, 4, 1]), None]
-    groups = [(text, (3,)), (descs, (3, 2))]
-    alone = [enc.embed_rows(emb.data, [group])[0] for group in groups]
+    descs = [[enc.TokenSequence(ids=[3]), enc.TokenSequence(ids=[4, 4, 1])], [gen.normal(size=3)], []]
+    alone = [enc.embed_rows(emb.data, text, [[], [], []])[0], enc.embed_rows(emb.data, [np.ones(3)] * 3, descs)[1]]
     bags, original = [], enc.bag_of_ids
 
     def counting(seqs, vocab_size):
@@ -127,24 +129,33 @@ def test_embed_rows_serves_a_ragged_batch_with_one_bag_and_one_product(monkeypat
         return original(seqs, vocab_size)
 
     monkeypatch.setattr(enc, "bag_of_ids", counting)
-    rows = enc.embed_rows(emb, groups)
+    *rows, counts = enc.embed_rows(emb, text, descs)
     assert bags == [9]
+    np.testing.assert_array_equal(counts, [2, 1, 0])
     products = [row._parents[0] for row in rows]
     assert all(len(row._parents) == 1 for row in rows) and [p._parents for p in products] == [(emb,), (emb,)]
     for got, want in zip(rows, alone):
         np.testing.assert_allclose(got.data, want, rtol=1e-14, atol=0.0)
     np.testing.assert_array_equal(rows[1].data[1, 1], 0.0)
-    np.testing.assert_array_equal(rows[1].data[1, 0], descs[2])
+    np.testing.assert_array_equal(rows[1].data[2], 0.0)
+    np.testing.assert_array_equal(rows[1].data[1, 0], descs[1][0])
 
 
 def test_embed_rows_gives_no_node_to_a_group_without_a_token_slot():
     emb = T.Param("emb", np.arange(8.0).reshape(4, 2))
     pre = np.array([7.0, 8.0])
-    text, descs = enc.embed_rows(emb, [([pre], (1,)), ([enc.TokenSequence(ids=[3]), None], (1, 2))])
+    text, descs, _ = enc.embed_rows(emb, [pre, pre], [[enc.TokenSequence(ids=[3])], []])
     assert isinstance(text, np.ndarray) and descs._parents == (emb,)
-    np.testing.assert_array_equal(text, [pre])
-    np.testing.assert_array_equal(descs.data, [[[6.0, 7.0], [0.0, 0.0]]])
-    assert enc.embed_rows(emb, [([None], (1,))]) == [None]
+    np.testing.assert_array_equal(text, [pre, pre])
+    np.testing.assert_array_equal(descs.data, [[[6.0, 7.0]], [[0.0, 0.0]]])
+
+
+def test_a_batch_where_no_item_has_a_description_gives_no_description_rows():
+    emb = T.Param("emb", np.arange(8.0).reshape(4, 2))
+    for text in (enc.TokenSequence(ids=[3]), np.array([7.0, 8.0])):
+        _, descs, counts = enc.embed_rows(emb, [text, text], [[], []])
+        assert descs is None
+        np.testing.assert_array_equal(counts, [0, 0])
 
 
 def test_encode_image_basis_extraction():
@@ -181,11 +192,11 @@ def test_gradcheck_through_text_and_image_encoders():
     ]
     img = T.Tensor(gen.normal(size=(2, 3)))
     weights = gen.normal(size=(2, 4))
-    desc_slots = [seqs[1], None, seqs[0], gen.normal(size=4)]
+    desc_slots = [[seqs[1]], [seqs[0], gen.normal(size=4)]]
     desc_weights = gen.normal(size=(2, 2, 4))
 
     def f():
-        text_rows, desc_rows = enc.embed_rows(emb, [(seqs, (2,)), (desc_slots, (2, 2))])
+        text_rows, desc_rows, _ = enc.embed_rows(emb, seqs, desc_slots)
         r_t = T.matvec(w_tf, text_rows)
         r_v = enc.encode_image(w_vf, img)
         m_d = enc.encode_description(w_df, desc_rows)

@@ -97,6 +97,21 @@ def test_no_E_never_reads_descriptions():
     )
 
 
+@pytest.mark.parametrize("run", ["predict", "predict_batch", "batch_loss"])
+def test_no_E_model_given_descriptions_raises_config_error_naming_the_items(run):
+    """Features holding descriptions, which only a model with enhancement
+    builds, are rejected by name: ``predict`` takes item probe-1 alone."""
+    model, plain = build_gradcheck_problem(ablation="no_E")
+    _, described = build_gradcheck_problem()
+    if run == "predict":
+        call, named = (lambda: model.predict(described[1])), "item 'probe-1'"
+    else:
+        batch = [plain[0], described[1], described[3]]
+        call, named = (lambda: getattr(model, run)(batch)), "item 'probe-1', item 'probe-3'"
+    with pytest.raises(ConfigError, match=f"^{named}: the 'no_E' model has no enhancement channel to take descriptions$"):
+        call()
+
+
 def test_zero_description_item_in_full_model_bypasses_enhancement():
     model, feats = build_gradcheck_problem(d=6, n_items=2, n_desc=0)
     trace = model.forward(feats)

@@ -319,3 +319,49 @@ def test_build_vocabulary_tokenizes_each_distinct_text_once(monkeypatch):
     vocab = build_vocabulary(data.Dataset(items, "train", "test"), include_descriptions=True)
     assert sorted(calls) == ["A shared description.", "post 0", "post 1", "post 2"]
     assert vocab.tokens == ["0", "1", "2", "a", "description", "post", "shared"]
+
+
+def _logged_training_run(monkeypatch, cfg, ds):
+    """The result of ``train`` and, in call order, one ("step", len(batch))
+    event per ``Model.batch_loss`` call and one ("epoch", stats) event per
+    ``progress`` call: the two hooks a step timer reads."""
+    events, batch_loss = [], Model.batch_loss
+
+    def logged(self, batch, diagnostics=None):
+        events.append(("step", len(batch)))
+        return batch_loss(self, batch, diagnostics)
+
+    monkeypatch.setattr(Model, "batch_loss", logged)
+    result = train(cfg, ds, progress=lambda stats: events.append(("epoch", stats)))
+    return result, events
+
+
+def test_progress_gets_each_epochs_stats_in_order_after_its_last_step(monkeypatch):
+    result, events = _logged_training_run(
+        monkeypatch, TrainConfig(d=8, d_raw=8, batch=6, epochs=3), data.synth_generate(20, 10, 1, 8).train
+    )
+    epochs = [stats for kind, stats in events if kind == "epoch"]
+    assert len(epochs) == len(result.curve) == 3
+    assert all(seen is kept for seen, kept in zip(epochs, result.curve))
+    assert [stats.epoch for stats in epochs] == [0, 1, 2]
+    assert events[-1][0] == "epoch"
+
+
+def test_each_batch_loss_call_gets_a_batch_as_long_as_its_step(monkeypatch):
+    """A step's item count is ``len(batch)``: per epoch the counts add up to
+    the dataset, and every step but the last takes ``cfg.batch`` items."""
+    ds = data.synth_generate(20, 10, 1, 8).train
+    cfg = TrainConfig(d=8, d_raw=8, batch=6, epochs=2)
+    _, events = _logged_training_run(monkeypatch, cfg, ds)
+    per_epoch, steps = [], []
+    for kind, value in events:
+        if kind == "step":
+            steps.append(value)
+        else:
+            per_epoch.append(steps)
+            steps = []
+    assert steps == [] and len(per_epoch) == cfg.epochs
+    for lens in per_epoch:
+        assert sum(lens) == len(ds) == 20
+        assert lens[:-1] == [cfg.batch] * (len(lens) - 1) and 0 < lens[-1] <= cfg.batch
+    assert per_epoch[0] == [6, 6, 6, 2]
