@@ -369,9 +369,9 @@ def save_jsonl(path, dataset: Dataset) -> None:
     written by copying the JSON text it was read from: one never read is not
     parsed at all, and one that was read is copied while the item holds that
     very array and the array is still read-only. Otherwise its floats are
-    formatted. A line has the bytes of ``json.dumps(obj, ensure_ascii=False)``
-    with each copied text in place of its value. Only the output file is
-    opened.
+    formatted. A numpy-integer label is written as its plain int. A line has
+    the bytes of ``json.dumps(obj, ensure_ascii=False)`` with each copied
+    text in place of its value. Only the output file is opened.
     """
     dumps = json.JSONEncoder(ensure_ascii=False).encode
     with open(path, "w", encoding="utf-8") as fh:
@@ -379,7 +379,8 @@ def save_jsonl(path, dataset: Dataset) -> None:
             sources = item.sources
             fields = {
                 "id": dumps(item.id), "text": dumps(item.text),
-                "image_vec": _vector_json(item, "image_vec", sources) or "null", "label": dumps(item.label),
+                "image_vec": _vector_json(item, "image_vec", sources) or "null",
+                "label": dumps(int(item.label) if isinstance(item.label, np.integer) else item.label),
             }
             if item.entities:
                 fields["entities"] = dumps(item.entities)

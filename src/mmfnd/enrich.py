@@ -31,9 +31,9 @@ from .tensor import DegenerateInputError, Param, Tensor
 
 @dataclass(frozen=True)
 class Entity:
-    """A gazetteer hit in a news text."""
+    """A gazetteer hit in a news text; its surface text is
+    ``text[slice(*span)]``."""
 
-    surface: str
     canonical_title: str
     span: tuple[int, int]
 
@@ -42,7 +42,6 @@ class Entity:
 class EntityDescription:
     """First sentence of an entity's encyclopedia summary."""
 
-    entity: str
     sentence: str
     source: str  # live | cache | fixture
 
@@ -66,27 +65,23 @@ def _title_key(title: str) -> tuple[str, ...]:
 
 
 class Gazetteer:
-    """Entity titles in file order plus a longest-match index built once.
+    """A longest-match index over entity titles, built once.
 
     ``by_key`` maps each title's lowercased word-token tuple to the first
     title with that key; ``lengths`` maps each first token to the key
     lengths that start with it, longest first. Titles with no word
-    characters are kept in ``titles`` but never match.
+    characters never match.
     """
 
     def __init__(self, titles):
-        self.titles = list(titles)
         self.by_key: dict[tuple[str, ...], str] = {}
         lengths: dict[str, set[int]] = {}
-        for title in self.titles:
+        for title in titles:
             key = _title_key(title)
             if key:
                 self.by_key.setdefault(key, title)
                 lengths.setdefault(key[0], set()).add(len(key))
         self.lengths = {tok: sorted(ls, reverse=True) for tok, ls in lengths.items()}
-
-    def __iter__(self):
-        return iter(self.titles)
 
 
 def extract_entities(text: str, gazetteer: Gazetteer) -> list[Entity]:
@@ -112,8 +107,7 @@ def extract_entities(text: str, gazetteer: Gazetteer) -> list[Entity]:
             if title is not None and j <= n:
                 if title not in seen_titles:
                     seen_titles.add(title)
-                    start, end = matches[i].start(), matches[j - 1].end()
-                    found.append(Entity(surface=text[start:end], canonical_title=title, span=(start, end)))
+                    found.append(Entity(title, (matches[i].start(), matches[j - 1].end())))
                 i = j
                 break
         else:
@@ -123,8 +117,8 @@ def extract_entities(text: str, gazetteer: Gazetteer) -> list[Entity]:
 
 def load_gazetteer(path) -> Gazetteer:
     """One title per line, UTF-8; blank lines ignored. The returned
-    ``Gazetteer`` iterates the titles in file order and carries the index
-    that ``extract_entities`` reuses on every call."""
+    ``Gazetteer`` carries the index that ``extract_entities`` reuses on
+    every call."""
     with open(path, "r", encoding="utf-8") as fh:
         return Gazetteer(line.strip() for line in fh if line.strip())
 
@@ -192,8 +186,9 @@ def _cache_entry(raw: bytes) -> dict | None:
 class DescriptionCache:
     """Descriptions in one append-only JSON-lines file under a cache directory.
 
-    ``put`` appends one line ``{"title", "sentence", "fetched_at"}``, so a
-    new entry creates no file of its own; the last line for a title wins.
+    ``put`` appends one line ``{"title", "sentence"}``, so a new entry
+    creates no file of its own; the last line for a title wins, and other
+    keys on a line (the ``fetched_at`` stamp of older files) are ignored.
     The cache maps each title to its sentence, reading only lines appended
     since its last scan, and rescans when a lookup misses, so caches on the
     same directory see each other's new titles. A hit reads no file, by
@@ -242,8 +237,7 @@ class DescriptionCache:
 
     def put(self, title: str, sentence: str) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        payload = {"title": title, "sentence": sentence, "fetched_at": time.time()}
-        line = (json.dumps(payload, ensure_ascii=False) + "\n").encode("utf-8")
+        line = (json.dumps({"title": title, "sentence": sentence}, ensure_ascii=False) + "\n").encode("utf-8")
         with open(self.path, "ab") as fh:
             fh.write(line)
         self._sentences[title] = sentence
@@ -316,12 +310,12 @@ class WikiClient:
         title = entity.canonical_title if isinstance(entity, Entity) else entity
         cached = self.cache.get(title)
         if cached is not None:
-            return EntityDescription(entity=title, sentence=cached, source="cache")
+            return EntityDescription(cached, "cache")
         if mode == "offline":
             if title in self.fixture:
                 sentence = first_sentence(self.fixture[title])
                 self.cache.put(title, sentence)
-                return EntityDescription(entity=title, sentence=sentence, source="fixture")
+                return EntityDescription(sentence, "fixture")
             raise CacheMissError(f"no cached or fixture description for {title!r}")
         return self._fetch_live(title)
 
@@ -357,7 +351,7 @@ class WikiClient:
                 )
             sentence = first_sentence(extract)
             self.cache.put(title, sentence)
-            return EntityDescription(entity=title, sentence=sentence, source="live")
+            return EntityDescription(sentence, "live")
         raise FetchError(f"failed to fetch {title!r} after {MAX_RETRIES} attempts: {last_error}")
 
     def _throttle(self) -> None:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -40,17 +41,17 @@ def test_extract_no_hits():
 
 
 def test_extract_longest_match_wins():
-    entities = enrich.extract_entities(
-        "Visit New York City now", enrich.Gazetteer(["New York", "New York City"])
-    )
+    text = "Visit New York City now"
+    entities = enrich.extract_entities(text, enrich.Gazetteer(["New York", "New York City"]))
     assert [e.canonical_title for e in entities] == ["New York City"]
-    assert entities[0].surface == "New York City"
+    assert text[slice(*entities[0].span)] == "New York City"
 
 
 def test_extract_case_insensitive_keeps_original_surface():
-    entities = enrich.extract_entities("we saw FERGUSON burn", enrich.Gazetteer(["Ferguson"]))
+    text = "we saw FERGUSON burn"
+    entities = enrich.extract_entities(text, enrich.Gazetteer(["Ferguson"]))
     assert entities[0].canonical_title == "Ferguson"
-    assert entities[0].surface == "FERGUSON"
+    assert text[slice(*entities[0].span)] == "FERGUSON"
 
 
 def test_extract_dedupes_by_title_keeping_first():
@@ -69,20 +70,22 @@ def test_gazetteer_file_roundtrip(tmp_path):
     path = tmp_path / "gaz.txt"
     titles = ["Ferguson", "New York City", "哈尔滨"]
     enrich.write_gazetteer(path, titles)
-    assert list(enrich.load_gazetteer(path)) == titles
+    assert list(enrich.load_gazetteer(path).by_key.values()) == titles
 
 
 def test_extract_tokenizes_titles_like_text():
     # "İ".lower() is "i" plus a combining dot, which is not a word character:
     # lowercasing the title before splitting it made two tokens of one word
-    entities = enrich.extract_entities("Talks in İstanbul today", enrich.Gazetteer(["İstanbul"]))
-    assert [(e.canonical_title, e.surface) for e in entities] == [("İstanbul", "İstanbul")]
+    text = "Talks in İstanbul today"
+    entities = enrich.extract_entities(text, enrich.Gazetteer(["İstanbul"]))
+    assert [(e.canonical_title, text[slice(*e.span)]) for e in entities] == [("İstanbul", "İstanbul")]
 
 
 def test_extract_duplicate_keys_resolve_to_first_title_in_file_order():
     gaz = enrich.Gazetteer(["new york", "New-York", "NEW YORK"])
-    entities = enrich.extract_entities("Flights to New York resumed", gaz)
-    assert [(e.canonical_title, e.surface) for e in entities] == [("new york", "New York")]
+    text = "Flights to New York resumed"
+    entities = enrich.extract_entities(text, gaz)
+    assert [(e.canonical_title, text[slice(*e.span)]) for e in entities] == [("new york", "New York")]
 
 
 def test_extract_overlaps_resolve_to_longest_title_in_any_file_order():
@@ -96,7 +99,7 @@ def test_extract_overlaps_resolve_to_longest_title_in_any_file_order():
 
 def test_extract_ignores_titles_without_word_characters():
     gaz = enrich.Gazetteer(["", "!!!", " - ", "Ferguson"])
-    assert list(gaz) == ["", "!!!", " - ", "Ferguson"]
+    assert list(gaz.by_key.values()) == ["Ferguson"]
     entities = enrich.extract_entities("!!! in Ferguson - now", gaz)
     assert [e.canonical_title for e in entities] == ["Ferguson"]
 
@@ -225,6 +228,29 @@ def test_cache_bad_entry_names_title_and_file(tmp_path, content):
     with pytest.raises(DataFormatError) as err:
         cache.get("Ferguson")
     assert "'Ferguson'" in str(err.value) and str(path) in str(err.value) and f"byte {len(good)}" in str(err.value)
+
+
+def test_cache_writes_title_and_sentence_only(tmp_path):
+    cache = enrich.DescriptionCache(tmp_path / "cache")
+    cache.put("Ferguson", "A city.")
+    assert Path(cache.path).read_bytes() == b'{"title": "Ferguson", "sentence": "A city."}\n'
+
+
+def test_cache_file_with_fetched_at_stamps_still_loads_and_hits(tmp_path):
+    # lines as earlier versions wrote them, each with a fetch time stamp
+    (tmp_path / "cache").mkdir()
+    lines = [
+        {"title": "Ferguson", "sentence": "Old.", "fetched_at": 1700000000.5},
+        {"title": "Missouri", "sentence": "A state.", "fetched_at": 1700000001.25},
+        {"title": "Ferguson", "sentence": "A city.", "fetched_at": 1700000002.0},
+    ]
+    (tmp_path / "cache" / enrich.DescriptionCache.FILE).write_text(
+        "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    transport = FakeTransport([])
+    client, _ = _client(tmp_path, transport)
+    found = [client.fetch_description(title, mode="live") for title in ("Ferguson", "Missouri")]
+    assert found == [enrich.EntityDescription("A city.", "cache"), enrich.EntityDescription("A state.", "cache")]
+    assert transport.calls == []
 
 
 def test_cache_hit_opens_no_file(tmp_path):
@@ -431,6 +457,22 @@ def test_live_requests_are_rate_limited(tmp_path):
     client.fetch_description("One", mode="live")
     client.fetch_description("Two", mode="live")
     assert any(abs(s - enrich.MIN_INTERVAL) < 1e-9 for s in ft.sleeps)
+
+
+def test_requests_transport_returns_status_and_body_of_one_get(monkeypatch):
+    calls = []
+
+    class Response:
+        status_code, content = 200, b'{"extract": "A city."}'
+
+    def get(url, headers, timeout):
+        calls.append((url, headers, timeout))
+        return Response()
+
+    monkeypatch.setitem(sys.modules, "requests", types.SimpleNamespace(get=get))
+    headers = {"User-Agent": enrich.DEFAULT_USER_AGENT}
+    assert enrich.requests_transport("https://example.org/x", headers, 2.5) == (200, b'{"extract": "A city."}')
+    assert calls == [("https://example.org/x", headers, 2.5)]
 
 
 def test_live_without_requests_fails_at_once_naming_the_extra(tmp_path, monkeypatch):

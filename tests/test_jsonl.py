@@ -5,6 +5,7 @@ vectors ``load_jsonl`` leaves undecoded against eagerly decoded ones, and
 import builtins
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -163,6 +164,18 @@ def test_walker_counts_lines_like_a_text_mode_read(tmp_path):
     with pytest.raises(DataFormatError, match=r"line 4: invalid JSON"):
         for line_no, obj, _ in json_objects(path):
             assert (line_no, obj) in [(1, {"a": 1}), (3, {"b": 2})]
+
+
+@pytest.mark.parametrize(
+    "line,reason", [('{"a" 1}', "expected ':'"), ('{"a": 1 "b": 2}', "expected ',' or '}'")]
+)
+def test_walker_stops_at_a_missing_colon_or_comma_and_json_loads_names_the_line(tmp_path, line, reason):
+    with pytest.raises(ValueError, match=reason):
+        data._walk_object(line, frozenset())
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"a": 1}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}: line 2: invalid JSON"):
+        list(json_objects(path))
 
 
 def test_walker_names_the_line_of_invalid_utf8(tmp_path):
@@ -426,6 +439,18 @@ def test_save_of_plain_items_writes_the_json_dumps_bytes(tmp_path):
     items = _items()
     data.save_jsonl(tmp_path / "a.jsonl", data.Dataset(items, "train", "test"))
     assert (tmp_path / "a.jsonl").read_bytes() == _old_formula(items)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_numpy_integer_labels_save_as_the_plain_int_bytes(tmp_path, dtype):
+    items = _items(4)
+    data.save_jsonl(tmp_path / "int.jsonl", data.Dataset(items, "train", "test"))
+    for item in items:
+        item.label = dtype(item.label)
+    data.Dataset(items, "train", "test").require_labels("training")
+    data.save_jsonl(tmp_path / "numpy.jsonl", data.Dataset(items, "train", "test"))
+    assert (tmp_path / "numpy.jsonl").read_bytes() == (tmp_path / "int.jsonl").read_bytes()
+    assert data.load_jsonl(tmp_path / "numpy.jsonl").labels() == [0, 1, 0, 1]
 
 
 def test_load_then_save_reproduces_the_file_byte_for_byte(tmp_path):

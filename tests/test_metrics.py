@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +17,33 @@ def test_no_predicted_fakes_warns_and_reports_zero_precision():
     assert report.fake.precision == 0.0 and report.fake.f1 == 0.0
     assert any("no items predicted fake" in w for w in report.warnings)
     assert report.accuracy == pytest.approx(5 / 8)
+
+
+@pytest.mark.parametrize("label,counts", [("fake", dict(tp=0, fp=2, fn=0, tn=6)), ("real", dict(tp=5, fp=0, fn=3, tn=0))])
+def test_no_true_items_of_a_class_warns_and_reports_zero_recall(label, counts):
+    report = metrics.report_from_confusion(**counts)
+    block = getattr(report, label)
+    assert block.recall == 0.0 and block.f1 == 0.0
+    assert f"no true {label} items in the evaluation set; recall reported as 0" in report.warnings
+    assert report.accuracy == pytest.approx(6 / 8 if label == "fake" else 5 / 8)
+
+
+def test_report_to_dict_is_plain_json_of_every_field():
+    report = metrics.report_from_confusion(tp=3, fp=1, fn=2, tn=4)
+    out = report.to_dict()
+    assert json.loads(json.dumps(out)) == out
+    assert out == {
+        "accuracy": 0.7,
+        "fake": {"precision": 0.75, "recall": 0.6, "f1": pytest.approx(2 / 3)},
+        "real": {"precision": 4 / 6, "recall": 0.8, "f1": pytest.approx(8 / 11)},
+        "confusion": {"tp": 3, "fp": 1, "fn": 2, "tn": 4},
+        "n_items": 10,
+        "warnings": [],
+    }
+    # the dict is a copy: editing it leaves the report as it was
+    out["fake"]["precision"] = 0.0
+    out["warnings"].append("edited")
+    assert report.fake.precision == 0.75 and report.warnings == []
 
 
 def test_evaluating_an_empty_dataset_names_its_provenance():

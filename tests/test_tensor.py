@@ -627,6 +627,27 @@ def test_zero_d_plain_operands_build_no_node(monkeypatch):
     assert out == pytest.approx(1.0 / (1.0 + np.exp(-3.0)))
 
 
+@pytest.mark.parametrize(
+    "call,shapes",
+    [
+        (lambda: T.matvec(T.Param("w", np.ones((2, 3))), t(np.ones((4, 3))), T.Param("b", np.ones(3))), ["(3,)", "(2,)"]),
+        (lambda: T.add(t([1.0, 2.0]), t([1.0, 2.0, 3.0])), ["(2,)", "(3,)"]),
+        (lambda: T.attention_pool(t(np.ones((2, 3))), t(np.ones((2, 4, 3))), np.ones((2, 5), bool), np.ones(2)),
+         ["(2, 3)", "(2, 4, 3)", "(2, 5)", "(2,)"]),
+        (lambda: T.rank1_max_pool(t(np.ones((2, 3))), t(np.ones((3, 3)))), ["(2, 3)", "(3, 3)"]),
+        (lambda: T.binary_nll(t(np.full((4, 2), 0.5)), 1, np.ones(3, bool), 1e-7), ["(4, 2)", "(3,)"]),
+        (lambda: T.gated_concat([t(np.ones((2, 3))), t(np.ones((2, 4)))], np.ones((2, 2))), ["(2, 3)", "(2, 4)"]),
+        (lambda: T.gated_concat([t(np.ones((2, 3))), t(np.ones((2, 3)))], t(np.ones((2, 3)))), ["(2, 3)"]),
+    ],
+    ids=["matvec-bias", "add", "attention_pool", "rank1_max_pool", "binary_nll", "gated_concat-parts",
+         "gated_concat-gates"],
+)
+def test_ops_reject_disagreeing_shapes_naming_them(call, shapes):
+    with pytest.raises(T.ShapeError) as exc:
+        call()
+    assert all(shape in str(exc.value) for shape in shapes)
+
+
 def test_backward_requires_scalar():
     with pytest.raises(T.ShapeError):
         t([1.0, 2.0]).backward()
